@@ -10,16 +10,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import fixtures as fixtures_mod
-from .dynamics import (PeriodBoundInput, default_n_max, period_bound,
-                       preperiodic_graph, rational_periodic_points)
+from .dynamics import (DEFAULT_BUDGET, PeriodBoundInput, default_n_max,
+                       period_bound, preperiodic_graph,
+                       rational_periodic_points)
 from .errors import SymprodError
 from .heights import (bad_primes, bad_primes_sym, canonical_height,
-                      canonical_height_nf, morphism_certificate)
+                      canonical_height_nf)
 from .parser import parse_map, parse_point
-from .projective import AlgebraicPoint, PkPoint, morphism_of_map
+from .projective import AlgebraicPoint, morphism_of_map
 from .spectra import is_pcf, is_strongly_pcf_symmetric, multiplier_F
 from .symmetric import symmetrize
 
@@ -87,7 +87,6 @@ def _cmd_canonical_height(args):
     else:
         k = args.k if args.k is not None else pt.k
         if pt.k != k:
-            F = symmetrize(f, k)
             raise SymprodError(f"point has dimension {pt.k}, expected {k}")
         F = symmetrize(f, k) if k > 1 else morphism_of_map(f)
         hv = canonical_height(F, pt, tol=args.tol, prec=args.precision,
@@ -158,7 +157,7 @@ def _cmd_pcf(args):
 
 
 def _cmd_fixtures(args):
-    results = fixtures_mod.run_fixtures(jobs=args.jobs)
+    results = fixtures_mod.run_fixtures()
     lines = []
     ok = True
     for r in results:
@@ -197,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
         if nmax:
             p.add_argument("--n-max", dest="n_max", type=int, default=None,
                            help="largest base period searched")
-            p.add_argument("--budget", type=int, default=64,
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                            help="largest fixed-point form degree factored")
         p.add_argument("--json", action="store_true")
 
@@ -240,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixtures", help="run the regression corpus")
     p.add_argument("action", choices=["run"])
-    p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_fixtures)
 

@@ -11,11 +11,7 @@ bookkeeping is self-correcting.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -24,12 +20,11 @@ from .errors import BudgetExceededError, DomainError
 from .gf import FiniteField, cycle_lengths, p1_points, reduce_map
 from .heights import bad_primes, bad_primes_sym, morphism_certificate
 from .projective import (AlgebraicPoint, BinaryForm, MorphismPk, PkPoint,
-                         RationalMap1, form_of_point, morphism_of_map,
+                         RationalMap1, _conv, form_of_point, morphism_of_map,
                          point_of_form, zero_form_to_point_form)
 from .symmetric import conjugate_points, eta_tilde, symmetrize
-from .unipoly import UniPoly
 
-DEFAULT_BUDGET = 4096
+DEFAULT_BUDGET = 64
 _ORBIT_CAP = 100000
 
 
@@ -221,16 +216,6 @@ def period_bound(inp: PeriodBoundInput) -> int:
 # ---------------------------------------------------------------------------
 # fixed-point forms and the periodic point search
 # ---------------------------------------------------------------------------
-
-
-def _conv(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
 
 
 def iterate_lift(f: RationalMap1, n: int):
@@ -519,13 +504,6 @@ def _tails_and_periods(points, images, periods):
     return tails, pers
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("SYMPROD_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def preperiodic_graph(f: RationalMap1, k: int, n_max: int | None = None,
                       budget: int = DEFAULT_BUDGET) -> PreperiodicGraph:
     """All rational preperiodic points of the k-symmetric product reachable
@@ -537,17 +515,10 @@ def preperiodic_graph(f: RationalMap1, k: int, n_max: int | None = None,
     periods = {p: per for p, per in periodic}
     nodes = set(periods)
     frontier = sorted(nodes)
-    workers = _thread_count()
     while frontier:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                batches = list(pool.map(
-                    lambda q: rational_preimages(f, F, q), frontier))
-        else:
-            batches = [rational_preimages(f, F, q) for q in frontier]
         new = []
-        for batch in batches:
-            for p in batch:
+        for q in frontier:
+            for p in rational_preimages(f, F, q):
                 if p not in nodes:
                     nodes.add(p)
                     new.append(p)

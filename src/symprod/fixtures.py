@@ -11,9 +11,7 @@ suite can assert that running the corpus exercises every public operation.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -530,16 +528,8 @@ def _fx_parser(detail):
     return "grammar round trips"
 
 
-def run_fixtures(names=None, jobs: int | None = None) -> list[FixtureResult]:
-    """Run the corpus (optionally a subset) and report in declaration order.
-
-    jobs defaults to the SYMPROD_THREADS environment variable."""
-    chosen = [f for f in FIXTURES if names is None or f.name in names]
-    if jobs is None:
-        try:
-            jobs = max(1, int(os.environ.get("SYMPROD_THREADS", "1")))
-        except ValueError:
-            jobs = 1
+def run_fixtures(names=None) -> list[FixtureResult]:
+    """Run the corpus (optionally a subset) and report in declaration order."""
 
     def run_one(fx: Fixture) -> FixtureResult:
         t0 = time.time()
@@ -554,7 +544,4 @@ def run_fixtures(names=None, jobs: int | None = None) -> list[FixtureResult]:
             return FixtureResult(fx.name, fx.provenance, False,
                                  f"{type(exc).__name__}: {exc}", time.time() - t0)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_one, chosen))
-    return [run_one(fx) for fx in chosen]
+    return [run_one(fx) for fx in FIXTURES if names is None or fx.name in names]

@@ -168,15 +168,6 @@ def cycle_lengths(step, points) -> set[int]:
     return lengths
 
 
-def pk_points_prime_field(p: int, k: int):
-    """Canonical representatives of P^k(F_p): first nonzero coordinate 1."""
-    pts = []
-    for lead in range(k + 1):
-        for tail in product(range(p), repeat=k - lead):
-            pts.append((0,) * lead + (1,) + tail)
-    return pts
-
-
 def morphism_degenerate_over(F, p: int, e: int) -> bool:
     """Brute-force search for a common projective zero of the reduced
     components of F over F_{p^e}.

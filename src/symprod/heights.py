@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -29,6 +29,7 @@ from .mpoly import MPoly
 from .projective import MorphismPk, PkPoint, RationalMap1, morphism_of_map
 from .symmetric import eta_tilde, symmetrize
 
+# mpmath's working precision is process-global; callers may use threads.
 _mp_lock = threading.Lock()
 
 

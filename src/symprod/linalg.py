@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
 from .unipoly import UniPoly
 
 _DIXON_PRIME = 2 ** 20 + 7  # products of two reduced entries stay well inside int64

@@ -163,23 +163,6 @@ def _factor_mod_p(f, p, rng):
 # ---------------------------------------------------------------------------
 
 
-def _mmul(a, b, mod):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim([c % mod for c in out])
-
-
-def _msub(a, b, mod):
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % mod
-                  for i in range(n)])
-
-
 def _mdivmod_monic(a, b, mod):
     r = [c % mod for c in a]
     q = [0] * max(0, len(a) - len(b) + 1)
@@ -198,17 +181,17 @@ def _hensel_step(f, g, h, s, t, m):
     h and g monic; returns (g*, h*, s*, t*).
     """
     mod = m * m
-    e = _msub(f, _mmul(g, h, mod), mod)
-    q, r = _mdivmod_monic(_mmul(s, e, mod), h, mod)
+    e = _psub(f, _pmul(g, h, mod), mod)
+    q, r = _mdivmod_monic(_pmul(s, e, mod), h, mod)
     # g* = g + t*e + q*g
-    te = _mmul(t, e, mod)
-    qg = _mmul(q, g, mod)
+    te = _pmul(t, e, mod)
+    qg = _pmul(q, g, mod)
     gstar = _addm(_addm(g, te, mod), qg, mod)
     hstar = _addm(h, r, mod)
-    b = _msub(_addm(_mmul(s, gstar, mod), _mmul(t, hstar, mod), mod), [1], mod)
-    c, d = _mdivmod_monic(_mmul(s, b, mod), hstar, mod)
-    sstar = _msub(s, d, mod)
-    tstar = _msub(_msub(t, _mmul(t, b, mod), mod), _mmul(c, gstar, mod), mod)
+    b = _psub(_addm(_pmul(s, gstar, mod), _pmul(t, hstar, mod), mod), [1], mod)
+    c, d = _mdivmod_monic(_pmul(s, b, mod), hstar, mod)
+    sstar = _psub(s, d, mod)
+    tstar = _psub(_psub(t, _pmul(t, b, mod), mod), _pmul(c, gstar, mod), mod)
     return gstar, hstar, sstar, tstar
 
 
@@ -288,7 +271,7 @@ def _zassenhaus_monic(f):
     n = len(f) - 1
     if n <= 1:
         return [list(f)]
-    rng = random.Random(repr(f).encode()[:64].hex())
+    rng = random.Random(hash(tuple(f)))
 
     best = None
     tried = 0
@@ -336,7 +319,7 @@ def _zassenhaus_monic(f):
                 continue
             g = [1]
             for i in combo:
-                g = _mmul(g, lifted[i], ptar)
+                g = _pmul(g, lifted[i], ptar)
             g = [_symrep(c, ptar) for c in g]
             q, r = _int_divmod_monic(current, g)
             if not r:

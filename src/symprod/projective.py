@@ -23,6 +23,17 @@ from .numberfield import NFElem, NumberField, minimal_polynomial
 from .unipoly import UniPoly, sylvester_resultant
 
 
+def _conv(a, b):
+    """Product of two integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] += ai * bj
+    return out
+
+
 def _normalize_int_vector(vals):
     """Clear denominators, strip the gcd, make the first nonzero entry positive."""
     fr = [Fraction(v) for v in vals]
@@ -98,13 +109,7 @@ class BinaryForm:
         return hash(("binform", self.coeffs))
 
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return BinaryForm(out)
+        return BinaryForm(_conv(self.coeffs, other.coeffs))
 
     def eval(self, x, y):
         n = self.degree
@@ -158,19 +163,6 @@ def form_of_point(p: PkPoint) -> BinaryForm:
 
 
 def point_of_form(g: BinaryForm) -> PkPoint:
-    return PkPoint(g.coeffs)
-
-
-def linear_form_of_p1(p: PkPoint) -> BinaryForm:
-    """Encode a P^1 point (a : b) as the linear form a X + b Y."""
-    if p.k != 1:
-        raise DomainError("expected a point of P^1")
-    return BinaryForm(p.coords)
-
-
-def p1_of_linear_form(g: BinaryForm) -> PkPoint:
-    if g.degree != 1:
-        raise DomainError("expected a linear form")
     return PkPoint(g.coeffs)
 
 
@@ -386,17 +378,7 @@ class RationalMap1:
         pt = [self.num[j + 1] * (j + 1) for j in range(d)]
         qz = [self.den[j] * (d - j) for j in range(d)]
         qt = [self.den[j + 1] * (j + 1) for j in range(d)]
-
-        def mul(a, b):
-            out = [0] * (2 * len(a) - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        if bj:
-                            out[i + j] += ai * bj
-            return out
-
-        w = [x - y for x, y in zip(mul(pz, qt), mul(pt, qz))]
+        w = [x - y for x, y in zip(_conv(pz, qt), _conv(pt, qz))]
         if all(c == 0 for c in w):
             raise DegenerateMapError("identically vanishing Wronskian")
         return BinaryForm(w)

@@ -18,7 +18,7 @@ from .projective import (AlgebraicPoint, MorphismPk, PkPoint, RationalMap1,
                          zero_form_to_point_form)
 from .symmetric import conjugate_points, decompose_form, symmetrize
 from .unipoly import UniPoly
-from .dynamics import OrbitClassification, orbit_classify
+from .dynamics import orbit_classify
 
 
 def _chart(pt: AlgebraicPoint) -> int:

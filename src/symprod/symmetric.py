@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .mpoly import MPoly, elementary_symmetric
-from .numberfield import NumberField, minimal_polynomial
+from .numberfield import NumberField
 from .projective import (AlgebraicPoint, BinaryForm, MorphismPk, PkPoint,
                          RationalMap1, form_of_point, minpoly_of_factor)
 from .unipoly import UniPoly
@@ -256,10 +256,3 @@ def _conjugate_sort_key(entry):
         v = pt.value
         return (1, (v.numerator, v.denominator), ())
     return (field.degree, field.minpoly.coeffs, pt.value.coords)
-
-
-def multiset_total_degree(decomp) -> int:
-    total = 0
-    for field, pt, mult in decomp:
-        total += (field.degree if field is not None else 1) * mult
-    return total

@@ -182,6 +182,7 @@ def test_default_n_max():
     f = _map("x^2 - 2")
     assert default_n_max(f, 2, budget=64) == 6
     assert default_n_max(f, 2, user_cap=3, budget=64) == 3
+    assert default_n_max(f, 2) == default_n_max(f, 2, budget=64)
 
 
 # ---------------------------------------------------------------------------
@@ -294,17 +295,6 @@ def test_graph_k5_contains_quintic_cycle_block():
                      if any(fld is not None and fld.degree == 5
                             for fld, _p, _m in n.components)]
     assert quintic_nodes
-
-
-def test_graph_thread_determinism(monkeypatch):
-    f = _map("x^2 - 21/16")
-    monkeypatch.setenv("SYMPROD_THREADS", "3")
-    g1 = preperiodic_graph(f, 2, 2)
-    monkeypatch.setenv("SYMPROD_THREADS", "1")
-    g2 = preperiodic_graph(f, 2, 2)
-    assert [n.point for n in g1.nodes] == [n.point for n in g2.nodes]
-    assert g1.to_dot() == g2.to_dot()
-    assert g1.to_json() == g2.to_json()
 
 
 def test_graph_export_shapes():

@@ -198,6 +198,12 @@ def test_cli_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_cli_budget_default_is_library_default():
+    args = cli.build_parser().parse_args(
+        ["preperiodic", "--map", "x^2 - 2", "--k", "2"])
+    assert args.budget == symprod.DEFAULT_BUDGET
+
+
 def test_cli_fixture_subset(monkeypatch, capsys):
     subset = [f for f in fixtures_mod.FIXTURES
               if f.name in ("eta-diagonal", "period-bound")]

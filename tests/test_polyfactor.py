@@ -142,6 +142,15 @@ def test_nonmonic_and_zero_roots():
     assert any(g.coeffs == (0, 1) and m == 2 for g, m in facs)
 
 
+def test_huge_coefficients():
+    # coefficients past Python's int-to-str digit limit (4300 digits)
+    a = 10 ** 4400 + 1
+    content, facs = factor_unipoly(UniPoly((-a, 1)) * UniPoly((-3, 1)))
+    assert content == 1
+    assert sorted((g.coeffs, m) for g, m in facs) == [((-a, 1), 1),
+                                                      ((-3, 1), 1)]
+
+
 def test_rational_roots():
     p = UniPoly((-1, 0, 1)) * UniPoly((F(3, 7), 1)) * UniPoly((5, 0, 1))
     assert rational_roots(p) == [F(-1), F(-3, 7), F(1)]

@@ -250,11 +250,19 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if getattr(args, "k_required", False) and args.k is None:
         ap.error(f"{args.command} requires --k")
+    # Results can have more digits than the interpreter's int/str conversion
+    # limit (Python >= 3.10.7); the size of the argument list bounds inputs.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except SymprodError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -16,15 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import BudgetExceededError, DomainError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, DomainError
 from .gf import FiniteField, cycle_lengths, p1_points, reduce_map
 from .heights import bad_primes, bad_primes_sym, morphism_certificate
+from .intfactor import is_prime, small_primes
 from .projective import (AlgebraicPoint, BinaryForm, MorphismPk, PkPoint,
                          RationalMap1, _conv, form_of_point, morphism_of_map,
                          point_of_form, zero_form_to_point_form)
 from .symmetric import conjugate_points, eta_tilde, symmetrize
 
-DEFAULT_BUDGET = 64
 _ORBIT_CAP = 100000
 
 
@@ -150,6 +150,8 @@ class PeriodBoundInput:
             raise DomainError("k must be at least 1")
         if self.vp < 1:
             raise DomainError("v(p) must be at least 1")
+        if not is_prime(self.p):
+            raise DomainError("p must be a prime")
         n = self.Np
         if n < self.p:
             raise DomainError("Np must be a power of p")
@@ -321,8 +323,6 @@ def default_n_max(f: RationalMap1, k: int, user_cap: int | None = None,
                   budget: int = DEFAULT_BUDGET) -> int:
     """Smallest of the user cap, the good-reduction period bound at two good
     primes, and the largest n whose fixed-point form fits the budget."""
-    from .intfactor import small_primes
-
     good = []
     bad = bad_primes(f)
     for p in small_primes():

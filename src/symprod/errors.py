@@ -39,6 +39,11 @@ class BudgetExceededError(SymprodError):
     code = "E_BUDGET"
 
 
+# Largest degree the library factors or parses by default; the CLI's
+# --budget default and the parser's degree cap are this one value.
+DEFAULT_BUDGET = 64
+
+
 class CertificateError(SymprodError):
     """No height-comparison certificate found within the configured degree cap."""
 

@@ -24,7 +24,7 @@ import mpmath
 
 from .errors import CertificateError, DomainError
 from .intfactor import prime_divisors
-from .linalg import solve_int_system
+from .linalg import IntSystem, solve_int_system
 from .mpoly import MPoly
 from .projective import MorphismPk, PkPoint, RationalMap1, morphism_of_map
 from .symmetric import eta_tilde, symmetrize
@@ -132,7 +132,9 @@ def _monomials(nvars: int, deg: int):
     return sorted(out, reverse=True)
 
 
-def _find_certificate(F: MorphismPk, bad) -> HeightCertificate:
+def _search_certificate(F: MorphismPk):
+    """Exponents M_i, multipliers r_i and g-norms of the lowest-degree
+    certificate, searched degree by degree; the bad primes play no part."""
     k, d = F.k, F.d
     nvars = k + 1
     cap = (k + 1) * (d - 1) + 1
@@ -162,19 +164,19 @@ def _find_certificate(F: MorphismPk, bad) -> HeightCertificate:
                     rows[row_index[tot]][col] += c
                 colinfo.append((j, alpha))
                 col += 1
-        for i in list(missing):
+        system = IntSystem(rows)
+        for i in missing:
             target = [0] * nvars
             target[i] = M
             rhs = [0] * len(rows_mons)
             rhs[row_index[tuple(target)]] = 1
-            sol = solve_int_system(rows, rhs)
+            sol = solve_int_system(system, rhs)
             if sol is None:
                 continue
             den = math.lcm(*(x.denominator for x in sol)) if sol else 1
             gsum = 0
             polys = [dict() for _ in range(nvars)]
-            for (j, alpha), x in zip(
-                    [(j, a) for j in range(nvars) for a in gmons], sol):
+            for (j, alpha), x in zip(colinfo, sol):
                 if x:
                     polys[j][alpha] = int(x * den)
             for j in range(nvars):
@@ -194,7 +196,13 @@ def _find_certificate(F: MorphismPk, bad) -> HeightCertificate:
     if any(e is None for e in exps):
         raise CertificateError(
             f"no Nullstellensatz certificate up to degree {cap}")
+    return tuple(exps), tuple(mults), tuple(gnorms)
 
+
+def _summarize_certificate(F: MorphismPk, search, bad) -> HeightCertificate:
+    """The certificate's constants for one set of bad primes."""
+    exps, mults, gnorms = search
+    d = F.d
     U = max(sum(abs(int(c)) for c in comp.terms.values()) for comp in F.components)
     c_up = _ceil_log(U)
     # lower bound: ||F(x)|| >= min_i (|r_i| / gnorm_i) * ||x||^d, minus content loss
@@ -210,8 +218,8 @@ def _find_certificate(F: MorphismPk, bad) -> HeightCertificate:
     bound = constant / (d - 1) + 1e-9
     threshold = int(mpmath.ceil(mpmath.e ** (bound + 1e-9))) + 1
     return HeightCertificate(
-        morphism_key=F.key(), exponents=tuple(exps), multipliers=tuple(mults),
-        g_norms=tuple(gnorms), coeff_norm=U, bad=tuple(bad),
+        morphism_key=F.key(), exponents=exps, multipliers=mults,
+        g_norms=gnorms, coeff_norm=U, bad=bad,
         valuation_caps=caps, c_upper=c_up, c_lower=c_low,
         constant=constant, bound=bound, escape_threshold=threshold)
 
@@ -240,15 +248,11 @@ def morphism_certificate(F: MorphismPk, bad=None) -> HeightCertificate:
     key = (F.key(), tuple(sorted(bad)) if bad is not None else None)
     got = _cert_cache.get(key)
     if got is None:
+        search = _search_certificate(F)
         if bad is None:
             # safe superset: any prime not dividing some r_i has good reduction
-            tmp = _find_certificate(F, bad=())
-            primes = set()
-            for r in tmp.multipliers:
-                primes.update(prime_divisors(r))
-            got = _find_certificate(F, bad=tuple(sorted(primes)))
-        else:
-            got = _find_certificate(F, bad=tuple(sorted(bad)))
+            bad = {q for r in search[1] for q in prime_divisors(r)}
+        got = _summarize_certificate(F, search, tuple(sorted(bad)))
         _cert_cache[key] = got
     return got
 
@@ -295,6 +299,11 @@ class HeightValue:
         }
 
 
+def _check_tol(tol):
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tolerance must be a positive finite number, not {tol}")
+
+
 def green_local(F: MorphismPk, p: PkPoint, place, tol: float = 1e-6,
                 prec: int = 53, bad=None, cert: HeightCertificate | None = None):
     """Local Green's function of the primitive lift at one place.
@@ -303,6 +312,7 @@ def green_local(F: MorphismPk, p: PkPoint, place, tol: float = 1e-6,
     Good primes return the local naive term (0 for coprime coordinates)
     exactly.  Returns (value, error_bound).
     """
+    _check_tol(tol)
     if cert is None:
         cert = morphism_certificate(F, bad) if bad is not None else _certificate_for(F)
     if p.k != F.k:
@@ -399,6 +409,7 @@ def canonical_height(F: MorphismPk, p: PkPoint, tol: float = 1e-6,
                      prec: int = 53, bad=None) -> HeightValue:
     """Canonical height of a rational point as a certified sum of local
     Green's functions over the archimedean place and the bad primes."""
+    _check_tol(tol)
     cert = morphism_certificate(F, bad) if bad is not None else _certificate_for(F)
     places = [("arch", None)] + [(str(q), q) for q in cert.bad]
     share = tol / len(places)

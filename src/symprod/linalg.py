@@ -2,15 +2,19 @@
 
 Small systems go through plain fraction Gaussian elimination.  The large
 sparse integer systems that arise in certificate searches are solved by a
-p-adic (Dixon) lift with numpy doing the modular arithmetic; every candidate
-solution is verified exactly before it is returned, so the numerics are only
-a search accelerator.
+p-adic (Dixon) lift with numpy doing the modular arithmetic.  All k+1
+right-hand sides of one certificate degree share a matrix, so an IntSystem
+eliminates it mod p once (pivots, left null space, pivot-block inverse) and
+every right-hand side reuses that work.  Every candidate solution is
+verified exactly before it is returned, so the numerics are only a search
+accelerator.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -142,43 +146,67 @@ def mat_mul(A, B):
 
 
 # ---------------------------------------------------------------------------
-# Large sparse integer systems: modular pivot detection + Dixon lifting
+# Large sparse integer systems: one modular elimination + Dixon lifting
 # ---------------------------------------------------------------------------
 
 
-def _mod_rref_pivots(A, p):
-    """Row echelon mod p; returns (pivot_rows, pivot_cols)."""
-    M = np.mod(A, p).astype(np.int64)
-    m, n = M.shape
-    piv_rows, piv_cols = [], []
-    row_order = list(range(m))
-    r = 0
-    for c in range(n):
-        block = M[r:, c]
-        nz = np.nonzero(block)[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            M[[r, i]] = M[[i, r]]
-            row_order[r], row_order[i] = row_order[i], row_order[r]
-        inv = pow(int(M[r, c]), p - 2, p)
-        M[r] = (M[r] * inv) % p
-        rows = np.nonzero(M[r + 1:, c])[0]
-        if rows.size:
-            idx = rows + r + 1
-            M[idx] = (M[idx] - np.outer(M[idx, c], M[r])) % p
-        piv_rows.append(row_order[r])
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    return piv_rows, piv_cols
+class IntSystem:
+    """An integer matrix A prepared once for many right-hand sides.
+
+    The first solve runs one forward elimination of [A | I] mod p, pivoting
+    in column order on the first nonzero row.  The pivot rows and columns of
+    A select a square block that is nonsingular mod p; the identity part of
+    the rows left below the last pivot spans the left null space of A mod p,
+    so b is consistent mod p exactly when those rows annihilate it.  The
+    inverse of the pivot block is computed once, for the first consistent b.
+    """
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    @cached_property
+    def _echelon(self):
+        p = _DIXON_PRIME
+        A = np.array(self.rows, dtype=object)
+        m, n = A.shape
+        M = np.concatenate([np.mod(A, p).astype(np.int64),
+                            np.eye(m, dtype=np.int64)], axis=1)
+        piv_rows, piv_cols = [], []
+        row_order = list(range(m))
+        r = 0
+        for c in range(n):
+            nz = np.nonzero(M[r:, c])[0]
+            if nz.size == 0:
+                continue
+            i = r + int(nz[0])
+            if i != r:
+                M[[r, i]] = M[[i, r]]
+                row_order[r], row_order[i] = row_order[i], row_order[r]
+            inv = pow(int(M[r, c]), p - 2, p)
+            M[r, c:] = (M[r, c:] * inv) % p
+            below = np.nonzero(M[r + 1:, c])[0]
+            if below.size:
+                idx = below + r + 1
+                # rows r.. are zero left of column c, so only columns c.. change
+                M[idx, c:] = (M[idx, c:] - np.outer(M[idx, c], M[r, c:])) % p
+            piv_rows.append(row_order[r])
+            piv_cols.append(c)
+            r += 1
+            if r == m:
+                break
+        return A, piv_rows, piv_cols, M[r:, n:]
+
+    @cached_property
+    def _block(self):
+        A, piv_rows, piv_cols, _null = self._echelon
+        sub = A[np.ix_(piv_rows, piv_cols)]
+        return _mod_inverse_matrix(np.mod(sub, _DIXON_PRIME).astype(np.int64),
+                                   _DIXON_PRIME), sub
 
 
 def _mod_inverse_matrix(A, p):
     n = A.shape[0]
-    M = np.concatenate([np.mod(A, p).astype(np.int64), np.eye(n, dtype=np.int64)], axis=1)
+    M = np.concatenate([A, np.eye(n, dtype=np.int64)], axis=1)
     for c in range(n):
         nz = np.nonzero(M[c:, c])[0]
         if nz.size == 0:
@@ -187,11 +215,12 @@ def _mod_inverse_matrix(A, p):
         if i != c:
             M[[c, i]] = M[[i, c]]
         inv = pow(int(M[c, c]), p - 2, p)
-        M[c] = (M[c] * inv) % p
-        others = [r for r in range(n) if r != c and M[r, c]]
-        if others:
-            idx = np.array(others)
-            M[idx] = (M[idx] - np.outer(M[idx, c], M[c])) % p
+        M[c, c:] = (M[c, c:] * inv) % p
+        others = np.nonzero(M[:, c])[0]
+        others = others[others != c]
+        if others.size:
+            # row c is zero left of column c, so only columns c.. change
+            M[others, c:] = (M[others, c:] - np.outer(M[others, c], M[c, c:])) % p
     return M[:, n:]
 
 
@@ -209,40 +238,36 @@ def _rational_reconstruct(a, m):
     return Fraction(r1, s1)
 
 
-def solve_int_system(rows, rhs, max_digits=20000):
+def solve_int_system(system, rhs, max_digits=20000):
     """One exact rational solution of A x = b for an integer matrix.
 
-    Strategy: find a nonsingular square subsystem mod p, Dixon-lift its
-    solution p-adically, reconstruct rationals, then verify A x = b exactly
-    over the full system.  Returns a Fraction list or None (inconsistent).
+    system is an IntSystem, shared across right-hand sides, or the rows of A.
+    Strategy: test b against the left null space of A mod p, Dixon-lift the
+    solution of the nonsingular pivot block p-adically, reconstruct
+    rationals, then verify A x = b exactly over the full system.  Returns a
+    Fraction list or None (inconsistent).
     """
-    m = len(rows)
-    n = len(rows[0])
+    if not isinstance(system, IntSystem):
+        system = IntSystem(system)
+    A, sub_rows, sub_cols, null = system._echelon
+    n = A.shape[1]
     p = _DIXON_PRIME
-    A = np.array(rows, dtype=object)
-    Amod = np.array([[c % p for c in r] for r in rows], dtype=np.int64)
     bvec = list(rhs)
 
-    aug = np.concatenate([Amod, np.array([[c % p for c in bvec]], dtype=np.int64).T], axis=1)
-    piv_rows, piv_cols = _mod_rref_pivots(aug, p)
-    if n in piv_cols:
-        return None  # rhs column is a pivot: inconsistent mod p, hence over Q
-    if not piv_cols:
+    bmod = np.array([c % p for c in bvec], dtype=np.int64)
+    if np.any((null @ bmod) % p):
+        return None  # inconsistent mod p, hence over Q
+    if not sub_cols:
         return [Fraction(0)] * n if all(c == 0 for c in bvec) else None
 
-    sub_rows = piv_rows
-    sub_cols = piv_cols
-    r = len(sub_rows)
-    Asub = [[rows[i][j] for j in sub_cols] for i in sub_rows]
-    Asub_np = np.array([[c % p for c in row] for row in Asub], dtype=np.int64)
-    inv = _mod_inverse_matrix(Asub_np, p)
+    inv, Asub_obj = system._block
     if inv is None:
         return None
+    r = len(sub_rows)
 
     # Dixon lifting: digits of the p-adic expansion of the subsystem solution.
     max_steps = max(8, (max_digits * 4) // 6)
     residual = np.array([bvec[i] for i in sub_rows], dtype=object)
-    Asub_obj = np.array(Asub, dtype=object)
     digits = []
     step = 0
     solution = None
@@ -271,25 +296,26 @@ def solve_int_system(rows, rhs, max_digits=20000):
             cand = [Fraction(0)] * n
             for j, c in enumerate(sub_cols):
                 cand[c] = xs[j]
-            if _verify_solution(rows, bvec, cand):
+            if _verify_solution(A, bvec, cand):
                 solution = cand
                 break
             # reconstruction succeeded but was spurious; keep lifting
     if solution is None:
         # fall back to exact elimination; slow, but only tiny systems get here
-        fr = solve_fraction(rows, bvec)
-        if fr is not None and _verify_solution(rows, bvec, fr):
+        fr = solve_fraction(system.rows, bvec)
+        if fr is not None and _verify_solution(A, bvec, fr):
             return fr
         return None
     return solution
 
 
-def _verify_solution(rows, rhs, x):
-    for row, b in zip(rows, rhs):
-        acc = Fraction(0)
-        for a, xi in zip(row, x):
-            if a and xi:
-                acc += a * xi
-        if acc != b:
-            return False
-    return True
+def _verify_solution(A, rhs, x):
+    """A x = b exactly, for an object array A of integers: with x scaled by
+    the lcm of its denominators, only the nonzero columns take part."""
+    cols = [j for j, xj in enumerate(x) if xj]
+    if not cols:
+        return all(b == 0 for b in rhs)
+    den = math.lcm(*(x[j].denominator for j in cols))
+    nums = np.array([x[j].numerator * (den // x[j].denominator) for j in cols],
+                    dtype=object)
+    return all(int(v) == den * b for v, b in zip(A[:, cols].dot(nums), rhs))

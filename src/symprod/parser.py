@@ -4,7 +4,8 @@ Grammar: rational constants, + - * / ^, parentheses, and variables.  An
 affine map is a polynomial in one variable (``x^2 - 29/16``); a homogeneous
 map is a bracketed pair of forms in z and t (``[16*z^2-29*t^2, 16*t^2]``).
 Division is only allowed by nonzero constants, which is exactly what rational
-coefficients need.  Errors carry the offending position.
+coefficients need.  Exponents and degrees above DEFAULT_BUDGET are refused
+before anything is expanded.  Errors carry the offending position.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, ParseError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, DomainError, ParseError
 from .mpoly import MPoly
 from .projective import PkPoint, RationalMap1
 from .unipoly import UniPoly
@@ -34,9 +35,9 @@ def _tokenize(text: str):
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(Token("num", text[i:j], i))
             i = j
@@ -104,7 +105,10 @@ class _Parser:
             t = self.peek()
             if t.kind == "op" and t.value == "*":
                 self.take()
-                acc = acc * self.parse_power()
+                rhs = self.parse_power()
+                _check_budget("degree", acc.total_degree() + rhs.total_degree(),
+                              t.pos)
+                acc = acc * rhs
             elif t.kind == "op" and t.value == "/":
                 self.take()
                 divisor = self.parse_power()
@@ -124,13 +128,16 @@ class _Parser:
             e = self.take()
             if e.kind != "num":
                 raise ParseError("exponent must be a nonnegative integer", e.pos)
-            return base ** int(e.value)
+            n = _numeral(e)
+            _check_budget("exponent", n, e.pos)
+            _check_budget("degree", base.total_degree() * n, e.pos)
+            return base ** n
         return base
 
     def parse_atom(self) -> MPoly:
         t = self.take()
         if t.kind == "num":
-            return MPoly.constant(self.nvars, int(t.value))
+            return MPoly.constant(self.nvars, _numeral(t))
         if t.kind == "name":
             if t.value not in self.names:
                 raise ParseError(f"unknown variable {t.value!r}", t.pos)
@@ -145,6 +152,25 @@ class _Parser:
 
     def at_end(self) -> bool:
         return self.peek().kind == "end"
+
+
+# CPython's default int/str conversion limit.  The CLI lifts that limit so
+# that it can print long results; inputs keep it.
+_MAX_DIGITS = 4300
+
+
+def _numeral(t: Token) -> int:
+    if len(t.value) > _MAX_DIGITS:
+        raise ParseError(f"numeral of {len(t.value)} digits is longer than "
+                         f"{_MAX_DIGITS}", t.pos)
+    return int(t.value)
+
+
+def _check_budget(what: str, value: int, pos: int):
+    if value > DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            f"{what} {value} exceeds the budget {DEFAULT_BUDGET} "
+            f"(at position {pos})")
 
 
 def parse_mpoly(text: str, names) -> MPoly:

@@ -302,3 +302,44 @@ def test_certificate_escape_threshold_is_sound():
     f = _map("x^2 - 29/16")
     cert = morphism_certificate(morphism_of_map(f), bad=bad_primes(f))
     assert math.log(cert.escape_threshold - 1) >= cert.bound
+
+
+@pytest.mark.parametrize("text,k,bad,exps,mults,bad_out,constant", [
+    ("x^2 - 2", 4, (), (2, 4, 6, 4, 2), (1, 1, 8, 4, 1), (), 9.672343332045605),
+    ("x^2 - 2", 4, None, (2, 4, 6, 4, 2), (1, 1, 8, 4, 1), (2,),
+     11.751784873725441),
+    ("x^2 - 29/16", 3, "bad_primes", (2, 4, 4, 2),
+     (16777216, 60817408, 399589376, 4096), (2,), 16.635532334438686),
+])
+def test_certificate_values_are_pinned(monkeypatch, text, k, bad, exps, mults,
+                                       bad_out, constant):
+    f = _map(text)
+    if bad == "bad_primes":
+        bad = bad_primes(f)
+    monkeypatch.setattr("symprod.heights._cert_cache", {})
+    cert = morphism_certificate(symmetrize(f, k), bad=bad)
+    assert cert.exponents == exps
+    assert cert.multipliers == mults
+    assert cert.bad == bad_out
+    assert cert.constant == constant
+
+
+def test_certificate_without_bad_primes_searches_once(monkeypatch):
+    from symprod import heights
+
+    calls = []
+    solve = heights.solve_int_system
+
+    def counting(system, rhs):
+        calls.append(1)
+        return solve(system, rhs)
+
+    monkeypatch.setattr(heights, "solve_int_system", counting)
+    F = symmetrize(_map("x^2 - 2"), 3)
+    counts = []
+    for bad in ((), None):
+        monkeypatch.setattr(heights, "_cert_cache", {})
+        calls.clear()
+        morphism_certificate(F, bad=bad)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

@@ -1,0 +1,63 @@
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symprod.linalg import IntSystem, solve_fraction, solve_int_system
+
+# rank 2 (row 2 = row 0 + row 1, row 3 = 2 * row 0): b is in the column span
+# exactly when b2 = b0 + b1 and b3 = 2 * b0
+RANK_DEFICIENT = [
+    [1, 2, 0, 3, 5],
+    [0, 1, 1, 1, -2],
+    [1, 3, 1, 4, 3],
+    [2, 4, 0, 6, 10],
+]
+
+
+def _residual_is_zero(rows, rhs, x):
+    return all(sum(a * xi for a, xi in zip(row, x)) == b
+               for row, b in zip(rows, rhs))
+
+
+def test_shared_system_matches_fraction_elimination():
+    system = IntSystem(RANK_DEFICIENT)
+    in_span = [[1, 0, 1, 2], [7, -3, 4, 14], [0, 0, 0, 0], [3, 5, 8, 6]]
+    for rhs in in_span:
+        x = solve_int_system(system, rhs)
+        assert x is not None
+        assert _residual_is_zero(RANK_DEFICIENT, rhs, x)
+        assert x == solve_fraction(RANK_DEFICIENT, rhs)
+    for rhs in ([1, 0, 0, 0], [0, 0, 1, 0], [1, 1, 2, 3]):
+        assert solve_int_system(system, rhs) is None
+        assert solve_fraction(RANK_DEFICIENT, rhs) is None
+    # plain rows give the same answers as the shared system
+    assert solve_int_system(RANK_DEFICIENT, in_span[3]) == \
+        solve_int_system(system, in_span[3])
+
+
+def test_rational_solution():
+    rows = [[2, 0], [0, 3], [2, 3]]
+    x = solve_int_system(rows, [1, 1, 2])
+    assert x == [Fraction(1, 2), Fraction(1, 3)]
+
+
+def test_zero_matrix():
+    system = IntSystem([[0, 0, 0], [0, 0, 0]])
+    assert solve_int_system(system, [0, 0]) == [0, 0, 0]
+    assert solve_int_system(system, [0, 1]) is None
+    # a multiple of the modulus is still nonzero over Q
+    assert solve_int_system(system, [2 ** 20 + 7, 0]) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda m: st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                 min_size=m, max_size=m),
+        st.lists(st.integers(-5, 5), min_size=m, max_size=m)))))
+def test_agrees_with_fraction_elimination(case):
+    # entries of size <= 5 keep every minor below the modulus 2^20 + 7, so
+    # ranks mod p and over Q agree and both solvers pick the same pivots
+    rows, rhs = case
+    assert solve_int_system(rows, rhs) == solve_fraction(rows, rhs)

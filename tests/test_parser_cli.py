@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -248,3 +249,78 @@ def test_fixture_corpus_passes_and_covers_every_operation(monkeypatch):
     assert all(r.provenance in ("PAPER", "DERIVED", "TRIVIAL") for r in results)
     missing = [n for n in OPERATIONS if n not in counts]
     assert not missing, f"operations not exercised by fixtures: {missing}"
+
+
+# ---------------------------------------------------------------------------
+# resource guards and coded failures
+# ---------------------------------------------------------------------------
+
+
+def test_parse_degree_cap():
+    assert parse_map("(x^8)^8").map.d == symprod.DEFAULT_BUDGET
+    for text in ("x^99999999", "(x+1)^65", "(x^8)^9", "x^40*x^30",
+                 "[z^65, t^65]", "2^65*x^2"):
+        with pytest.raises(symprod.BudgetExceededError):
+            parse_map(text)
+    with pytest.raises(ParseError):
+        parse_map("x^2 - " + "9" * 5000)
+
+
+def test_cli_huge_exponent_is_refused_quickly(capsys):
+    start = time.perf_counter()
+    rc = cli.main(["bad-primes", "--map", "x^99999999"])
+    assert time.perf_counter() - start < 0.5
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error[E_BUDGET]")
+
+
+_BAD_MAPS = ["", "x", "x^2 +", "x^^2", "(x^2", "[z^2, ]", "[z^2, t^3]",
+             "[z^2, z^2]", "[z^2, t^2, z*t]", "x^2 / 0", "x^2/(x-1)",
+             "x^2 - y", "x^2 - 1.5", "x^x", "x^-2", "[0, t^2]", "[]", "²",
+             "x²", "x^2 - " + "9" * 5000, "x^" + "9" * 5000]
+_BAD_POINTS = ["", "1/0", "0/0", "(1,2", "()", "(0,0)", "x", "(1,,2)",
+               "(1, 2/0)", "2^99999999", "9" * 5000]
+
+
+def _cli_cases():
+    for m in _BAD_MAPS:
+        yield ["symmetrize", "--map", m, "--k", "2"]
+        yield ["bad-primes", "--map", m]
+        yield ["pcf", "--map", m]
+        yield ["preperiodic", "--map", m, "--k", "1", "--n-max", "1"]
+        yield ["multipliers", "--map", m, "--k", "1", "--n-max", "1"]
+        yield ["canonical-height", "--map", m, "--point", "3"]
+    for pt in _BAD_POINTS:
+        for k in ([], ["--k", "2"]):
+            yield ["canonical-height", "--map", "x^2 - 2", "--point", pt] + k
+    for k in ("0", "-1"):
+        yield ["symmetrize", "--map", "x^2 - 2", "--k", k]
+        yield ["bad-primes", "--map", "x^2 - 2", "--k", k]
+        yield ["pcf", "--map", "x^2 - 1", "--k", k]
+        yield ["preperiodic", "--map", "x^2 - 2", "--k", k, "--n-max", "1"]
+        yield ["preperiodic", "--map", "x^2 - 2", "--k", "1", "--n-max", k]
+        yield ["preperiodic", "--map", "x^2 - 2", "--k", "1", "--budget", k]
+        yield ["multipliers", "--map", "x^2 - 2", "--k", k, "--n-max", "1"]
+        yield ["period-bound", "--Np", k, "--p", "3", "--v", "1", "--k", "2"]
+        yield ["period-bound", "--Np", "3", "--p", "3", "--v", k, "--k", "2"]
+        yield ["period-bound", "--Np", "3", "--p", "3", "--v", "1", "--k", k]
+    for p in ("-1", "0", "1", "4"):
+        yield ["period-bound", "--Np", "4", "--p", p, "--v", "1", "--k", "2"]
+    for tol in ("0", "-1", "nan", "inf"):
+        yield ["canonical-height", "--map", "x^2 - 2", "--point", "3",
+               "--tol", tol]
+    yield ["canonical-height", "--map", "x^2 - 2", "--point", "3",
+           "--precision", "0"]
+    # a result longer than the interpreter's default int/str limit
+    yield ["period-bound", "--Np", "3", "--p", "3", "--v", "1", "--k", "10000"]
+
+
+def test_cli_failures_are_always_coded(capsys):
+    """Malformed maps, points and numeric fields end in exit 0, or exit 1
+    with a coded error: never an uncaught exception."""
+    for argv in _cli_cases():
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc in (0, 1), argv
+        if rc == 1:
+            assert err.startswith("error[E_"), (argv, err)

@@ -67,9 +67,6 @@ class FiniteField:
     def sub(self, a, b):
         return tuple((x - y) % self.p for x, y in zip(a, b))
 
-    def neg(self, a):
-        return tuple((-x) % self.p for x in a)
-
     def mul(self, a, b):
         prod_ = _pmul(list(a), list(b), self.p)
         red = _pmod(prod_, self.modulus, self.p)

@@ -305,7 +305,7 @@ def _check_tol(tol):
 
 
 def green_local(F: MorphismPk, p: PkPoint, place, tol: float = 1e-6,
-                prec: int = 53, bad=None, cert: HeightCertificate | None = None):
+                prec: int = 53, bad=None):
     """Local Green's function of the primitive lift at one place.
 
     place is "arch" (or "inf") for the archimedean place, else a prime.
@@ -313,8 +313,7 @@ def green_local(F: MorphismPk, p: PkPoint, place, tol: float = 1e-6,
     exactly.  Returns (value, error_bound).
     """
     _check_tol(tol)
-    if cert is None:
-        cert = morphism_certificate(F, bad) if bad is not None else _certificate_for(F)
+    cert = morphism_certificate(F, bad) if bad is not None else _certificate_for(F)
     if p.k != F.k:
         raise DomainError("dimension mismatch")
     if place in ("arch", "inf", "infinity"):

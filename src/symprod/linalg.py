@@ -1,13 +1,15 @@
 """Exact linear algebra over Q.
 
-Small systems go through plain fraction Gaussian elimination.  The large
-sparse integer systems that arise in certificate searches are solved by a
-p-adic (Dixon) lift with numpy doing the modular arithmetic.  All k+1
-right-hand sides of one certificate degree share a matrix, so an IntSystem
-eliminates it mod p once (pivots, left null space, pivot-block inverse) and
-every right-hand side reuses that work.  Every candidate solution is
-verified exactly before it is returned, so the numerics are only a search
-accelerator.
+Determinants are fraction-free (Bareiss) eliminations over an exact domain:
+the integers for resultants, Q[x] for characteristic polynomials and the
+number-field norms built in numberfield.  Small systems go through plain
+fraction Gaussian elimination.  The large sparse integer systems that arise
+in certificate searches are solved by a p-adic (Dixon) lift with numpy
+doing the modular arithmetic.  All k+1 right-hand sides of one certificate
+degree share a matrix, so an IntSystem eliminates it mod p once (pivots,
+left null space, pivot-block inverse) and every right-hand side reuses that
+work.  Every candidate solution is verified exactly before it is returned,
+so the numerics are only a search accelerator.
 """
 
 from __future__ import annotations
@@ -21,18 +23,20 @@ import numpy as np
 from .unipoly import UniPoly
 
 _DIXON_PRIME = 2 ** 20 + 7  # products of two reduced entries stay well inside int64
+_DIXON_MAX_STEPS = 13333  # p-adic digits lifted before the exact fallback
 
 
 def det_bareiss(rows):
-    """Determinant of an integer matrix by fraction-free elimination."""
+    """Determinant by fraction-free (Bareiss) elimination over an exact
+    domain: integers, or UniPoly entries (Q[x]).  Every division is exact."""
     a = [list(r) for r in rows]
     n = len(a)
     if n == 0:
         return 1
     sign = 1
-    prev = 1
+    prev = None  # step 0 has no earlier pivot to divide by
     for k in range(n - 1):
-        if a[k][k] == 0:
+        if not a[k][k]:
             for i in range(k + 1, n):
                 if a[i][k]:
                     a[k], a[i] = a[i], a[k]
@@ -41,13 +45,13 @@ def det_bareiss(rows):
             else:
                 return 0
         pk = a[k][k]
+        row_k = a[k]
         for i in range(k + 1, n):
             aik = a[i][k]
             row_i = a[i]
-            row_k = a[k]
             for j in range(k + 1, n):
-                row_i[j] = (pk * row_i[j] - aik * row_k[j]) // prev
-            row_i[k] = 0
+                v = pk * row_i[j] - aik * row_k[j]
+                row_i[j] = v // prev if k else v
         prev = pk
     return sign * a[n - 1][n - 1]
 
@@ -95,48 +99,11 @@ def solve_fraction(rows, rhs):
     return x
 
 
-def first_dependency(vectors):
-    """Index j and coefficients c_0..c_j (c_j = 1) of the first linear relation
-    sum c_i * vectors[i] = 0; returns (j, coeffs) or None if independent."""
-    basis = []  # rows of a reduced matrix, with bookkeeping of combinations
-    combos = []
-    n = None
-    for j, v in enumerate(vectors):
-        n = len(v)
-        row = [Fraction(c) for c in v]
-        combo = [Fraction(0)] * (j + 1)
-        combo[j] = Fraction(1)
-        for brow, bcombo in zip(basis, combos):
-            p = next(i for i, c in enumerate(brow) if c)
-            if row[p]:
-                f = row[p] / brow[p]
-                for i in range(n):
-                    row[i] -= f * brow[i]
-                for i in range(len(bcombo)):
-                    combo[i] -= f * bcombo[i]
-        if all(c == 0 for c in row):
-            lead = combo[j]
-            return j, [c / lead for c in combo]
-        basis.append(row)
-        combos.append(combo + [Fraction(0)] * 0)
-    return None
-
-
 def charpoly(matrix) -> UniPoly:
-    """Characteristic polynomial det(xI - M) by the Faddeev-LeVerrier scheme."""
-    n = len(matrix)
-    M = [[Fraction(c) for c in row] for row in matrix]
-    cs = [Fraction(1)] + [Fraction(0)] * n  # cs[i] = coefficient of x^(n-i)
-    A = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        # A <- M (A + c_{k-1} I)
-        for i in range(n):
-            A[i][i] += cs[k - 1]
-        A = [[sum(M[i][t] * A[t][j] for t in range(n)) for j in range(n)]
-             for i in range(n)]
-        tr = sum(A[i][i] for i in range(n))
-        cs[k] = -tr / k
-    return UniPoly(tuple(reversed(cs)))
+    """Characteristic polynomial det(xI - M), a determinant over Q[x]."""
+    return det_bareiss([[UniPoly((-c, 1) if i == j else (-c,))
+                         for j, c in enumerate(row)]
+                        for i, row in enumerate(matrix)])
 
 
 def mat_mul(A, B):
@@ -205,12 +172,11 @@ class IntSystem:
 
 
 def _mod_inverse_matrix(A, p):
+    """Inverse mod p of a square matrix that is nonsingular mod p."""
     n = A.shape[0]
     M = np.concatenate([A, np.eye(n, dtype=np.int64)], axis=1)
     for c in range(n):
         nz = np.nonzero(M[c:, c])[0]
-        if nz.size == 0:
-            return None
         i = c + int(nz[0])
         if i != c:
             M[[c, i]] = M[[i, c]]
@@ -238,14 +204,17 @@ def _rational_reconstruct(a, m):
     return Fraction(r1, s1)
 
 
-def solve_int_system(system, rhs, max_digits=20000):
+def solve_int_system(system, rhs):
     """One exact rational solution of A x = b for an integer matrix.
 
     system is an IntSystem, shared across right-hand sides, or the rows of A.
     Strategy: test b against the left null space of A mod p, Dixon-lift the
     solution of the nonsingular pivot block p-adically, reconstruct
-    rationals, then verify A x = b exactly over the full system.  Returns a
-    Fraction list or None (inconsistent).
+    rationals, then verify A x = b exactly over the full system.  A
+    reconstruction that solves the pivot block exactly but not A x = b is
+    that block's unique solution, so lifting further cannot help and the
+    exact elimination decides.  Returns a Fraction list or None
+    (inconsistent).
     """
     if not isinstance(system, IntSystem):
         system = IntSystem(system)
@@ -261,52 +230,46 @@ def solve_int_system(system, rhs, max_digits=20000):
         return [Fraction(0)] * n if all(c == 0 for c in bvec) else None
 
     inv, Asub_obj = system._block
-    if inv is None:
-        return None
     r = len(sub_rows)
 
     # Dixon lifting: digits of the p-adic expansion of the subsystem solution.
-    max_steps = max(8, (max_digits * 4) // 6)
-    residual = np.array([bvec[i] for i in sub_rows], dtype=object)
+    b_sub = [bvec[i] for i in sub_rows]
+    residual = np.array(b_sub, dtype=object)
     digits = []
     step = 0
-    solution = None
     check_at = 16
-    while step < max_steps:
+    while step < _DIXON_MAX_STEPS:
         x_i = (inv @ np.mod(residual.astype(object), p).astype(np.int64)) % p
         digits.append(x_i)
         residual = (residual - Asub_obj @ x_i.astype(object)) // p
         step += 1
-        if step == check_at or step == max_steps:
+        if step == check_at or step == _DIXON_MAX_STEPS:
             check_at *= 2
             mod = p ** step
             xs = []
-            ok = True
             for j in range(r):
                 val = 0
                 for d in reversed(digits):
                     val = val * p + int(d[j])
                 fr = _rational_reconstruct(val % mod, mod)
                 if fr is None:
-                    ok = False
                     break
                 xs.append(fr)
-            if not ok:
+            if len(xs) < r:
                 continue
             cand = [Fraction(0)] * n
             for j, c in enumerate(sub_cols):
                 cand[c] = xs[j]
             if _verify_solution(A, bvec, cand):
-                solution = cand
+                return cand
+            if _verify_solution(Asub_obj, b_sub, xs):
                 break
             # reconstruction succeeded but was spurious; keep lifting
-    if solution is None:
-        # fall back to exact elimination; slow, but only tiny systems get here
-        fr = solve_fraction(system.rows, bvec)
-        if fr is not None and _verify_solution(A, bvec, fr):
-            return fr
-        return None
-    return solution
+    # fall back to exact elimination; slow, but only tiny systems get here
+    fr = solve_fraction(system.rows, bvec)
+    if fr is not None and _verify_solution(A, bvec, fr):
+        return fr
+    return None
 
 
 def _verify_solution(A, rhs, x):

@@ -245,10 +245,10 @@ class MPoly:
         return f"MPoly({self.to_text()})"
 
 
-def joint_primitive(polys, sign_key=None):
+def joint_primitive(polys):
     """Scale a list of MPoly by one common rational so that all coefficients
     become coprime integers; the sign is fixed by making the canonically last
-    coefficient of the last nonzero polynomial positive (or by sign_key).
+    coefficient of the last nonzero polynomial positive.
 
     Returns the scaled list.
     """
@@ -263,17 +263,11 @@ def joint_primitive(polys, sign_key=None):
         return list(polys)
     scale = Fraction(math.lcm(*dens), math.gcd(*nums))
     scaled = [p * scale for p in polys]
-    if sign_key is None:
-        anchor = None
-        for p in reversed(scaled):
-            if p.terms:
-                anchor = min(p.sorted_terms(), key=lambda t: t[0])[1]
-                break
-        flip = anchor is not None and anchor < 0
-    else:
-        flip = sign_key(scaled)
-    if flip:
-        scaled = [-p for p in scaled]
+    for p in reversed(scaled):
+        if p.terms:
+            if min(p.sorted_terms(), key=lambda t: t[0])[1] < 0:
+                scaled = [-q for q in scaled]
+            break
     return scaled
 
 

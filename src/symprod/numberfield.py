@@ -3,7 +3,10 @@
 Irreducibility of the defining polynomial is verified at construction and
 never trusted from the caller.  Elements are immutable coordinate vectors;
 inversion is by the extended Euclidean algorithm against the minimal
-polynomial.
+polynomial.  The norm of a polynomial with coefficients in the field is one
+determinant over Q[x] (multiplication on the power basis); it gives the
+characteristic and minimal polynomials of an element and drives root
+finding inside a field.
 """
 
 from __future__ import annotations
@@ -11,9 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError, FieldMismatchError
-from .linalg import first_dependency
+from .linalg import det_bareiss
 from .polyfactor import factor_unipoly
-from .unipoly import UniPoly, sylvester_resultant
+from .unipoly import UniPoly
 
 _field_cache: dict[tuple, "NumberField"] = {}
 
@@ -263,20 +266,27 @@ def nf_arith(field: NumberField, a: NFElem, b: NFElem, op: str) -> NFElem:
     raise DomainError(f"unknown field operation {op!r}")
 
 
+def _norm(coeffs) -> UniPoly:
+    """N_{K/Q} of the polynomial sum_i coeffs[i] x^i with NFElem coefficients:
+    the determinant of multiplication by it on the power basis 1, a, ...,
+    a^(n-1), a matrix with entries in Q[x]."""
+    field = coeffs[0].field
+    alpha = field.gen()
+    rows = []
+    for _ in range(field.degree):
+        rows.append([UniPoly(tuple(c.coords[r] for c in coeffs))
+                     for r in range(field.degree)])
+        coeffs = [c * alpha for c in coeffs]
+    return det_bareiss(rows)
+
+
 def minimal_polynomial(e: NFElem | Fraction | int) -> UniPoly:
-    """Monic minimal polynomial over Q; its degree divides the field degree."""
+    """Monic minimal polynomial over Q; its degree divides the field degree.
+
+    The characteristic polynomial N(x - e) is a power of it."""
     if isinstance(e, (int, Fraction)):
         return UniPoly((-Fraction(e), Fraction(1)))
-    vectors = []
-    power = e.field.one()
-    for _ in range(e.field.degree + 1):
-        vectors.append(list(power.coords))
-        dep = first_dependency(vectors)
-        if dep is not None:
-            j, coeffs = dep
-            return UniPoly(tuple(coeffs))
-        power = power * e
-    raise DomainError("no annihilating polynomial found")  # unreachable
+    return _norm([-e, e.field.one()]).squarefree_part()
 
 
 # ---------------------------------------------------------------------------
@@ -316,68 +326,39 @@ def _kpoly_gcd(a, b, field):
 def roots_in_number_field(poly: UniPoly, field: NumberField) -> list[NFElem]:
     """All roots of a Q-polynomial that lie in the given number field.
 
-    Uses the norm trick: Res_y(m(y), poly(x - s*y)) is squarefree for some
-    shift s, its rational factorization pulls back through a gcd over the
-    field, and the degree-1 pullbacks are the roots.
+    Uses Trager's norm trick.  The norm N(poly(x - s*a)), one determinant
+    over Q[x], is squarefree for some shift s; each rational factor h of it
+    pulls back to the factor gcd(poly(x), h(x + s*a)) over the field, of
+    degree deg(h)/n, so only the factors of degree n can give roots.  The
+    norm's roots are b_j + s*a_i (poly(b_j) = 0, a_i the conjugates of a),
+    so for poly the field's own minimal polynomial s = 1 counts each
+    a_i + a_j twice and s = -1 gives the factor x^n: the shifts +-1 are
+    tried last.
     """
     if poly.degree < 1:
         return []
-    m = field.minpoly
-    alpha = field.gen()
     if field.degree == 1:
         # rational field: rational roots only
         from .polyfactor import rational_roots
         return [field.from_rational(r) for r in sorted(set(rational_roots(poly)))]
 
+    alpha = field.gen()
     poly = poly.monic() if poly.lead != 1 else poly
-    for s in (1, -1, 2, -2, 3, -3, 4, -4, 5, -5):
-        norm = _norm_resultant(poly, m, s)
-        if norm.is_zero() or not norm.is_squarefree():
+    pk = [field.from_rational(c) for c in poly.coeffs]
+    for s in (2, -2, 3, -3, 4, -4, 5, -5, 1, -1):
+        norm = _norm(_shift_into_field(poly, -s, alpha))
+        if not norm.is_squarefree():
             continue
         _, facs = factor_unipoly(norm)
         roots = []
         for h, _mult in facs:
-            # gcd over the field of poly(x) and h(x + s*alpha)
-            hk = _shift_into_field(h, s, alpha)
-            pk = [field.from_rational(c) for c in poly.coeffs]
-            g = _kpoly_gcd(pk, hk, field)
-            if len(g) == 2:  # monic linear factor x + g0
-                roots.append(-g[0])
+            if h.degree == field.degree:
+                g = _kpoly_gcd(pk, _shift_into_field(h, s, alpha), field)
+                if len(g) == 2:  # monic linear factor x + g0
+                    roots.append(-g[0])
         roots.sort(key=lambda r: r.coords)
         return roots
     raise DomainError("no squarefree norm found while searching roots in field")
-
-
-def _norm_resultant(poly: UniPoly, m: UniPoly, s: int) -> UniPoly:
-    """Res_y(m(y), poly(x - s y)) as a polynomial in x, by interpolation."""
-    deg = poly.degree * m.degree
-    xs = []
-    ys = []
-    c = 0
-    while len(xs) < deg + 1:
-        # poly(c - s y) as a polynomial in y
-        shifted = poly.compose(UniPoly((Fraction(c), Fraction(-s))))
-        val = sylvester_resultant(list(m.coeffs), list(shifted.coeffs),
-                                  m.degree, poly.degree)
-        xs.append(Fraction(c))
-        ys.append(Fraction(val))
-        c = -c + (0 if c > 0 else 1)  # 0, 1, -1, 2, -2, ...
-    return _lagrange(xs, ys)
-
-
-def _lagrange(xs, ys) -> UniPoly:
-    total = UniPoly.zero()
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        num = UniPoly.one()
-        den = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j != i:
-                num = num * UniPoly((-xj, 1))
-                den *= xi - xj
-        total = total + num * (yi / den)
-    return total
 
 
 def _shift_into_field(h: UniPoly, s: int, alpha: NFElem):

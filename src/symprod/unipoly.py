@@ -187,10 +187,6 @@ class UniPoly:
             acc = acc * other + UniPoly.constant(c)
         return acc
 
-    def shift_scale(self, a, b) -> "UniPoly":
-        """p(a*x + b) computed exactly."""
-        return self.compose(UniPoly((b, a)))
-
     # -- normalization ------------------------------------------------------
 
     def monic(self) -> "UniPoly":

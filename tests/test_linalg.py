@@ -1,9 +1,12 @@
+import time
 from fractions import Fraction
+from itertools import permutations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symprod.linalg import IntSystem, solve_fraction, solve_int_system
+from symprod.linalg import (IntSystem, charpoly, mat_mul, solve_fraction,
+                            solve_int_system)
 
 # rank 2 (row 2 = row 0 + row 1, row 3 = 2 * row 0): b is in the column span
 # exactly when b2 = b0 + b1 and b3 = 2 * b0
@@ -61,3 +64,51 @@ def test_agrees_with_fraction_elimination(case):
     # ranks mod p and over Q agree and both solvers pick the same pivots
     rows, rhs = case
     assert solve_int_system(rows, rhs) == solve_fraction(rows, rhs)
+
+
+def test_block_solution_that_fails_the_full_system_stops_lifting():
+    # consistent mod p (the last row is e0 mod p) but not over Q: the pivot
+    # block is the identity, whose exact solution (all ones) violates the
+    # last row, so lifting further cannot find a solution
+    p = 2 ** 20 + 7
+    n = 60
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows.append([1 + p] + [0] * (n - 1))
+    rhs = [1] * (n + 1)
+    start = time.perf_counter()
+    x = solve_int_system(rows, rhs)
+    assert time.perf_counter() - start < 0.5
+    assert x is None and solve_fraction(rows, rhs) is None
+
+
+def _leibniz_det(M):
+    n = len(M)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= M[i][j]
+        total += term
+    return total
+
+
+rational = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(rational, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_charpoly_against_cayley_hamilton_trace_and_det(M):
+    n = len(M)
+    cp = charpoly(M)
+    assert cp.degree == n and cp.lead == 1
+    assert cp.coeff(n - 1) == -sum(M[i][i] for i in range(n))
+    assert cp.coeff(0) == (-1) ** n * _leibniz_det(M)
+    # Cayley-Hamilton by Horner: cp(M) is the zero matrix
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    for c in reversed(cp.coeffs):
+        acc = mat_mul(acc, M)
+        acc = [[acc[i][j] + c * eye[i][j] for j in range(n)] for i in range(n)]
+    assert all(v == 0 for row in acc for v in row)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from symprod import (DomainError, FieldMismatchError, NumberField, UniPoly,
                      minimal_polynomial, nf_arith, roots_in_number_field,
                      same_field)
+from symprod.polyfactor import is_irreducible
 from symprod.unipoly import sylvester_resultant
 
 F = Fraction
@@ -14,6 +16,7 @@ F = Fraction
 SQRT5 = NumberField.get(UniPoly((-5, 0, 1)))
 CUBIC = NumberField.get(UniPoly((23, -164, 16, 64)))
 ZETA5 = NumberField.get(UniPoly((1, 1, 1, 1, 1)))
+QUINTIC = NumberField.get(UniPoly((1, 3, -3, -4, 1, 1)))   # real subfield of Q(zeta_11)
 
 
 def test_construction_verifies_irreducibility():
@@ -87,26 +90,20 @@ def test_minimal_polynomial_generator():
 
 
 def test_minimal_polynomial_resultant_oracle():
-    # independent oracle: the minimal polynomial of g(w) divides
-    # Res_y(m(y), x - g(y)); here g(w) = w^2 - 29/16
+    # independent oracle: for e = g(w) of full degree, the minimal polynomial
+    # is the characteristic polynomial Res_y(m(y), x - g(y)); evaluate both
+    # at x = c.  Here g(w) = w^2 - 29/16.
     w = CUBIC.gen()
     e = w * w - F(29, 16)
     me = minimal_polynomial(e)
     assert me.degree == 3
     assert me(e).is_zero()
-    xs, ys = [], []
     g = UniPoly((F(-29, 16), 0, 1))
     m = CUBIC.minpoly
     for c in range(7):
         val = sylvester_resultant(
             list(m.coeffs), list((UniPoly.constant(c) - g).coeffs), 3, 2)
-        xs.append(F(c))
-        ys.append(F(val))
-    # Lagrange-interpolate the norm polynomial and check proportionality
-    from symprod.numberfield import _lagrange
-
-    norm = _lagrange(xs, ys)
-    assert (norm % me).is_zero()
+        assert val == me(F(c))
 
 
 def test_minimal_polynomial_subfield_element():
@@ -136,3 +133,51 @@ def test_same_field():
     assert same_field(CUBIC, other) and same_field(other, CUBIC)
     assert not same_field(CUBIC, SQRT5)
     assert not same_field(ZETA5, CUBIC)
+
+
+@given(st.integers(-30, 30), st.integers(-30, 30), st.integers(1, 5))
+@settings(max_examples=30, deadline=None)
+def test_quadratic_fields_are_galois(b, c, a):
+    f = UniPoly((c, b, a))
+    if is_irreducible(f):
+        assert NumberField(f).is_galois()
+
+
+def _cubic_disc_is_square(f):
+    # disc = -Res(f, f') / lead for a cubic; Galois iff disc is a rational square
+    disc = -f.resultant(f.derivative()) / f.lead
+    return (disc > 0 and math.isqrt(disc.numerator) ** 2 == disc.numerator
+            and math.isqrt(disc.denominator) ** 2 == disc.denominator)
+
+
+def test_cubic_galois_matches_square_discriminant():
+    for cs, galois in (((1, -3, 0, 1), True), ((-2, 0, 0, 1), False),
+                       ((23, -164, 16, 64), True)):
+        f = UniPoly(cs)
+        assert _cubic_disc_is_square(f) is galois
+        assert NumberField(f).is_galois() is galois
+
+
+@given(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9),
+       st.integers(1, 3))
+@settings(max_examples=30, deadline=None)
+def test_cubic_galois_matches_square_discriminant_random(c0, c1, c2, c3):
+    f = UniPoly((c0, c1, c2, c3))
+    if is_irreducible(f):
+        assert NumberField(f).is_galois() is _cubic_disc_is_square(f)
+
+
+coords4 = st.tuples(*([st.fractions(min_value=-3, max_value=3,
+                                    max_denominator=3)] * 4))
+coords5 = st.tuples(*([st.fractions(min_value=-3, max_value=3,
+                                    max_denominator=3)] * 5))
+
+
+@given(st.one_of(coords4.map(ZETA5.element), coords5.map(QUINTIC.element)))
+@settings(max_examples=30, deadline=None)
+def test_minimal_polynomial_vanishes_is_irreducible_and_divides_degree(e):
+    me = minimal_polynomial(e)
+    assert me.lead == 1
+    assert me(e).is_zero()
+    assert is_irreducible(me)
+    assert e.field.degree % me.degree == 0

@@ -260,9 +260,10 @@ def fixed_point_form(f: RationalMap1, n: int) -> BinaryForm:
     return zero_form_to_point_form(BinaryForm(zero_form))
 
 
-def _degree_multisets(pool, k):
-    """All multisets (with unlimited repetition) of forms from the pool whose
-    degrees sum to exactly k; yields form lists."""
+def _candidate_points(W: BinaryForm, k: int):
+    """The points of P^k whose forms are products of irreducible factors of
+    W, repetition allowed, of total degree exactly k; in a fixed order."""
+    pool = [g for g, _m in W.factor() if g.degree <= k]
 
     def rec(i, remaining):
         if remaining == 0:
@@ -270,13 +271,16 @@ def _degree_multisets(pool, k):
             return
         if i == len(pool):
             return
-        form, deg = pool[i]
-        maxc = remaining // deg
-        for c in range(maxc + 1):
-            for rest in rec(i + 1, remaining - c * deg):
-                yield [form] * c + rest
+        g = pool[i]
+        for c in range(remaining // g.degree + 1):
+            for rest in rec(i + 1, remaining - c * g.degree):
+                yield [g] * c + rest
 
-    yield from rec(0, k)
+    for forms in rec(0, k):
+        prod = forms[0]
+        for g in forms[1:]:
+            prod = prod * g
+        yield point_of_form(prod)
 
 
 def _exact_period(F: MorphismPk, p: PkPoint, cap: int) -> int | None:
@@ -302,13 +306,7 @@ def rational_periodic_points(f: RationalMap1, k: int, n_max: int,
     F = symmetrize(f, k)
     found: dict[PkPoint, int] = {}
     for n in range(1, n_max + 1):
-        W = fixed_point_form(f, n)
-        pool = [(g, g.degree) for g, _m in W.factor() if g.degree <= k]
-        for forms in _degree_multisets(pool, k):
-            prod = forms[0]
-            for g in forms[1:]:
-                prod = prod * g
-            p = point_of_form(prod)
+        for p in _candidate_points(fixed_point_form(f, n), k):
             if p in found:
                 continue
             per = _exact_period(F, p, n)
@@ -366,14 +364,8 @@ def rational_preimages(f: RationalMap1, F: MorphismPk, q: PkPoint):
             mono = _conv(qpow[k - j], ppow[j])
             for idx, m in enumerate(mono):
                 H[idx] += c * m
-    W = zero_form_to_point_form(BinaryForm(H))
-    pool = [(g, g.degree) for g, _m in W.factor() if g.degree <= k]
     out = set()
-    for forms in _degree_multisets(pool, k):
-        prod = forms[0]
-        for g in forms[1:]:
-            prod = prod * g
-        p = point_of_form(prod)
+    for p in _candidate_points(zero_form_to_point_form(BinaryForm(H)), k):
         if p not in out and F.apply(p) == q:
             out.add(p)
     return sorted(out)

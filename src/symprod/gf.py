@@ -105,20 +105,31 @@ def _canon_p1(gf: FiniteField, x, y):
     return (gf.one, gf.zero)
 
 
+def degenerates_mod_p(f, p: int) -> bool:
+    """True when the reduction of the P^1 map f mod p is not a morphism of
+    degree d: a component vanishes, or the two share a root."""
+    num = [c % p for c in f.num]
+    den = [c % p for c in f.den]
+    affn = _trim([num[len(num) - 1 - j] for j in range(len(num))])
+    affd = _trim([den[len(den) - 1 - j] for j in range(len(den))])
+    if not affn or not affd:
+        # one component vanishes identically mod p (joint lift is primitive,
+        # so not both); shared zeros certainly exist
+        return True
+    if num[0] % p == 0 and den[0] % p == 0:
+        return True  # common root at infinity
+    return len(_pgcd(affn, affd, p)) > 1
+
+
 def reduce_map(f, gf: FiniteField):
     """The reduction of a P^1 map mod p as an evaluator on P^1(F_q) points.
 
     Raises when the reduction degenerates (bad prime)."""
     p = gf.p
+    if degenerates_mod_p(f, p):
+        raise DomainError(f"bad reduction at {p}")
     num = [c % p for c in f.num]
     den = [c % p for c in f.den]
-    affn = _trim([num[len(num) - 1 - j] for j in range(len(num))])
-    affd = _trim([den[len(den) - 1 - j] for j in range(len(den))])
-    if not affn and not affd:
-        raise DomainError(f"map degenerates identically mod {p}")
-    g = _pgcd(affn, affd, p) if affn and affd else [1]
-    if len(g) > 1 or (num[0] % p == 0 and den[0] % p == 0):
-        raise DomainError(f"bad reduction at {p}")
 
     d = f.d
     numc = [gf.from_int(c) for c in num]

@@ -23,6 +23,7 @@ from itertools import combinations_with_replacement
 import mpmath
 
 from .errors import CertificateError, DomainError
+from .gf import degenerates_mod_p
 from .intfactor import prime_divisors
 from .linalg import IntSystem, solve_int_system
 from .mpoly import MPoly
@@ -64,25 +65,9 @@ def bad_primes(f: RationalMap1) -> BadPrimeSet:
         raise DomainError("primitive lift has non-integral resultant")  # unreachable
     out = []
     for p in prime_divisors(num):
-        if _degenerates_mod_p(f, p):
+        if degenerates_mod_p(f, p):
             out.append(p)
     return BadPrimeSet(out)
-
-
-def _degenerates_mod_p(f: RationalMap1, p: int) -> bool:
-    from .polyfactor import _pgcd, _trim
-
-    num = [c % p for c in f.num]
-    den = [c % p for c in f.den]
-    affn = _trim([num[len(num) - 1 - j] for j in range(len(num))])
-    affd = _trim([den[len(den) - 1 - j] for j in range(len(den))])
-    if not affn or not affd:
-        # one component vanishes identically mod p (joint lift is primitive,
-        # so not both); shared zeros certainly exist
-        return True
-    if num[0] % p == 0 and den[0] % p == 0:
-        return True  # common root at infinity
-    return len(_pgcd(affn, affd, p)) > 1
 
 
 def bad_primes_sym(f: RationalMap1, k: int) -> BadPrimeSet:
@@ -390,13 +375,7 @@ def _green_finite(F: MorphismPk, p: PkPoint, q: int, tol, cert):
 
 
 def _valuation_mod(v: int, q: int, cap: int) -> int:
-    if v == 0:
-        return cap
-    n = 0
-    while v % q == 0:
-        v //= q
-        n += 1
-    return n
+    return cap if v == 0 else _valuation(v, q)
 
 
 # ---------------------------------------------------------------------------

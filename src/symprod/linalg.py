@@ -2,7 +2,8 @@
 
 Determinants are fraction-free (Bareiss) eliminations over an exact domain:
 the integers for resultants, Q[x] for characteristic polynomials and the
-number-field norms built in numberfield.  Small systems go through plain
+number-field norms built in numberfield, and multivariate polynomials (MPoly)
+for the symmetric product.  Small systems go through plain
 fraction Gaussian elimination.  The large sparse integer systems that arise
 in certificate searches are solved by a p-adic (Dixon) lift with numpy
 doing the modular arithmetic.  All k+1 right-hand sides of one certificate
@@ -28,7 +29,8 @@ _DIXON_MAX_STEPS = 13333  # p-adic digits lifted before the exact fallback
 
 def det_bareiss(rows):
     """Determinant by fraction-free (Bareiss) elimination over an exact
-    domain: integers, or UniPoly entries (Q[x]).  Every division is exact."""
+    domain: integers, UniPoly entries (Q[x]) or MPoly entries.  Every
+    division is exact."""
     a = [list(r) for r in rows]
     n = len(a)
     if n == 0:

@@ -2,10 +2,11 @@
 
 eta sends a k-tuple of P^1 points to the point of P^k whose coordinates are
 the bihomogeneous elementary symmetric functions; symmetrize produces the
-induced self-map F of P^k with F o eta = eta o (f, ..., f).  F is computed by
-rewriting each symmetric component in the elementary symmetric polynomials
-(the classical leading-term subtraction algorithm), which is exact and needs
-no linear algebra.
+induced self-map F of P^k with F o eta = eta o (f, ..., f).  The form with
+roots f(z_1), ..., f(z_k) is a resultant of the form with roots z_1..z_k and
+X P + Y Q (Cox-Little-O'Shea, Using Algebraic Geometry, ch. 3), so F is one
+exact Bareiss determinant of a (k+d)-square Sylvester matrix over
+Q[x_0..x_k, Y]: its cost is polynomial in k.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
-from .mpoly import MPoly, elementary_symmetric
+from .linalg import det_bareiss
+from .mpoly import MPoly
 from .numberfield import NumberField
 from .projective import (AlgebraicPoint, BinaryForm, MorphismPk, PkPoint,
                          RationalMap1, form_of_point, minpoly_of_factor)
-from .unipoly import UniPoly
 
 
 def eta_coords(pairs):
@@ -67,46 +68,6 @@ def eta(points) -> PkPoint:
 # symmetrize
 # ---------------------------------------------------------------------------
 
-_emono_cache: dict[tuple, MPoly] = {}
-
-
-def _e_monomial(k: int, a: tuple) -> MPoly:
-    """prod_i e_i(z_1..z_k)^(a_i) with a indexed from e_1."""
-    key = (k, a)
-    got = _emono_cache.get(key)
-    if got is not None:
-        return got
-    if all(x == 0 for x in a):
-        val = MPoly.constant(k, 1)
-    else:
-        i = max(j for j in range(k) if a[j])
-        prev = list(a)
-        prev[i] -= 1
-        val = _e_monomial(k, tuple(prev)) * elementary_symmetric(k, i + 1)
-    _emono_cache[key] = val
-    return val
-
-
-def decompose_symmetric(g: MPoly, k: int) -> dict:
-    """Write a symmetric polynomial in k variables as a Q-combination of
-    monomials in the elementary symmetric polynomials.
-
-    Returns {(a_1..a_k): coefficient} meaning sum c * prod e_i^(a_i).
-    """
-    out: dict[tuple, Fraction] = {}
-    work = g
-    while work.terms:
-        exp = max(work.terms)
-        c = work.terms[exp]
-        lam = sorted(exp, reverse=True)
-        if list(exp) != lam:
-            raise DomainError("polynomial is not symmetric")
-        a = tuple(lam[i] - (lam[i + 1] if i + 1 < k else 0) for i in range(k))
-        out[a] = c
-        work = work - _e_monomial(k, a) * c
-    return out
-
-
 _symmetrize_cache: dict[tuple, MorphismPk] = {}
 
 
@@ -120,51 +81,24 @@ def symmetrize(f: RationalMap1, k: int) -> MorphismPk:
     if got is not None:
         return got
     d = f.d
-    pnum = f.affine_num()
-    pden = f.affine_den()
-
-    def embed(u: UniPoly, var: int) -> MPoly:
-        terms = {}
-        for i, c in enumerate(u.coeffs):
-            if c:
-                e = [0] * k
-                e[var] = i
-                terms[tuple(e)] = c
-        return MPoly(k, terms)
-
-    # DP for the coefficients of prod_l (P(z_l) X + Q(z_l) Y)
-    cur = None
-    for var in range(k):
-        pv = embed(pnum, var)
-        qv = embed(pden, var)
-        if cur is None:
-            cur = [pv, qv]
-        else:
-            nxt = []
-            for j in range(len(cur) + 1):
-                term = MPoly.zero(k)
-                if j < len(cur):
-                    term = term + pv * cur[j]
-                if j > 0:
-                    term = term + qv * cur[j - 1]
-                nxt.append(term)
-            cur = nxt
-
-    components = []
-    for j in range(k + 1):
-        decomp = decompose_symmetric(cur[j], k)
-        terms = {}
-        for a, c in decomp.items():
-            total = sum(a)
-            if total > d:
-                raise DomainError("internal symmetrize degree overflow")
-            exp = [0] * (k + 1)
-            for i, ai in enumerate(a):      # e_(i+1) is coordinate k-(i+1)
-                exp[k - (i + 1)] = ai
-            exp[k] += d - total             # homogenize with eta_{k,k}
-            terms[tuple(exp)] = terms.get(tuple(exp), Fraction(0)) + c
-        components.append(MPoly(k + 1, {e: c for e, c in terms.items() if c}))
-    F = MorphismPk(components, expected_degree=d)
+    nv = k + 2                              # x_0..x_k, then Y
+    zero = MPoly.zero(nv)
+    y = MPoly.variable(nv, k + 1)
+    # g = sum_j x_j U^(k-j) V^j = prod_l (z_l U + t_l V) and
+    # h = P(-V, U) + Y Q(-V, U), both listed from the top power of V down:
+    # then the first k pivots are constants whenever f is a polynomial.
+    g = [MPoly.variable(nv, j) for j in range(k, -1, -1)]
+    h = [(-1) ** i * (y * f.den[d - i] + f.num[d - i]) for i in range(d, -1, -1)]
+    rows = ([[zero] * r + h + [zero] * (k - 1 - r) for r in range(k)]
+            + [[zero] * r + g + [zero] * (d - 1 - r) for r in range(d)])
+    # Res_V(g, h) = c * sum_j F_j(x) Y^j with a constant c != 0.
+    res = det_bareiss(rows)
+    parts = [{} for _ in range(k + 1)]
+    # Insert terms by ascending reversed exponent: the Green iteration sums
+    # F's terms in this order in floating point, so it fixes its rounding.
+    for e, c in sorted(res.terms.items(), key=lambda ec: ec[0][::-1]):
+        parts[e[k + 1]][e[:k + 1]] = c
+    F = MorphismPk([MPoly(k + 1, t) for t in parts], expected_degree=d)
     _symmetrize_cache[key] = F
     return F
 

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -11,6 +12,7 @@ from symprod import (AlgebraicPoint, DegenerateMapError, DomainError, MPoly,
                      conjugate_points, eta, eta_coords, eta_tilde,
                      form_of_point, p1_point, parse_map, point_of_form,
                      symmetrize, verify_commutation)
+from symprod import symmetric
 from symprod.parser import parse_mpoly
 from symprod.projective import BinaryForm, minpoly_of_factor
 
@@ -91,7 +93,7 @@ def test_commutation_random_points():
     checks = 0
     while checks < 60:
         d = rng.choice([2, 3])
-        k = rng.choice([2, 3])
+        k = rng.choice(range(2, 8))
         num = [rng.randrange(-9, 10) for _ in range(d + 1)]
         den = [rng.randrange(-9, 10) for _ in range(d + 1)]
         try:
@@ -99,6 +101,10 @@ def test_commutation_random_points():
         except (DegenerateMapError, DomainError):
             continue
         Fk = symmetrize(f, k)
+        # The Green iteration sums F's terms in dict order in 53-bit floats,
+        # so the order is part of the output: ascending reversed exponents.
+        for comp in Fk.components:
+            assert list(comp.terms) == sorted(comp.terms, key=lambda e: e[::-1])
         for _ in range(5):
             pts = []
             for _i in range(k):
@@ -116,6 +122,18 @@ def test_commutation_random_points():
 def test_commutation_symbolic():
     assert verify_commutation(_map("x^2 - 29/16"), 3)
     assert verify_commutation(_map("[z^2 + 4*z*t, t^2 + 4*z*t]"), 2)
+    assert verify_commutation(_map("x^3 - 2"), 4)
+    # den[0] != 0: the determinant's first pivots are not constants
+    assert verify_commutation(_map("[z^2 - 3*t^2 + z*t, 5*z^2 + t^2]"), 4)
+
+
+def test_symmetrize_is_polynomial_in_k():
+    f = _map("x^2 - 29/16")
+    symmetric._symmetrize_cache.pop((f.key(), 8), None)
+    start = time.perf_counter()
+    F8 = symmetrize(f, 8)
+    assert time.perf_counter() - start < 0.25
+    assert F8.k == 8 and F8.d == 2
 
 
 def test_form_point_round_trip():
@@ -184,14 +202,15 @@ def test_eta_tilde_numeric_split_oracle():
     ref = NumberField.get(UniPoly((23, -164, 16, 64)))
     pt = AlgebraicPoint(ref, ref.gen())
     exact = eta_tilde(pt, 3)
-    mpmath.mp.prec = 120
-    roots = mpmath.polyroots([64, 16, -164, 23], maxsteps=200)
-    coords = eta_coords([(r, mpmath.mpf(1)) for r in roots])
-    scale = coords[-1]
-    approx = [c / scale for c in coords]
     want = [F(c, exact.coords[-1]) for c in exact.coords]
-    for a, w in zip(approx, want):
-        assert abs(a - mpmath.mpf(w.numerator) / w.denominator) < mpmath.mpf(2) ** -60
+    with mpmath.workprec(120):
+        roots = mpmath.polyroots([64, 16, -164, 23], maxsteps=200)
+        coords = eta_coords([(r, mpmath.mpf(1)) for r in roots])
+        scale = coords[-1]
+        approx = [c / scale for c in coords]
+        for a, w in zip(approx, want):
+            assert abs(a - mpmath.mpf(w.numerator) / w.denominator) \
+                < mpmath.mpf(2) ** -60
 
 
 def test_minpoly_of_factor_sign_convention():

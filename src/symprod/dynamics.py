@@ -21,9 +21,10 @@ from .gf import FiniteField, cycle_lengths, p1_points, reduce_map
 from .heights import bad_primes, bad_primes_sym, morphism_certificate
 from .intfactor import is_prime, small_primes
 from .projective import (AlgebraicPoint, BinaryForm, MorphismPk, PkPoint,
-                         RationalMap1, _conv, form_of_point, morphism_of_map,
+                         RationalMap1, form_of_point, morphism_of_map,
                          point_of_form, zero_form_to_point_form)
-from .symmetric import conjugate_points, eta_tilde, symmetrize
+from .symmetric import _check_k, conjugate_points, eta_tilde, symmetrize
+from .unipoly import _conv
 
 _ORBIT_CAP = 100000
 
@@ -220,28 +221,23 @@ def period_bound(inp: PeriodBoundInput) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _form_at(coeffs, X, Y):
+    """sum_j coeffs[j] X^(e-j) Y^j, e = len(coeffs) - 1, for integer
+    coefficient lists X and Y of equal length (homogeneous Horner)."""
+    out, ypow = [coeffs[0]], [1]
+    for c in coeffs[1:]:
+        out, ypow = _conv(out, X), _conv(ypow, Y)
+        for i, m in enumerate(ypow):
+            out[i] += c * m
+    return out
+
+
 def iterate_lift(f: RationalMap1, n: int):
     """Coefficient vectors of the exact n-th iterate lift (P_n, Q_n), with the
     joint content stripped at every step."""
     A, B = list(f.num), list(f.den)
     for _ in range(n - 1):
-        apow = [[1]]
-        bpow = [[1]]
-        for _i in range(f.d):
-            apow.append(_conv(apow[-1], A))
-            bpow.append(_conv(bpow[-1], B))
-        deg = (len(A) - 1) * f.d
-        newA = [0] * (deg + 1)
-        newB = [0] * (deg + 1)
-        for j in range(f.d + 1):
-            mono = _conv(apow[f.d - j], bpow[j])
-            ca, cb = f.num[j], f.den[j]
-            for idx, m in enumerate(mono):
-                if m:
-                    if ca:
-                        newA[idx] += ca * m
-                    if cb:
-                        newB[idx] += cb * m
+        newA, newB = _form_at(f.num, A, B), _form_at(f.den, A, B)
         g = math.gcd(*(newA + newB))
         A = [c // g for c in newA]
         B = [c // g for c in newB]
@@ -321,6 +317,7 @@ def default_n_max(f: RationalMap1, k: int, user_cap: int | None = None,
                   budget: int = DEFAULT_BUDGET) -> int:
     """Smallest of the user cap, the good-reduction period bound at two good
     primes, and the largest n whose fixed-point form fits the budget."""
+    _check_k(k)
     good = []
     bad = bad_primes(f)
     for p in small_primes():
@@ -353,17 +350,7 @@ def rational_preimages(f: RationalMap1, F: MorphismPk, q: PkPoint):
     G = form_of_point(q)
     # pullback: H(z, t) = G(Q(z,t), -P(z,t)) vanishes on the f-preimages of
     # the multiset encoded by q
-    ppow = [[1]]
-    qpow = [[1]]
-    for _ in range(k):
-        ppow.append(_conv(ppow[-1], [-c for c in f.num]))
-        qpow.append(_conv(qpow[-1], list(f.den)))
-    H = [0] * (k * f.d + 1)
-    for j, c in enumerate(G.coeffs):
-        if c:
-            mono = _conv(qpow[k - j], ppow[j])
-            for idx, m in enumerate(mono):
-                H[idx] += c * m
+    H = _form_at(G.coeffs, f.den, [-c for c in f.num])
     out = set()
     for p in _candidate_points(zero_form_to_point_form(BinaryForm(H)), k):
         if p not in out and F.apply(p) == q:

@@ -1,11 +1,19 @@
 """Factorization of univariate polynomials over Q.
 
-Pipeline: content/primitive split, Yun squarefree decomposition, then for each
-squarefree part the classical Zassenhaus round trip: factor mod a small prime
-(distinct-degree + Cantor-Zassenhaus equal-degree splitting), Hensel-lift the
-modular factors to a modulus beyond the Landau-Mignotte coefficient bound, and
-recombine subsets by exact trial division.  Non-monic inputs are handled by
-the monicizing substitution x -> x/lc.
+Everything runs on integer coefficient lists, low to high.  Pipeline: the
+content/primitive split, Yun's squarefree decomposition over Z (every quotient
+is exact by Gauss's lemma), then one Zassenhaus round trip for each
+squarefree part f of degree n and lead lc, monic or not:
+
+* prime: among odd primes p not dividing lc for which f/lc is squarefree mod
+  p, take the one whose distinct-degree split shows the fewest factors (at
+  most four primes are tried); only that one is split further
+  (Cantor-Zassenhaus);
+* lift: Hensel-lift the monic factors of f/lc mod p to p^t > 2B, with
+  B = |lc| 2^n (||f||_2 + 1) bounding lc times the Landau-Mignotte bound;
+* recombine: lc(g) times a subset product, in symmetric residues, is a
+  multiple of a true factor g; its primitive part is confirmed by exact
+  division over Z.
 
 Everything is deterministic: the equal-degree splitting RNG is seeded from the
 polynomial itself.
@@ -16,31 +24,19 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 from .errors import DomainError
-from .unipoly import UniPoly
+from .intfactor import is_prime
+from .unipoly import UniPoly, _conv, _int_divide, _int_gcd, _primitive, _trim
 
 # ---------------------------------------------------------------------------
 # Z/p[x] arithmetic on low-to-high int lists
 # ---------------------------------------------------------------------------
 
 
-def _trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim([c % p for c in out])
+    return _trim([c % p for c in _conv(a, b)])
 
 
 def _psub(a, b, p):
@@ -50,18 +46,19 @@ def _psub(a, b, p):
     return _trim(out)
 
 
-def _pdivmod(a, b, p):
+def _pdivmod(a, b, m):
+    """Quotient and remainder mod m, for b whose lead is a unit mod m."""
     if not b:
         raise ZeroDivisionError
-    inv = pow(b[-1], p - 2, p)
-    r = [c % p for c in a]
+    inv = pow(b[-1], -1, m)
+    r = [c % m for c in a]
     q = [0] * max(0, len(a) - len(b) + 1)
     for i in range(len(r) - 1, len(b) - 2, -1):
         if r[i]:
-            f = r[i] * inv % p
+            f = r[i] * inv % m
             q[i - len(b) + 1] = f
             for j, c in enumerate(b):
-                r[i - len(b) + 1 + j] = (r[i - len(b) + 1 + j] - f * c) % p
+                r[i - len(b) + 1 + j] = (r[i - len(b) + 1 + j] - f * c) % m
     return _trim(q), _trim(r)
 
 
@@ -151,28 +148,9 @@ def _edf(f, d, p, rng):
             return _edf(g, d, p, rng) + _edf(q, d, p, rng)
 
 
-def _factor_mod_p(f, p, rng):
-    facs = []
-    for d, prod in _ddf(f, p):
-        facs.extend(_edf(prod, d, p, rng))
-    return sorted(facs, key=lambda g: (len(g), g))
-
-
 # ---------------------------------------------------------------------------
-# Hensel lifting (monic, quadratic, binary factor tree)
+# Hensel lifting (quadratic, binary factor tree)
 # ---------------------------------------------------------------------------
-
-
-def _mdivmod_monic(a, b, mod):
-    r = [c % mod for c in a]
-    q = [0] * max(0, len(a) - len(b) + 1)
-    for i in range(len(r) - 1, len(b) - 2, -1):
-        if r[i]:
-            f = r[i]
-            q[i - len(b) + 1] = f
-            for j, c in enumerate(b):
-                r[i - len(b) + 1 + j] = (r[i - len(b) + 1 + j] - f * c) % mod
-    return _trim(q), _trim(r)
 
 
 def _hensel_step(f, g, h, s, t, m):
@@ -182,14 +160,14 @@ def _hensel_step(f, g, h, s, t, m):
     """
     mod = m * m
     e = _psub(f, _pmul(g, h, mod), mod)
-    q, r = _mdivmod_monic(_pmul(s, e, mod), h, mod)
+    q, r = _pdivmod(_pmul(s, e, mod), h, mod)
     # g* = g + t*e + q*g
     te = _pmul(t, e, mod)
     qg = _pmul(q, g, mod)
     gstar = _addm(_addm(g, te, mod), qg, mod)
     hstar = _addm(h, r, mod)
     b = _psub(_addm(_pmul(s, gstar, mod), _pmul(t, hstar, mod), mod), [1], mod)
-    c, d = _mdivmod_monic(_pmul(s, b, mod), hstar, mod)
+    c, d = _pdivmod(_pmul(s, b, mod), hstar, mod)
     sstar = _psub(s, d, mod)
     tstar = _psub(_psub(t, _pmul(t, b, mod), mod), _pmul(c, gstar, mod), mod)
     return gstar, hstar, sstar, tstar
@@ -204,8 +182,9 @@ def _addm(a, b, mod):
 def _hensel_tree(f, modular_factors, p, target):
     """Lift pairwise-coprime monic factors of f mod p to factors mod p^target.
 
-    f is monic over Z with f = prod(modular_factors) mod p.  Returns the list
-    of lifted monic factors (coefficients reduced into [0, p^target)).
+    f is monic mod p^target (lead 1, coefficients in [0, p^target)) with
+    f = prod(modular_factors) mod p.  Returns the list of lifted monic
+    factors (coefficients reduced into [0, p^target)).
     """
     ptar = p ** target
     if len(modular_factors) == 1:
@@ -233,8 +212,7 @@ def _hensel_tree(f, modular_factors, p, target):
 # Zassenhaus over Z
 # ---------------------------------------------------------------------------
 
-_FACTOR_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
-                  61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)
+_PRIME_LIMIT = 10 ** 6
 
 
 def _symrep(c, mod):
@@ -242,129 +220,82 @@ def _symrep(c, mod):
     return c - mod if c > mod // 2 else c
 
 
-def _int_divmod_monic(a, b):
-    """Division of integer polynomials with b monic; exact, no fractions."""
-    r = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    for i in range(len(r) - 1, len(b) - 2, -1):
-        if r[i]:
-            f = r[i]
-            q[i - len(b) + 1] = f
-            for j, c in enumerate(b):
-                r[i - len(b) + 1 + j] -= f * c
-    return _trim(q), _trim(r)
-
-
-def _int_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim(out)
-
-
-def _zassenhaus_monic(f):
-    """Irreducible monic integer factors of a monic squarefree integer poly."""
-    n = len(f) - 1
-    if n <= 1:
-        return [list(f)]
-    rng = random.Random(hash(tuple(f)))
-
-    best = None
-    tried = 0
-    for p in _FACTOR_PRIMES:
-        fp = _trim([c % p for c in f])
-        if len(fp) - 1 != n:
-            continue  # degree drop mod p
-        dfp = _trim([(i * fp[i]) % p for i in range(1, len(fp))])
+def _choose_prime(f):
+    """(count, p, distinct-degree split of f/lc mod p) for the usable odd prime
+    whose split shows the fewest factors, among the first four usable primes;
+    a prime that shows one factor is taken at once."""
+    n, lc = len(f) - 1, f[-1]
+    best, tried = None, 0
+    for p in range(3, _PRIME_LIMIT, 2):
+        if lc % p == 0 or not is_prime(p):
+            continue
+        inv = pow(lc, -1, p)
+        fp = [c * inv % p for c in f]
+        dfp = _trim([i * fp[i] % p for i in range(1, n + 1)])
         if len(_pgcd(fp, dfp, p)) > 1:
             continue  # not squarefree mod p
-        facs = _factor_mod_p(fp, p, rng)
-        if best is None or len(facs) < len(best[1]):
-            best = (p, facs)
+        ddf = _ddf(fp, p)
+        count = sum((len(g) - 1) // d for d, g in ddf)
+        if best is None or count < best[0]:
+            best = (count, p, ddf)
         tried += 1
-        if tried >= 4 or (best and len(best[1]) == 1):
-            break
+        if tried == 4 or count == 1:
+            return best
     if best is None:
-        raise DomainError("no usable prime found for factorization")
-    p, modular = best
-    if len(modular) == 1:
-        return [list(f)]
-
-    # Landau-Mignotte bound on coefficients of any monic divisor.
-    norm2 = math.isqrt(sum(c * c for c in f)) + 1
-    bound = (1 << n) * norm2
-    target = 1
-    while p ** target <= 2 * bound:
-        target += 1
-    ptar = p ** target
-    lifted = _hensel_tree(f, modular, p, target)
-
-    result = []
-    current = list(f)
-    idx = list(range(len(lifted)))
-    s = 1
-    f0 = current[0]
-    while 2 * s <= len(idx):
-        found = False
-        for combo in combinations(idx, s):
-            c0 = 1
-            for i in combo:
-                c0 = c0 * lifted[i][0] % ptar
-            c0 = _symrep(c0, ptar)
-            if c0 == 0 or (current[0] and current[0] % c0 != 0):
-                continue
-            g = [1]
-            for i in combo:
-                g = _pmul(g, lifted[i], ptar)
-            g = [_symrep(c, ptar) for c in g]
-            q, r = _int_divmod_monic(current, g)
-            if not r:
-                result.append(g)
-                current = q
-                for i in combo:
-                    idx.remove(i)
-                found = True
-                break
-        if not found:
-            s += 1
-    if len(current) > 1:
-        result.append(current)
-    return sorted(result, key=lambda g: (len(g), g))
+        raise DomainError(f"no usable prime below {_PRIME_LIMIT} for factorization")
+    return best
 
 
 def _factor_squarefree_primitive(f):
     """Factor a squarefree primitive integer polynomial (positive lead) into
     irreducible primitive integer polynomials with positive lead."""
     n = len(f) - 1
-    if n == 0:
-        return []
-    if n == 1:
+    if n <= 1:
+        return [list(f)] if n == 1 else []
+    count, p, ddf = _choose_prime(f)
+    if count == 1:
         return [list(f)]
+    rng = random.Random(hash(tuple(f)))
+    modular = [g for d, prod in ddf for g in _edf(prod, d, p, rng)]
+
     lc = f[-1]
-    if lc == 1:
-        monic_factors = _zassenhaus_monic(f)
-        return sorted(monic_factors, key=lambda g: (len(g), g))
-    # monicize: fm(x) = lc^(n-1) * f(x/lc)
-    fm = [f[i] * lc ** (n - 1 - i) for i in range(n)] + [1]
-    res = []
-    for gm in _zassenhaus_monic(fm):
-        e = len(gm) - 1
-        graw = [gm[i] * lc ** i for i in range(e + 1)]
-        g = math.gcd(*graw)
-        if graw[-1] < 0:
-            g = -g
-        res.append([c // g for c in graw])
-    # sanity: the primitive factors multiply back to f
-    prod = [1]
-    for g in res:
-        prod = _int_mul(prod, g)
-    if prod != list(f):
-        raise DomainError("internal factorization inconsistency")
-    return sorted(res, key=lambda g: (len(g), g))
+    bound = lc * (1 << n) * (math.isqrt(sum(c * c for c in f)) + 1)
+    target = 1
+    while p ** target <= 2 * bound:
+        target += 1
+    ptar = p ** target
+    inv = pow(lc, -1, ptar)
+    lifted = _hensel_tree([c * inv % ptar for c in f], modular, p, target)
+
+    result = []
+    current = list(f)
+    idx = list(range(len(lifted)))
+    s = 1
+    while 2 * s <= len(idx):
+        lead = current[-1]
+        for combo in combinations(idx, s):
+            c0 = lead
+            for i in combo:
+                c0 = c0 * lifted[i][0] % ptar
+            c0 = _symrep(c0, ptar)
+            # for current = g*h this is lc(h)*g(0), a divisor of lead*current(0)
+            if c0 == 0 or lead * current[0] % c0:
+                continue
+            g = [lead]
+            for i in combo:
+                g = _pmul(g, lifted[i], ptar)
+            g = _primitive([_symrep(c, ptar) for c in g])
+            q = _int_divide(current, g)
+            if q is not None:
+                result.append(g)
+                current = q
+                idx = [i for i in idx if i not in combo]
+                break
+        else:
+            s += 1
+    if len(current) > 1:
+        result.append(current)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -372,25 +303,28 @@ def _factor_squarefree_primitive(f):
 # ---------------------------------------------------------------------------
 
 
+def _derivative(a):
+    return [i * c for i, c in enumerate(a)][1:]
+
+
 def squarefree_decomposition(f: UniPoly):
-    """Yun's algorithm: pairwise-coprime monic squarefree g_i with
-    f = c * prod g_i^i; returns [(g_i, i)]."""
+    """Yun's algorithm on the primitive integer coefficients of f:
+    pairwise-coprime monic squarefree g_i with f = c * prod g_i^i; returns
+    [(g_i, i)].  Every quotient is exact over Z (Gauss's lemma)."""
     if f.degree < 1:
         return []
-    fp = f.derivative()
-    a = f.gcd(fp)
-    b = f // a
-    c = fp // a
-    d = c - b.derivative()
+    b = f.primitive_int_coeffs()
+    db = _derivative(b)
+    a = _int_gcd(b, db)
+    b, c = _int_divide(b, a), _int_divide(db, a)
     out = []
     i = 1
-    while b.degree > 0:
-        g = b.gcd(d)
-        if g.degree > 0:
-            out.append((g, i))
-        b = b // g
-        c = d // g
-        d = c - b.derivative()
+    while len(b) > 1:
+        d = _trim([x - y for x, y in zip_longest(c, _derivative(b), fillvalue=0)])
+        g = _int_gcd(b, d)
+        if len(g) > 1:
+            out.append((UniPoly.from_int_list(g).monic(), i))
+        b, c = _int_divide(b, g), _int_divide(d, g)
         i += 1
     return out
 
@@ -404,33 +338,32 @@ def factor_unipoly(poly: UniPoly):
     """
     if poly.is_zero():
         raise DomainError("cannot factor the zero polynomial")
-    content, prim = poly.content_primitive()
-    if prim.degree == 0:
+    prim = poly.primitive_int_coeffs()
+    content = poly.lead / prim[-1]
+    if len(prim) == 1:
         return content, []
 
     factors: dict[tuple, int] = {}
     # zero roots come off first so constant terms are nonzero downstream
     v = 0
-    cs = list(prim.coeffs)
-    while cs[v] == 0:
+    while prim[v] == 0:
         v += 1
     if v:
         factors[(0, 1)] = v  # the polynomial x
-        prim = UniPoly(tuple(cs[v:]))
 
-    for g, mult in squarefree_decomposition(prim):
-        _, gint = g.content_primitive()
-        for irr in _factor_squarefree_primitive([int(c) for c in gint.coeffs]):
+    for g, mult in squarefree_decomposition(UniPoly.from_int_list(prim[v:])):
+        for irr in _factor_squarefree_primitive(g.primitive_int_coeffs()):
             key = tuple(irr)
             factors[key] = factors.get(key, 0) + mult
 
-    out = sorted(((UniPoly.from_int_list(list(k)), m) for k, m in factors.items()),
-                 key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    check = UniPoly.constant(content)
-    for g, m in out:
-        check = check * g ** m
-    if check != poly:
+    check = [1]
+    for key, mult in factors.items():
+        for _ in range(mult):
+            check = _conv(check, key)
+    if check != prim:
         raise DomainError("factorization failed the multiply-back check")
+    out = sorted(((UniPoly.from_int_list(k), m) for k, m in factors.items()),
+                 key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return content, out
 
 

@@ -20,30 +20,18 @@ from fractions import Fraction
 from .errors import DegenerateMapError, DomainError
 from .mpoly import MPoly, joint_primitive
 from .numberfield import NFElem, NumberField, minimal_polynomial
-from .unipoly import UniPoly, sylvester_resultant
-
-
-def _conv(a, b):
-    """Product of two integer coefficient lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
+from .unipoly import UniPoly, _conv, sylvester_resultant
 
 
 def _normalize_int_vector(vals):
     """Clear denominators, strip the gcd, make the first nonzero entry positive."""
     fr = [Fraction(v) for v in vals]
-    if all(v == 0 for v in fr):
-        raise DomainError("all coordinates are zero")
     den = math.lcm(*(v.denominator for v in fr))
-    ints = [int(v * den) for v in fr]
+    ints = [v.numerator * (den // v.denominator) for v in fr]
     g = math.gcd(*ints)
-    first = next(v for v in ints if v)
-    if first < 0:
+    if g == 0:
+        raise DomainError("all coordinates are zero")
+    if next(v for v in ints if v) < 0:
         g = -g
     return tuple(v // g for v in ints)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, DomainError
 from .linalg import det_bareiss
 from .mpoly import MPoly
 from .numberfield import NumberField
@@ -71,11 +71,19 @@ def eta(points) -> PkPoint:
 _symmetrize_cache: dict[tuple, MorphismPk] = {}
 
 
+def _check_k(k: int):
+    """Points of P^k are binary forms of degree k, so the one degree budget
+    caps k; checked before anything is built."""
+    if k > DEFAULT_BUDGET:
+        raise BudgetExceededError(f"k = {k} exceeds the budget {DEFAULT_BUDGET}")
+
+
 def symmetrize(f: RationalMap1, k: int) -> MorphismPk:
     """The k-symmetric product F of f: the unique self-map of P^k with
     F o eta_k = eta_k o (f, ..., f), primitive-integer normalized."""
     if k < 1:
         raise DomainError("k must be at least 1")
+    _check_k(k)
     key = (f.key(), k)
     got = _symmetrize_cache.get(key)
     if got is not None:

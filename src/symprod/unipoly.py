@@ -2,6 +2,12 @@
 
 Coefficients are `fractions.Fraction` throughout; a polynomial is an immutable
 coefficient tuple indexed by degree.  The zero polynomial has degree -1.
+
+The gcd works on integer coefficient lists (low to high): `_conv` multiplies
+them, `_int_divide` divides exactly over Z, and `_int_gcd` is the primitive
+polynomial remainder sequence.  By Gauss's lemma a primitive divisor of an
+integer polynomial leaves an integer quotient, so the factoring code in
+`polyfactor` never needs fractions.
 """
 
 from __future__ import annotations
@@ -200,18 +206,14 @@ class UniPoly:
         polynomial whose coefficients are coprime and whose lead is positive."""
         if self.is_zero():
             return Fraction(0), UniPoly.zero()
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
-        g = math.gcd(*ints)
-        if ints[-1] < 0:
-            g = -g
-        content = Fraction(g, den)
-        return content, UniPoly.from_int_list([c // g for c in ints])
+        ints = self.primitive_int_coeffs()
+        return self.lead / ints[-1], UniPoly.from_int_list(ints)
 
     def primitive_int_coeffs(self):
         """Integer coefficient list of the primitive positive-lead associate."""
-        _, prim = self.content_primitive()
-        return [int(c) for c in prim.coeffs]
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        return _primitive([c.numerator * (den // c.denominator)
+                           for c in self.coeffs])
 
     def reverse(self) -> "UniPoly":
         """x^deg * p(1/x); trailing zero coefficients are dropped."""
@@ -220,26 +222,9 @@ class UniPoly:
     # -- gcd / resultant ----------------------------------------------------
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Primitive gcd over Q, computed by a primitive PRS over Z."""
-        a, b = self, other
-        if a.is_zero():
-            return b.monic() if b else UniPoly.zero()
-        if b.is_zero():
-            return a.monic()
-        _, a = a.content_primitive()
-        _, b = b.content_primitive()
-        if a.degree < b.degree:
-            a, b = b, a
-        while not b.is_zero():
-            # pseudo-remainder keeps everything integral
-            k = a.degree - b.degree + 1
-            r = (a * (b.lead ** k)) % b
-            if r.is_zero():
-                b_ = UniPoly.zero()
-            else:
-                _, b_ = r.content_primitive()
-            a, b = b, b_
-        return a.monic()
+        """Monic gcd over Q, computed by a primitive PRS over Z."""
+        g = _int_gcd(self.primitive_int_coeffs(), other.primitive_int_coeffs())
+        return UniPoly.from_int_list(g).monic() if g else UniPoly.zero()
 
     def squarefree_part(self) -> "UniPoly":
         if self.degree <= 0:
@@ -278,6 +263,65 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly({self.to_text()})"
+
+
+def _trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _conv(a, b):
+    """Product of two integer coefficient lists (length len(a) + len(b) - 1)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] += ai * bj
+    return out
+
+
+def _int_divide(a, b):
+    """The quotient a / b of trimmed integer lists if it lies in Z[x], else None."""
+    r = list(a)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[i + len(b) - 1], b[-1])
+        if rem:
+            return None
+        q[i] = c
+        if c:
+            for j, bj in enumerate(b):
+                r[i + j] -= c * bj
+    return None if any(r[:len(b) - 1]) else q
+
+
+def _primitive(a):
+    """a divided by its content, with a positive lead ([] stays [])."""
+    if not a:
+        return []
+    g = math.gcd(*a)
+    return [c // (g if a[-1] > 0 else -g) for c in a]
+
+
+def _int_gcd(a, b):
+    """Primitive gcd, with positive lead, of two trimmed integer lists."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r, lb = list(a), b[-1]
+        while len(r) >= len(b):
+            # r <- (lb/g) r - (r_lead/g) x^shift b: a pseudo-remainder step
+            g = math.gcd(lb, r[-1])
+            u, v, shift = lb // g, r[-1] // g, len(r) - len(b)
+            r = [c * u for c in r]
+            for j, bj in enumerate(b):
+                r[shift + j] -= v * bj
+            _trim(r)
+        a, b = b, _primitive(r)
+    return a
 
 
 def sylvester_matrix(a, b, m=None, n=None):

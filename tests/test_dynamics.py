@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symprod import (AlgebraicPoint, BudgetExceededError, DomainError,
-                     NumberField, OrbitClassification, PeriodBoundInput,
+from symprod import (DEFAULT_BUDGET, AlgebraicPoint, BudgetExceededError,
+                     DomainError, NumberField, OrbitClassification, PeriodBoundInput,
                      PkPoint, RationalMap1, UniPoly, apply, bad_primes,
                      default_n_max, eta, exponent_bound, fixed_point_form,
                      orbit_classify, p1_point, parse_map, period_bound,
@@ -176,6 +176,10 @@ def test_period_verification_property():
 def test_budget_error():
     with pytest.raises(BudgetExceededError):
         rational_periodic_points(_map("x^2 - 2"), 2, 13, budget=4096)
+    # points of P^k are degree-k forms: k itself is capped by the budget
+    for build in (symmetrize, default_n_max):
+        with pytest.raises(BudgetExceededError):
+            build(_map("x^2 - 2"), DEFAULT_BUDGET + 1)
 
 
 def test_default_n_max():

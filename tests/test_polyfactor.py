@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -151,6 +152,16 @@ def test_huge_coefficients():
                                                       ((-3, 1), 1)]
 
 
+def test_no_usable_prime_below_113():
+    # every prime up to 113 divides lc * disc = 8 L^2, so the prime search
+    # has to go past a fixed table of small primes
+    L = math.prod(p for p in range(3, 114, 2)
+                  if all(p % q for q in range(3, p, 2)))
+    p = UniPoly((-2, 0, L))
+    content, facs = factor_unipoly(p)
+    assert content == 1 and [(g, m) for g, m in facs] == [(p, 1)]
+
+
 def test_rational_roots():
     p = UniPoly((-1, 0, 1)) * UniPoly((F(3, 7), 1)) * UniPoly((5, 0, 1))
     assert rational_roots(p) == [F(-1), F(-3, 7), F(1)]
@@ -187,17 +198,18 @@ def test_small_degree_irreducibility_oracle():
 small_polys = st.lists(st.integers(min_value=-6, max_value=6),
                        min_size=2, max_size=4).map(
     lambda cs: UniPoly.from_int_list(cs if any(cs[1:]) else cs + [1]))
+big_leads = st.one_of(st.just(1), st.integers(min_value=2, max_value=2 ** 80))
 
 
-@given(st.lists(small_polys, min_size=1, max_size=3),
+@given(st.lists(st.tuples(small_polys, big_leads), min_size=1, max_size=3),
        st.fractions(min_value=-5, max_value=5, max_denominator=6))
 @settings(max_examples=50, deadline=None)
 def test_multiply_back(parts, scale):
     p = UniPoly.constant(scale if scale else 1)
-    for q in parts:
+    for q, lead in parts:
         if q.is_zero():
             q = UniPoly.one()
-        p = p * q
+        p = p * UniPoly(q.coeffs[:-1] + (q.lead * lead,))
     if p.is_zero() or p.degree < 1:
         return
     content, facs = factor_unipoly(p)
@@ -208,10 +220,47 @@ def test_multiply_back(parts, scale):
 
 def test_fixed_point_polynomial_degree_32():
     # the period-5 fixed points of x^2 - 2 split into fields of degree
-    # 1, 1, 5, 10, 15 (plus infinity, handled at the form level)
-    fn = UniPoly((0, 1))
-    for _ in range(5):
-        fn = fn * fn - 2
-    content, facs = factor_unipoly(fn - UniPoly((0, 1)))
-    assert sorted(g.degree for g, _m in facs) == [1, 1, 5, 10, 15]
-    assert reconstruct(content, facs) == fn - UniPoly((0, 1))
+    # 1, 1, 5, 10, 15 (plus infinity, handled at the form level); for
+    # x^2 - 29/16 the primitive form has a 65-bit lead (16^31) and splits
+    # as 2 + 30
+    for c, degrees in ((2, [1, 1, 5, 10, 15]), (F(29, 16), [2, 30])):
+        fn = UniPoly((0, 1))
+        for _ in range(5):
+            fn = fn * fn - c
+        start = time.perf_counter()
+        content, facs = factor_unipoly(fn - UniPoly((0, 1)))
+        assert time.perf_counter() - start < 0.2
+        assert sorted(g.degree for g, _m in facs) == degrees
+        assert reconstruct(content, facs) == fn - UniPoly((0, 1))
+
+
+def _linear(ab):
+    """a*x + b with gcd(a, b) = 1, low to high."""
+    g = math.gcd(*ab)
+    return (ab[1] // g, ab[0] // g)
+
+
+def _quadratic(ac):
+    """a*x^2 + c with a, c > 0 coprime: no real root, so irreducible over Q."""
+    g = math.gcd(*ac)
+    return (ac[1] // g, 0, ac[0] // g)
+
+
+big = st.integers(min_value=1, max_value=2 ** 80)
+known_irreducibles = st.one_of(
+    st.tuples(big, st.integers(min_value=-2 ** 80, max_value=2 ** 80)).map(_linear),
+    st.tuples(big, big).map(_quadratic))
+
+
+@given(st.lists(st.tuples(known_irreducibles, st.integers(1, 3)),
+                min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_known_irreducibles_with_large_leads(parts):
+    expected = {}
+    p = UniPoly.one()
+    for coeffs, m in parts:
+        expected[coeffs] = expected.get(coeffs, 0) + m
+        p = p * UniPoly.from_int_list(coeffs) ** m
+    content, facs = factor_unipoly(p)
+    assert content == 1
+    assert {tuple(int(c) for c in g.coeffs): m for g, m in facs} == expected

@@ -59,6 +59,19 @@ def test_gcd():
     assert UniPoly((2,)).gcd(a).degree == 0
 
 
+@given(polys, polys, polys)
+@settings(max_examples=100, deadline=None)
+def test_gcd_property(a, b, c):
+    ac, bc = a * c, b * c
+    if ac.is_zero() and bc.is_zero():
+        assert ac.gcd(bc).is_zero()
+        return
+    g = ac.gcd(bc)
+    assert g.lead == 1
+    assert (ac % g).is_zero() and (bc % g).is_zero()
+    assert (g % c.monic()).is_zero()
+
+
 def test_resultant_morphism_examples():
     # Res(16z^2 - 29t^2, 16t^2) with the formal-degree convention
     r = sylvester_resultant([-29, 0, 16], [16, 0, 0], 2, 2)

@@ -19,7 +19,7 @@ from itertools import combinations
 from .errors import DEFAULT_BUDGET, BudgetExceededError, DomainError
 from .gf import FiniteField, cycle_lengths, p1_points, reduce_map
 from .heights import bad_primes, bad_primes_sym, morphism_certificate
-from .intfactor import is_prime, small_primes
+from .intfactor import is_prime
 from .projective import (AlgebraicPoint, BinaryForm, MorphismPk, PkPoint,
                          RationalMap1, form_of_point, morphism_of_map,
                          point_of_form, zero_form_to_point_form)
@@ -320,11 +320,11 @@ def default_n_max(f: RationalMap1, k: int, user_cap: int | None = None,
     _check_k(k)
     good = []
     bad = bad_primes(f)
-    for p in small_primes():
-        if p not in bad:
+    p = 1
+    while len(good) < 2:
+        p += 1
+        if is_prime(p) and p not in bad:
             good.append(p)
-        if len(good) == 2:
-            break
     bound = min(period_bound(PeriodBoundInput(Np=p, k=k, p=p, vp=1))
                 for p in good)
     by_budget = 0

@@ -12,23 +12,35 @@ import math
 from .errors import DomainError
 
 _TRIAL_LIMIT = 10 ** 6
-_small_primes_cache: list[int] | None = None
+_primes = [2, 3, 5, 7]  # every prime below _sieved_to, grown by _trial_primes
+_sieved_to = 11
 
 # Deterministic Miller-Rabin witness set for n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def small_primes() -> list[int]:
-    global _small_primes_cache
-    if _small_primes_cache is None:
-        limit = _TRIAL_LIMIT
-        sieve = bytearray([1]) * (limit + 1)
-        sieve[0] = sieve[1] = 0
-        for i in range(2, math.isqrt(limit) + 1):
-            if sieve[i]:
-                sieve[i * i:: i] = bytearray(len(sieve[i * i:: i]))
-        _small_primes_cache = [i for i in range(limit + 1) if sieve[i]]
-    return _small_primes_cache
+def _trial_primes():
+    """The primes up to _TRIAL_LIMIT in order.  The cached list is extended
+    by sieving the next segment [lo, 2 lo) only when a caller iterates past
+    its end, so trial division of a small cofactor sieves little."""
+    global _sieved_to
+    i = 0
+    while True:
+        while i < len(_primes):
+            yield _primes[i]
+            i += 1
+        if _sieved_to > _TRIAL_LIMIT:
+            return
+        # primes below lo reach every composite below lo^2 >= hi
+        lo, hi = _sieved_to, min(2 * _sieved_to, _TRIAL_LIMIT + 1)
+        seg = bytearray([1]) * (hi - lo)
+        for p in _primes:
+            if p * p >= hi:
+                break
+            start = max(p * p, -(-lo // p) * p) - lo
+            seg[start::p] = bytes(len(range(start, hi - lo, p)))
+        _primes.extend(lo + j for j, keep in enumerate(seg) if keep)
+        _sieved_to = hi
 
 
 def is_prime(n: int) -> bool:
@@ -109,7 +121,7 @@ def factor_integer(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
     if n == 1:
         return out
-    for p in small_primes():
+    for p in _trial_primes():
         if p * p > n:
             break
         while n % p == 0:

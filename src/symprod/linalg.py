@@ -7,10 +7,15 @@ for the symmetric product.  Small systems go through plain
 fraction Gaussian elimination.  The large sparse integer systems that arise
 in certificate searches are solved by a p-adic (Dixon) lift with numpy
 doing the modular arithmetic.  All k+1 right-hand sides of one certificate
-degree share a matrix, so an IntSystem eliminates it mod p once (pivots,
-left null space, pivot-block inverse) and every right-hand side reuses that
-work.  Every candidate solution is verified exactly before it is returned,
-so the numerics are only a search accelerator.
+degree share a matrix.  An IntSystem splits it once into the connected
+blocks of its nonzero pattern (for x^2 + c the symmetry x -> -x splits
+every certificate matrix in two) and eliminates a block mod p (pivots, left
+null space, pivot-block inverse) only when a right-hand side first reaches
+it; later right-hand sides reuse that work.  A solve touches only the
+blocks holding the right-hand side's nonzero rows, and its answer is the
+one a single elimination of the whole matrix gives (see solve_int_system).
+Every candidate solution is verified exactly before it is returned, so the
+numerics are only a search accelerator.
 """
 
 from __future__ import annotations
@@ -115,28 +120,84 @@ def mat_mul(A, B):
 
 
 # ---------------------------------------------------------------------------
-# Large sparse integer systems: one modular elimination + Dixon lifting
+# Large sparse integer systems: connected blocks, one modular elimination
+# per block, Dixon lifting
 # ---------------------------------------------------------------------------
 
 
 class IntSystem:
     """An integer matrix A prepared once for many right-hand sides.
 
-    The first solve runs one forward elimination of [A | I] mod p, pivoting
-    in column order on the first nonzero row.  The pivot rows and columns of
-    A select a square block that is nonsingular mod p; the identity part of
-    the rows left below the last pivot spans the left null space of A mod p,
-    so b is consistent mod p exactly when those rows annihilate it.  The
-    inverse of the pivot block is computed once, for the first consistent b.
+    A is split once into the connected blocks of its nonzero pattern: two
+    rows are in one block when they share a nonzero column.  After a
+    permutation A is block diagonal, plus all-zero rows and columns, so
+    A x = b splits into one independent system per block and a solve only
+    touches the blocks that hold b's nonzero rows.  Each block is prepared
+    lazily, on the first right-hand side that reaches it (see _Block).
     """
 
     def __init__(self, rows):
         self.rows = rows
+        self._blocks = {}
+
+    @cached_property
+    def _split(self):
+        """A as an object array and the block label of every row and column
+        (-1 for an all-zero row or column)."""
+        A = np.array(self.rows, dtype=object)
+        m, n = A.shape
+        rr, cc = np.nonzero(A)
+        row_label = np.full(m, -1)
+        row_label[rr] = _row_components(m, n, rr, cc)[rr]
+        col_label = np.full(n, -1)
+        col_label[cc] = row_label[rr]
+        return A, row_label, col_label
+
+    def _block(self, label):
+        blk = self._blocks.get(label)
+        if blk is None:
+            A, row_label, col_label = self._split
+            rows = np.flatnonzero(row_label == label)
+            cols = np.flatnonzero(col_label == label)
+            blk = self._blocks[label] = _Block(rows, cols, A[np.ix_(rows, cols)])
+        return blk
+
+
+def _row_components(m, n, rr, cc):
+    """A label per row, equal for rows joined by a chain of shared columns
+    of the nonzero entries (rr[t], cc[t]): min-label propagation through
+    the columns with pointer jumping, so no zero entry is ever visited."""
+    label = np.arange(m)
+    while True:
+        col_min = np.full(n, m)
+        np.minimum.at(col_min, cc, label[rr])
+        new = label.copy()
+        np.minimum.at(new, rr, col_min[cc])
+        new = new[new]  # labels never exceed their row and stay in its block
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+class _Block:
+    """One connected block of an IntSystem: the rows and columns of A it
+    holds and its submatrix, eliminated mod p on the first solve.
+
+    The forward elimination of [A | I] mod p pivots in column order on the
+    first nonzero row.  The pivot rows and columns of A select a square
+    block that is nonsingular mod p; the identity part of the rows left
+    below the last pivot spans the left null space of A mod p, so b is
+    consistent mod p exactly when those rows annihilate it.  The inverse of
+    the pivot block is computed once, for the first consistent b.
+    """
+
+    def __init__(self, rows, cols, A):
+        self.rows, self.cols, self.A = rows, cols, A
 
     @cached_property
     def _echelon(self):
         p = _DIXON_PRIME
-        A = np.array(self.rows, dtype=object)
+        A = self.A
         m, n = A.shape
         M = np.concatenate([np.mod(A, p).astype(np.int64),
                             np.eye(m, dtype=np.int64)], axis=1)
@@ -163,14 +224,73 @@ class IntSystem:
             r += 1
             if r == m:
                 break
-        return A, piv_rows, piv_cols, M[r:, n:]
+        return piv_rows, piv_cols, M[r:, n:]
 
     @cached_property
-    def _block(self):
-        A, piv_rows, piv_cols, _null = self._echelon
-        sub = A[np.ix_(piv_rows, piv_cols)]
+    def _pivot_block(self):
+        piv_rows, piv_cols, _null = self._echelon
+        sub = self.A[np.ix_(piv_rows, piv_cols)]
         return _mod_inverse_matrix(np.mod(sub, _DIXON_PRIME).astype(np.int64),
                                    _DIXON_PRIME), sub
+
+    def consistent_mod_p(self, b):
+        p = _DIXON_PRIME
+        bmod = np.array([c % p for c in b], dtype=np.int64)
+        return not np.any((self._echelon[2] @ bmod) % p)
+
+    def lift(self, b):
+        """The solution of A x = b supported on the pivot columns, found by
+        Dixon-lifting the pivot block p-adically, reconstructing rationals
+        and verifying A x = b exactly; None when only exact elimination can
+        decide.  A reconstruction that solves the pivot block exactly but
+        not A x = b is that block's unique solution, so lifting further
+        cannot help."""
+        sub_rows, sub_cols, _null = self._echelon
+        if not sub_cols:
+            return None  # every entry is a multiple of p
+        p = _DIXON_PRIME
+        inv, Asub_obj = self._pivot_block
+        r = len(sub_rows)
+        b_sub = [b[i] for i in sub_rows]
+        residual = np.array(b_sub, dtype=object)
+        digits = []
+        step = 0
+        check_at = 16
+        while step < _DIXON_MAX_STEPS:
+            x_i = (inv @ np.mod(residual.astype(object), p).astype(np.int64)) % p
+            digits.append(x_i)
+            residual = (residual - Asub_obj @ x_i.astype(object)) // p
+            step += 1
+            if step == check_at or step == _DIXON_MAX_STEPS:
+                check_at *= 2
+                mod = p ** step
+                xs = []
+                for j in range(r):
+                    val = 0
+                    for d in reversed(digits):
+                        val = val * p + int(d[j])
+                    fr = _rational_reconstruct(val % mod, mod)
+                    if fr is None:
+                        break
+                    xs.append(fr)
+                if len(xs) < r:
+                    continue
+                cand = [Fraction(0)] * self.A.shape[1]
+                for j, c in enumerate(sub_cols):
+                    cand[c] = xs[j]
+                if _verify_solution(self.A, b, cand):
+                    return cand
+                if _verify_solution(Asub_obj, b_sub, xs):
+                    break
+                # reconstruction succeeded but was spurious; keep lifting
+        return None
+
+    def solve_exact(self, b):
+        """Exact elimination over Q; slow, but only tiny systems get here."""
+        fr = solve_fraction(self.A.tolist(), b)
+        if fr is not None and _verify_solution(self.A, b, fr):
+            return fr
+        return None
 
 
 def _mod_inverse_matrix(A, p):
@@ -210,68 +330,43 @@ def solve_int_system(system, rhs):
     """One exact rational solution of A x = b for an integer matrix.
 
     system is an IntSystem, shared across right-hand sides, or the rows of A.
-    Strategy: test b against the left null space of A mod p, Dixon-lift the
-    solution of the nonsingular pivot block p-adically, reconstruct
-    rationals, then verify A x = b exactly over the full system.  A
-    reconstruction that solves the pivot block exactly but not A x = b is
-    that block's unique solution, so lifting further cannot help and the
-    exact elimination decides.  Returns a Fraction list or None
-    (inconsistent).
+    Only the blocks holding b's nonzero rows are solved; the other columns
+    stay 0, and a nonzero entry of b on an all-zero row of A makes the
+    system inconsistent.  Each touched block is tested against its left
+    null space mod p, then Dixon-lifted (_Block.lift).  When some block
+    needs exact elimination, every touched block is eliminated exactly.
+    Returns a Fraction list or None (inconsistent).
+
+    The answer is the one a single elimination of all of A gives.  Column
+    order pivoting keeps the greedy column basis, mod p and over Q; the
+    column space of A is the direct sum of the blocks' column spaces, so
+    the greedy basis of a block is the global one restricted to the block,
+    and the solution supported on that basis is unique.  The left null
+    space mod p splits the same way.
     """
     if not isinstance(system, IntSystem):
         system = IntSystem(system)
-    A, sub_rows, sub_cols, null = system._echelon
-    n = A.shape[1]
-    p = _DIXON_PRIME
+    A, row_label, _col_label = system._split
     bvec = list(rhs)
-
-    bmod = np.array([c % p for c in bvec], dtype=np.int64)
-    if np.any((null @ bmod) % p):
-        return None  # inconsistent mod p, hence over Q
-    if not sub_cols:
-        return [Fraction(0)] * n if all(c == 0 for c in bvec) else None
-
-    inv, Asub_obj = system._block
-    r = len(sub_rows)
-
-    # Dixon lifting: digits of the p-adic expansion of the subsystem solution.
-    b_sub = [bvec[i] for i in sub_rows]
-    residual = np.array(b_sub, dtype=object)
-    digits = []
-    step = 0
-    check_at = 16
-    while step < _DIXON_MAX_STEPS:
-        x_i = (inv @ np.mod(residual.astype(object), p).astype(np.int64)) % p
-        digits.append(x_i)
-        residual = (residual - Asub_obj @ x_i.astype(object)) // p
-        step += 1
-        if step == check_at or step == _DIXON_MAX_STEPS:
-            check_at *= 2
-            mod = p ** step
-            xs = []
-            for j in range(r):
-                val = 0
-                for d in reversed(digits):
-                    val = val * p + int(d[j])
-                fr = _rational_reconstruct(val % mod, mod)
-                if fr is None:
-                    break
-                xs.append(fr)
-            if len(xs) < r:
-                continue
-            cand = [Fraction(0)] * n
-            for j, c in enumerate(sub_cols):
-                cand[c] = xs[j]
-            if _verify_solution(A, bvec, cand):
-                return cand
-            if _verify_solution(Asub_obj, b_sub, xs):
-                break
-            # reconstruction succeeded but was spurious; keep lifting
-    # fall back to exact elimination; slow, but only tiny systems get here
-    fr = solve_fraction(system.rows, bvec)
-    if fr is not None and _verify_solution(A, bvec, fr):
-        return fr
-    return None
+    touched = sorted({int(row_label[i]) for i, c in enumerate(bvec) if c})
+    if touched and touched[0] < 0:
+        return None  # b is nonzero on an all-zero row of A
+    blocks = [system._block(label) for label in touched]
+    parts = [[bvec[i] for i in blk.rows] for blk in blocks]
+    if not all(blk.consistent_mod_p(b) for blk, b in zip(blocks, parts)):
+        return None  # inconsistent mod p; over Q too unless p divides a minor
+    sols = [blk.lift(b) for blk, b in zip(blocks, parts)]
+    if None in sols:
+        # the rational greedy basis may differ from the one mod p, so no
+        # block keeps a lifted solution
+        sols = [blk.solve_exact(b) for blk, b in zip(blocks, parts)]
+        if None in sols:
+            return None
+    x = [Fraction(0)] * A.shape[1]
+    for blk, sol in zip(blocks, sols):
+        for c, v in zip(blk.cols, sol):
+            x[c] = v
+    return x
 
 
 def _verify_solution(A, rhs, x):

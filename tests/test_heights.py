@@ -310,6 +310,13 @@ def test_certificate_escape_threshold_is_sound():
      11.751784873725441),
     ("x^2 - 29/16", 3, "bad_primes", (2, 4, 4, 2),
      (16777216, 60817408, 399589376, 4096), (2,), 16.635532334438686),
+    # two blocks (x -> -x); at odd M the targets fall in both
+    ("x^2 - 16/9", 5, "bad_primes", (2, 4, 6, 6, 4, 2),
+     (3486784401, 55788550416, 228509902503936, 11555266180939776,
+      35664401793024, 59049), (3,), 22.998849132916373),
+    # three blocks
+    ("x^3 - 2", 3, "bad_primes", (3, 7, 7, 3), (1, 2, 8, 1), (),
+     8.019612795401267),
 ])
 def test_certificate_values_are_pinned(monkeypatch, text, k, bad, exps, mults,
                                        bad_out, constant):

@@ -66,6 +66,76 @@ def test_agrees_with_fraction_elimination(case):
     assert solve_int_system(rows, rhs) == solve_fraction(rows, rhs)
 
 
+small = st.integers(-5, 5)
+nonzero = st.integers(1, 5)
+
+
+@st.composite
+def block_systems(draw):
+    """Two or three random blocks on a diagonal, an all-zero row and column,
+    rows and columns shuffled, and two right-hand sides with whether each is
+    consistent.  The last row of a block is the sum of its other rows, so
+    adding to its entry of b leaves the column span."""
+    blocks = []
+    for _ in range(draw(st.integers(2, 3))):
+        n = draw(st.integers(1, 3))
+        rows = draw(st.lists(st.lists(small, min_size=n, max_size=n),
+                             min_size=1, max_size=3))
+        blocks.append(rows + [[sum(col) for col in zip(*rows)]])
+    m = sum(len(b) for b in blocks) + 1
+    n = sum(len(b[0]) for b in blocks) + 1
+    A = [[0] * n for _ in range(m)]
+    spans = []  # (last row, columns) of each block
+    r0 = c0 = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            A[r0 + i][c0:c0 + len(row)] = row
+        spans.append((r0 + len(b) - 1, range(c0, c0 + len(b[0]))))
+        r0 += len(b)
+        c0 += len(b[0])
+
+    def rhs():
+        touched = draw(st.sets(st.integers(0, len(blocks) - 1),
+                               min_size=1, max_size=2))
+        x = [0] * n
+        for t in touched:
+            for j in spans[t][1]:
+                x[j] = draw(small)
+        b = [sum(a * xj for a, xj in zip(row, x)) for row in A]
+        leave = draw(st.sampled_from(["none", "block", "zero row"]))
+        if leave == "block":
+            b[spans[draw(st.sampled_from(sorted(touched)))][0]] += draw(nonzero)
+        elif leave == "zero row":
+            b[m - 1] = draw(nonzero)
+        return b, leave == "none"
+
+    rhss = [rhs(), rhs()]
+    row_perm = draw(st.permutations(range(m)))
+    col_perm = draw(st.permutations(range(n)))
+    rows = [[A[i][j] for j in col_perm] for i in row_perm]
+    return rows, [([b[i] for i in row_perm], ok) for b, ok in rhss]
+
+
+@settings(max_examples=80, deadline=None)
+@given(block_systems())
+def test_block_systems_agree_with_fraction_elimination(case):
+    # every block minor stays below the modulus, as above
+    rows, rhss = case
+    system = IntSystem(rows)
+    for rhs, consistent in rhss:
+        x = solve_int_system(system, rhs)
+        assert x == solve_fraction(rows, rhs)
+        assert (x is not None) == consistent
+
+
+def test_block_of_multiples_of_the_modulus_is_solved_exactly():
+    # the first block vanishes mod p, so it has no pivot to lift from
+    p = 2 ** 20 + 7
+    rows = [[p, 0], [0, 1]]
+    assert solve_int_system(rows, [p, 1]) == [1, 1]
+    assert solve_int_system([[p]], [p]) == [1]
+
+
 def test_block_solution_that_fails_the_full_system_stops_lifting():
     # consistent mod p (the last row is e0 mod p) but not over Q: the pivot
     # block is the identity, whose exact solution (all ones) violates the

@@ -16,10 +16,9 @@ from .dynamics import (DEFAULT_BUDGET, PeriodBoundInput, default_n_max,
                        period_bound, preperiodic_graph,
                        rational_periodic_points)
 from .errors import SymprodError
-from .heights import (bad_primes, bad_primes_sym, canonical_height,
-                      canonical_height_nf)
+from .heights import bad_primes_sym, canonical_height, canonical_height_nf
 from .parser import parse_map, parse_point
-from .projective import AlgebraicPoint, morphism_of_map
+from .projective import AlgebraicPoint
 from .spectra import is_pcf, is_strongly_pcf_symmetric, multiplier_F
 from .symmetric import symmetrize
 
@@ -88,7 +87,7 @@ def _cmd_canonical_height(args):
         k = args.k if args.k is not None else pt.k
         if pt.k != k:
             raise SymprodError(f"point has dimension {pt.k}, expected {k}")
-        F = symmetrize(f, k) if k > 1 else morphism_of_map(f)
+        F = symmetrize(f, k)
         hv = canonical_height(F, pt, tol=args.tol, prec=args.precision,
                               bad=bad_primes_sym(f, k))
     places = ", ".join(f"{name}: {val:.10g}" for name, val in hv.places)
@@ -102,7 +101,7 @@ def _cmd_canonical_height(args):
 
 def _cmd_bad_primes(args):
     f = parse_map(args.map).map
-    primes = bad_primes(f) if args.k in (None, 1) else bad_primes_sym(f, args.k)
+    primes = bad_primes_sym(f, 1 if args.k is None else args.k)
     payload = {"schema_version": "1", "map": args.map,
                "bad_primes": list(primes)}
     _emit(args, payload, " ".join(str(p) for p in primes) if primes else "none")

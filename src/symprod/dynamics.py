@@ -21,8 +21,8 @@ from .gf import FiniteField, cycle_lengths, p1_points, reduce_map
 from .heights import bad_primes, bad_primes_sym, morphism_certificate
 from .intfactor import is_prime
 from .projective import (AlgebraicPoint, BinaryForm, MorphismPk, PkPoint,
-                         RationalMap1, form_of_point, morphism_of_map,
-                         point_of_form, zero_form_to_point_form)
+                         RationalMap1, form_of_point, point_of_form,
+                         zero_form_to_point_form)
 from .symmetric import _check_k, conjugate_points, eta_tilde, symmetrize
 from .unipoly import _conv
 
@@ -56,64 +56,56 @@ class OrbitClassification:
                 "escape_index": self.escape_index, "bound": self.bound}
 
 
-def _classify_pk_orbit(F: MorphismPk, p: PkPoint, cert) -> OrbitClassification:
-    seen = {p: 0}
-    cur = p
+def _walk(start, step, shadow, cert) -> OrbitClassification:
+    """Iterate step from start until a point repeats or the shadow of the
+    current point, a point of P^k(Q), has a coordinate above the
+    certificate's escape threshold (checked before each step)."""
+    seen = {start: 0}
+    cur = start
     for i in range(1, _ORBIT_CAP):
-        if max(abs(c) for c in cur.coords) > cert.escape_threshold:
+        if max(abs(c) for c in shadow(cur).coords) > cert.escape_threshold:
             return OrbitClassification("wandering", escape_index=i - 1,
                                        bound=cert.bound)
-        cur = F.apply(cur)
+        cur = step(cur)
         j = seen.get(cur)
         if j is not None:
             return OrbitClassification("preperiodic", tail=j, period=i - j)
         seen[cur] = i
     raise DomainError("orbit classification exceeded the iteration cap")
+
+
+def _return_time(start, step, cap: int) -> int | None:
+    """The least j <= cap with step^j(start) = start, or None."""
+    cur = start
+    for j in range(1, cap + 1):
+        cur = step(cur)
+        if cur == start:
+            return j
+    return None
 
 
 def orbit_classify(f, point) -> OrbitClassification:
     """Exact repeat-or-escape dichotomy.
 
     Accepts (MorphismPk, PkPoint), (RationalMap1, PkPoint of P^1), or
-    (RationalMap1, AlgebraicPoint); heights of algebraic points are measured
-    over Q through eta~ and the symmetric product of the point's field degree.
+    (RationalMap1, AlgebraicPoint).  Every point of P^1 is iterated under f
+    itself; its height is measured over Q through its shadow eta~(., k_f) on
+    the k_f-symmetric product, k_f the degree of the point's field (1 for
+    rational points and infinity, where eta~ is the point itself).
     """
     if isinstance(f, MorphismPk):
         if not isinstance(point, PkPoint):
             raise DomainError("expected a PkPoint for a MorphismPk")
-        return _classify_pk_orbit(f, point, morphism_certificate(f))
+        return _walk(point, f.apply, lambda p: p, morphism_certificate(f))
     if not isinstance(f, RationalMap1):
         raise DomainError("expected a RationalMap1 or MorphismPk")
     if isinstance(point, PkPoint):
         point = AlgebraicPoint.from_p1(point)
     if not isinstance(point, AlgebraicPoint):
         raise DomainError("expected a point of P^1")
-
-    if point.field is None:
-        F = morphism_of_map(f)
-        cert = morphism_certificate(F, bad=bad_primes(f))
-        if point.infinity:
-            start = PkPoint((1, 0))
-        else:
-            start = PkPoint((point.value.numerator, point.value.denominator))
-        return _classify_pk_orbit(F, start, cert)
-
-    kf = point.field.degree
-    F = symmetrize(f, kf)
-    cert = morphism_certificate(F, bad=bad_primes_sym(f, kf))
-    seen = {point: 0}
-    cur = point
-    for i in range(1, _ORBIT_CAP):
-        shadow = eta_tilde(cur, kf)
-        if max(abs(c) for c in shadow.coords) > cert.escape_threshold:
-            return OrbitClassification("wandering", escape_index=i - 1,
-                                       bound=cert.bound)
-        cur = f.apply_algebraic(cur)
-        j = seen.get(cur)
-        if j is not None:
-            return OrbitClassification("preperiodic", tail=j, period=i - j)
-        seen[cur] = i
-    raise DomainError("orbit classification exceeded the iteration cap")
+    kf = 1 if point.field is None else point.field.degree
+    cert = morphism_certificate(symmetrize(f, kf), bad=bad_primes_sym(f, kf))
+    return _walk(point, f.apply_algebraic, lambda q: eta_tilde(q, kf), cert)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +141,7 @@ class PeriodBoundInput:
     def __post_init__(self):
         if self.k < 1:
             raise DomainError("k must be at least 1")
+        _check_k(self.k)
         if self.vp < 1:
             raise DomainError("v(p) must be at least 1")
         if not is_prime(self.p):
@@ -279,15 +272,6 @@ def _candidate_points(W: BinaryForm, k: int):
         yield point_of_form(prod)
 
 
-def _exact_period(F: MorphismPk, p: PkPoint, cap: int) -> int | None:
-    cur = p
-    for j in range(1, cap + 1):
-        cur = F.apply(cur)
-        if cur == p:
-            return j
-    return None
-
-
 def rational_periodic_points(f: RationalMap1, k: int, n_max: int,
                              budget: int = DEFAULT_BUDGET):
     """All rational periodic points of the k-symmetric product built from
@@ -305,7 +289,7 @@ def rational_periodic_points(f: RationalMap1, k: int, n_max: int,
         for p in _candidate_points(fixed_point_form(f, n), k):
             if p in found:
                 continue
-            per = _exact_period(F, p, n)
+            per = _return_time(p, F.apply, n)
             if per is None:
                 raise DomainError("candidate from the fixed-point form failed "
                                   "to be periodic")  # unreachable

@@ -10,33 +10,16 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import DomainError
-from .polyfactor import _pgcd, _pmod, _pmul, _ppowmod, _psub, _trim
-from .intfactor import factor_integer
-
-
-def _is_irreducible_mod_p(g, p):
-    """Irreducibility of monic g over F_p by the x^(p^d) test."""
-    n = len(g) - 1
-    if n <= 0:
-        return False
-    x = [0, 1]
-    h = _ppowmod(x, p ** n, g, p)
-    if _trim(_psub(h, x, p)):
-        return False
-    for q in factor_integer(n):
-        h = _ppowmod(x, p ** (n // q), g, p)
-        if len(_pgcd(_psub(h, x, p), g, p)) > 1:
-            return False
-    return True
+from .polyfactor import _ddf, _pgcd, _pmod, _pmul, _trim
 
 
 def find_irreducible(p: int, e: int):
-    """Deterministic smallest monic irreducible of degree e over F_p."""
-    if e == 1:
-        return [0, 1]
+    """Deterministic smallest monic irreducible of degree e over F_p: a
+    monic g is irreducible exactly when its distinct-degree split is g alone
+    (a repeated factor has degree <= e/2, so the split finds it)."""
     for tail in product(range(p), repeat=e):
         g = list(tail) + [1]
-        if _is_irreducible_mod_p(g, p):
+        if _ddf(g, p) == [(e, g)]:
             return g
     raise DomainError("no irreducible polynomial found")  # unreachable
 

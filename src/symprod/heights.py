@@ -416,17 +416,9 @@ def canonical_height_nf(f: RationalMap1, point, tol: float = 1e-6,
     if not isinstance(point, AlgebraicPoint):
         raise DomainError("expected an AlgebraicPoint")
     notes = []
-    if point.infinity or point.field is None:
-        k = 1
-    else:
-        k = point.field.degree
-        if not point.field.is_galois():
-            notes.append("transfer outside stated hypotheses: field is not Galois")
-    if k == 1:
-        F = morphism_of_map(f)
-        q = eta_tilde(point, 1)
-        hv = canonical_height(F, q, tol, prec, bad=bad_primes(f))
-        return HeightValue(hv.value, hv.error_bound, hv.places, tuple(notes))
+    k = 1 if point.field is None else point.field.degree
+    if point.field is not None and not point.field.is_galois():
+        notes.append("transfer outside stated hypotheses: field is not Galois")
     F = symmetrize(f, k)
     q = eta_tilde(point, k)
     hv = canonical_height(F, q, tol * k, prec, bad=bad_primes_sym(f, k))

@@ -1,4 +1,5 @@
-"""Integer factorization: trial division to 10^6, then Pollard rho (Brent).
+"""Integer factorization: trial division to 10^6, then Pollard rho (Brent)
+within a work budget.
 
 Resultants and discriminants at the scale this library works at have small
 prime factors, so this classical combination is enough; rho is seeded
@@ -9,14 +10,24 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import BudgetExceededError, DomainError
 
 _TRIAL_LIMIT = 10 ** 6
 _primes = [2, 3, 5, 7]  # every prime below _sieved_to, grown by _trial_primes
 _sieved_to = 11
 
-# Deterministic Miller-Rabin witness set for n < 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes: a Miller-Rabin witness set that is deterministic for
+# n < psi_13 = 3317044064679887385961981 (Sorenson-Webster 2015).  The first
+# 12 alone are deterministic only below psi_12 = 318665857834031151167461,
+# which they pass although it is 399165290221 * 798330580441.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# Work allowed to Brent's rho on one composite n: steps (squarings of the
+# iterate) times the square of the bit length of n, the cost of a step's
+# multiplication and reduction mod n.  Rho finds a prime factor q in about
+# sqrt(q) steps.  Below 2^80 this allows over 600000 steps, enough for
+# factors up to about 10^11 (those of psi_12 included).
+_RHO_WORK = 2 ** 32
 
 
 def _trial_primes():
@@ -44,9 +55,11 @@ def _trial_primes():
 
 
 def is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases _MR_BASES: a proof of primality below
+    3.3 * 10^24; above it, n is only shown to be a strong probable prime."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -68,15 +81,22 @@ def is_prime(n: int) -> bool:
 
 
 def _brent_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n, by Brent's cycle variant."""
+    """A nontrivial factor of composite odd n, by Brent's cycle variant;
+    BudgetExceededError past _RHO_WORK."""
     if n % 2 == 0:
         return 2
     seed = 1
+    steps, bits = 0, n.bit_length()
     while True:
         y, c, m = (seed * 2862933555777941757 + 3037000493) % n or 1, seed % n or 1, 128
         g, r, q = 1, 1, 1
         x = ys = y
         while g == 1:
+            steps += 2 * r  # at most r steps for x, then r more for y
+            if steps * bits * bits > _RHO_WORK:
+                raise BudgetExceededError(
+                    f"factoring a {bits}-bit integer needs more than "
+                    f"{steps - 2 * r} rho steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -128,7 +148,7 @@ def factor_integer(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     if n > 1:
-        if n < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(n):
+        if n < _TRIAL_LIMIT * _TRIAL_LIMIT:
             out[n] = out.get(n, 0) + 1
         else:
             _factor_into(n, out)

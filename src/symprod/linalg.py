@@ -9,9 +9,10 @@ in certificate searches are solved by a p-adic (Dixon) lift with numpy
 doing the modular arithmetic.  All k+1 right-hand sides of one certificate
 degree share a matrix.  An IntSystem splits it once into the connected
 blocks of its nonzero pattern (for x^2 + c the symmetry x -> -x splits
-every certificate matrix in two) and eliminates a block mod p (pivots, left
-null space, pivot-block inverse) only when a right-hand side first reaches
-it; later right-hand sides reuse that work.  A solve touches only the
+every certificate matrix in two) and eliminates a block mod p, in one
+Gauss-Jordan pass that gives its pivots, left null space and pivot-block
+inverse (see _Block), only when a right-hand side first reaches it; later
+right-hand sides reuse that work.  A solve touches only the
 blocks holding the right-hand side's nonzero rows, and its answer is the
 one a single elimination of the whole matrix gives (see solve_int_system).
 Every candidate solution is verified exactly before it is returned, so the
@@ -183,12 +184,15 @@ class _Block:
     """One connected block of an IntSystem: the rows and columns of A it
     holds and its submatrix, eliminated mod p on the first solve.
 
-    The forward elimination of [A | I] mod p pivots in column order on the
-    first nonzero row.  The pivot rows and columns of A select a square
-    block that is nonsingular mod p; the identity part of the rows left
-    below the last pivot spans the left null space of A mod p, so b is
-    consistent mod p exactly when those rows annihilate it.  The inverse of
-    the pivot block is computed once, for the first consistent b.
+    One Gauss-Jordan pass over [A | I] mod p pivots in column order on the
+    first nonzero row at or below the current one and clears each pivot
+    column in every other row.  The pivot rows and columns of A select a
+    square block that is nonsingular mod p.  Every row only ever receives
+    multiples of pivot rows, so the identity part of the rows left below the
+    last pivot spans the left null space of A mod p (b is consistent mod p
+    exactly when those rows annihilate it), and that of the pivot rows, read
+    at the pivot rows' original indices, maps the pivot block to I: it is
+    the block's inverse mod p, which is unique.
     """
 
     def __init__(self, rows, cols, A):
@@ -196,6 +200,7 @@ class _Block:
 
     @cached_property
     def _echelon(self):
+        """(pivot rows, pivot columns, left null space, pivot-block inverse)"""
         p = _DIXON_PRIME
         A = self.A
         m, n = A.shape
@@ -214,24 +219,22 @@ class _Block:
                 row_order[r], row_order[i] = row_order[i], row_order[r]
             inv = pow(int(M[r, c]), p - 2, p)
             M[r, c:] = (M[r, c:] * inv) % p
-            below = np.nonzero(M[r + 1:, c])[0]
-            if below.size:
-                idx = below + r + 1
-                # rows r.. are zero left of column c, so only columns c.. change
-                M[idx, c:] = (M[idx, c:] - np.outer(M[idx, c], M[r, c:])) % p
+            others = np.nonzero(M[:, c])[0]
+            others = others[others != r]
+            if others.size:
+                # row r is zero left of column c, so only columns c.. change
+                M[others, c:] = (M[others, c:] - np.outer(M[others, c], M[r, c:])) % p
             piv_rows.append(row_order[r])
             piv_cols.append(c)
             r += 1
             if r == m:
                 break
-        return piv_rows, piv_cols, M[r:, n:]
+        return piv_rows, piv_cols, M[r:, n:], M[:r, n + np.array(piv_rows, dtype=int)]
 
     @cached_property
     def _pivot_block(self):
-        piv_rows, piv_cols, _null = self._echelon
-        sub = self.A[np.ix_(piv_rows, piv_cols)]
-        return _mod_inverse_matrix(np.mod(sub, _DIXON_PRIME).astype(np.int64),
-                                   _DIXON_PRIME), sub
+        piv_rows, piv_cols, _null, _inv = self._echelon
+        return self.A[np.ix_(piv_rows, piv_cols)]
 
     def consistent_mod_p(self, b):
         p = _DIXON_PRIME
@@ -245,11 +248,11 @@ class _Block:
         decide.  A reconstruction that solves the pivot block exactly but
         not A x = b is that block's unique solution, so lifting further
         cannot help."""
-        sub_rows, sub_cols, _null = self._echelon
+        sub_rows, sub_cols, _null, inv = self._echelon
         if not sub_cols:
             return None  # every entry is a multiple of p
         p = _DIXON_PRIME
-        inv, Asub_obj = self._pivot_block
+        Asub_obj = self._pivot_block
         r = len(sub_rows)
         b_sub = [b[i] for i in sub_rows]
         residual = np.array(b_sub, dtype=object)
@@ -291,25 +294,6 @@ class _Block:
         if fr is not None and _verify_solution(self.A, b, fr):
             return fr
         return None
-
-
-def _mod_inverse_matrix(A, p):
-    """Inverse mod p of a square matrix that is nonsingular mod p."""
-    n = A.shape[0]
-    M = np.concatenate([A, np.eye(n, dtype=np.int64)], axis=1)
-    for c in range(n):
-        nz = np.nonzero(M[c:, c])[0]
-        i = c + int(nz[0])
-        if i != c:
-            M[[c, i]] = M[[i, c]]
-        inv = pow(int(M[c, c]), p - 2, p)
-        M[c, c:] = (M[c, c:] * inv) % p
-        others = np.nonzero(M[:, c])[0]
-        others = others[others != c]
-        if others.size:
-            # row c is zero left of column c, so only columns c.. change
-            M[others, c:] = (M[others, c:] - np.outer(M[others, c], M[c, c:])) % p
-    return M[:, n:]
 
 
 def _rational_reconstruct(a, m):

@@ -4,12 +4,15 @@ Grammar: rational constants, + - * / ^, parentheses, and variables.  An
 affine map is a polynomial in one variable (``x^2 - 29/16``); a homogeneous
 map is a bracketed pair of forms in z and t (``[16*z^2-29*t^2, 16*t^2]``).
 Division is only allowed by nonzero constants, which is exactly what rational
-coefficients need.  Exponents and degrees above DEFAULT_BUDGET are refused
-before anything is expanded.  Errors carry the offending position.
+coefficients need.  Exponents and degrees above DEFAULT_BUDGET, and powers
+of a single term whose coefficient would be longer than a typed numeral may
+be, are refused before anything is expanded.  Errors carry the offending
+position.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -131,6 +134,8 @@ class _Parser:
             n = _numeral(e)
             _check_budget("exponent", n, e.pos)
             _check_budget("degree", base.total_degree() * n, e.pos)
+            if len(base.terms) == 1:
+                _check_power_size(next(iter(base.terms.values())), n, e.pos)
             return base ** n
         return base
 
@@ -157,6 +162,7 @@ class _Parser:
 # CPython's default int/str conversion limit.  The CLI lifts that limit so
 # that it can print long results; inputs keep it.
 _MAX_DIGITS = 4300
+_MAX_BITS = math.ceil(_MAX_DIGITS * math.log2(10))
 
 
 def _numeral(t: Token) -> int:
@@ -164,6 +170,16 @@ def _numeral(t: Token) -> int:
         raise ParseError(f"numeral of {len(t.value)} digits is longer than "
                          f"{_MAX_DIGITS}", t.pos)
     return int(t.value)
+
+
+def _check_power_size(c: Fraction, n: int, pos: int):
+    """Refuse c^n, before computing it, when it surely has more digits than
+    a typed numeral may: |a|^n >= 2^((bits(a) - 1) n) for its numerator or
+    denominator a, and 2^_MAX_BITS >= 10^_MAX_DIGITS."""
+    bits = max(c.numerator.bit_length(), c.denominator.bit_length())
+    if (bits - 1) * n >= _MAX_BITS:
+        raise BudgetExceededError(
+            f"power has more than {_MAX_DIGITS} digits (at position {pos})")
 
 
 def _check_budget(what: str, value: int, pos: int):

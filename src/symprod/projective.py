@@ -454,8 +454,8 @@ class MorphismPk:
 
 
 def morphism_of_map(f: RationalMap1) -> MorphismPk:
-    """View a P^1 map as a MorphismPk with k = 1 (shared height machinery)."""
-    d = f.d
-    num = MPoly(2, {(d - j, j): Fraction(c) for j, c in enumerate(f.num) if c})
-    den = MPoly(2, {(d - j, j): Fraction(c) for j, c in enumerate(f.den) if c})
-    return MorphismPk([num, den])
+    """View a P^1 map as a MorphismPk with k = 1 (shared height machinery):
+    the 1-symmetric product of f, which is [P, Q] itself."""
+    from .symmetric import symmetrize
+
+    return symmetrize(f, 1)

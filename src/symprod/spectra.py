@@ -18,7 +18,7 @@ from .projective import (AlgebraicPoint, MorphismPk, PkPoint, RationalMap1,
                          zero_form_to_point_form)
 from .symmetric import conjugate_points, decompose_form, symmetrize
 from .unipoly import UniPoly
-from .dynamics import orbit_classify
+from .dynamics import _return_time, orbit_classify
 
 
 def _chart(pt: AlgebraicPoint) -> int:
@@ -153,15 +153,6 @@ def multiplier_matrix(F: MorphismPk, p: PkPoint, n: int):
     return total
 
 
-def _base_period(f: RationalMap1, pt: AlgebraicPoint, cap: int) -> int:
-    cur = pt
-    for j in range(1, cap + 1):
-        cur = f.apply_algebraic(cur)
-        if cur == pt:
-            return j
-    raise DomainError("component point is not periodic")
-
-
 def multiplier_F(f: RationalMap1, k: int, p: PkPoint, n: int) -> MultiplierReport:
     """Multiplier data of a periodic point of the k-symmetric product:
     the exact k x k matrix, its characteristic polynomial, and the multipliers
@@ -172,7 +163,9 @@ def multiplier_F(f: RationalMap1, k: int, p: PkPoint, n: int) -> MultiplierRepor
     base = []
     cap = max(64, n * k * 8)
     for field, pt, mult in conjugate_points(p):
-        per = _base_period(f, pt, cap)
+        per = _return_time(pt, f.apply_algebraic, cap)
+        if per is None:
+            raise DomainError("component point is not periodic")
         lam = multiplier_f(f, pt, per)
         for _ in range(mult):
             base.append((pt, per, lam))

@@ -118,23 +118,11 @@ def verify_commutation(f: RationalMap1, k: int) -> bool:
     of (P^1)^k and compared up to a scalar by cross-multiplication."""
     F = symmetrize(f, k)
     nv = 2 * k
-    d = f.d
     pairs = [(MPoly.variable(nv, 2 * l), MPoly.variable(nv, 2 * l + 1))
              for l in range(k)]
-    fpairs = []
-    for z, t in pairs:
-        num = MPoly.zero(nv)
-        den = MPoly.zero(nv)
-        for j in range(d + 1):
-            mono = z ** (d - j) * t ** j
-            if f.num[j]:
-                num = num + mono * f.num[j]
-            if f.den[j]:
-                den = den + mono * f.den[j]
-        fpairs.append((num, den))
     etas = eta_coords(pairs)
     lhs = [comp.substitute(etas) for comp in F.components]
-    rhs = eta_coords(fpairs)
+    rhs = eta_coords([f.eval_pair(z, t) for z, t in pairs])
     for i in range(k + 1):
         for j in range(i + 1, k + 1):
             if lhs[i] * rhs[j] != lhs[j] * rhs[i]:

@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symprod import (DEFAULT_BUDGET, AlgebraicPoint, BudgetExceededError,
                      DomainError, NumberField, OrbitClassification, PeriodBoundInput,
                      PkPoint, RationalMap1, UniPoly, apply, bad_primes,
                      default_n_max, eta, exponent_bound, fixed_point_form,
-                     orbit_classify, p1_point, parse_map, period_bound,
-                     periods_mod_p, preperiodic_graph, rational_periodic_points,
-                     rational_preimages, symmetrize)
+                     morphism_certificate, orbit_classify, p1_point, parse_map,
+                     period_bound, periods_mod_p, preperiodic_graph,
+                     rational_periodic_points, rational_preimages, symmetrize)
 
 F = Fraction
 
@@ -81,6 +83,53 @@ def test_orbit_classify_algebraic():
 def test_orbit_classify_infinity():
     cls = orbit_classify(_map("x^2 + 1"), AlgebraicPoint.at_infinity())
     assert cls.preperiodic and cls.tail == 0 and cls.period == 1
+
+
+def _size(x):
+    """Largest coprime coordinate of a rational number, or of infinity (None)."""
+    return 1 if x is None else max(abs(x.numerator), x.denominator)
+
+
+# Each map as its affine formula on Fractions, infinity as None.
+_ORBIT_MAPS = {
+    "[t^2, z^2]": lambda x: (None if x == 0 else F(0) if x is None
+                             else 1 / (x * x)),
+    "[z^2 - 3*t^2 + z*t, 5*z^2 + t^2]": lambda x: (
+        F(1, 5) if x is None else (x * x + x - 3) / (5 * x * x + 1)),
+}
+
+
+@given(st.sampled_from(["x^2 + c"] + sorted(_ORBIT_MAPS)),
+       st.fractions(min_value=-3, max_value=1, max_denominator=6),
+       st.one_of(st.none(), st.fractions(min_value=-4, max_value=4,
+                                         max_denominator=8)))
+@settings(max_examples=120, deadline=None)
+def test_orbit_classify_matches_fraction_iteration(name, c, x):
+    """On rational points and infinity, orbit_classify agrees with plain
+    Fraction iteration: a preperiodic answer has the least tail and least
+    period, and a wandering one names the first iterate above the escape
+    threshold, whose naive height exceeds the bound."""
+    if name == "x^2 + c":
+        f = _map(f"x^2 + ({c.numerator})/{c.denominator}")
+        step = lambda y: None if y is None else y * y + c  # noqa: E731
+    else:
+        f, step = _map(name), _ORBIT_MAPS[name]
+    point = AlgebraicPoint.at_infinity() if x is None else AlgebraicPoint.rational(x)
+    cls = orbit_classify(f, point)
+    orbit = [x]
+    last = cls.escape_index if cls.tail is None else cls.tail + cls.period
+    for _ in range(last):
+        orbit.append(step(orbit[-1]))
+    if cls.preperiodic:
+        assert orbit[-1] == orbit[cls.tail]
+        assert len(set(orbit[:-1])) == len(orbit) - 1
+    else:
+        assert cls.status == "wandering"
+        threshold = morphism_certificate(symmetrize(f, 1),
+                                         bad=bad_primes(f)).escape_threshold
+        assert [_size(y) > threshold for y in orbit] == [False] * last + [True]
+        assert math.log(_size(orbit[-1])) > cls.bound
+        assert len(set(orbit)) == len(orbit)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symprod import DomainError, factor_integer, is_prime, prime_divisors
+from symprod import DomainError, cli, factor_integer, is_prime, prime_divisors
 from symprod.unipoly import sylvester_resultant
 
 
@@ -52,3 +52,15 @@ def test_reconstruction_with_sign():
         n = rng.randrange(-10 ** 9, 10 ** 9) or 5
         f = factor_integer(n)
         assert math.prod(p ** e for p, e in f.items()) == abs(n)
+
+
+def test_strong_pseudoprime_to_the_first_twelve_prime_bases(capsys):
+    # psi_12, the least strong pseudoprime to every prime base up to 37
+    n = 318665857834031151167461
+    assert not is_prime(n)
+    assert factor_integer(n) == {399165290221: 1, 798330580441: 1}
+    assert is_prime(37) and is_prime(41) and not is_prime(41 * 43)
+    rc = cli.main(["period-bound", "--Np", str(n), "--p", str(n),
+                   "--v", "1", "--k", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error[E_DOMAIN]")

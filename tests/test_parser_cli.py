@@ -264,14 +264,26 @@ def test_parse_degree_cap():
             parse_map(text)
     with pytest.raises(ParseError):
         parse_map("x^2 - " + "9" * 5000)
+    # a power of one term is refused when its coefficient surely has more
+    # digits than a typed numeral may, and kept when it may not
+    assert parse_map("x^2 + (10^64)^64").map.num[2] == 10 ** 4096
+    for text in ("x^2 + ((10^64)^64)^64", "x^2 + ((10^64)^64*x)^2",
+                 "x^2 + (1/(10^60)^50)^2"):
+        with pytest.raises(symprod.BudgetExceededError):
+            parse_map(text)
 
 
 def test_cli_huge_exponent_is_refused_quickly(capsys):
+    semiprime = (2 ** 89 - 1) * (2 ** 107 - 1)
     for argv in (["bad-primes", "--map", "x^99999999"],
-                 ["symmetrize", "--map", "x^2 - 2", "--k", "65"]):
+                 ["symmetrize", "--map", "x^2 - 2", "--k", "65"],
+                 ["period-bound", "--Np", "3", "--p", "3", "--v", "1",
+                  "--k", "100000000"],
+                 ["symmetrize", "--map", "x^2 + ((10^64)^64)^64", "--k", "2"],
+                 ["bad-primes", "--map", f"x^2 + 1/{semiprime}"]):
         start = time.perf_counter()
         rc = cli.main(argv)
-        assert time.perf_counter() - start < 0.5
+        assert time.perf_counter() - start < 0.5, argv
         assert rc == 1
         assert capsys.readouterr().err.startswith("error[E_BUDGET]")
 

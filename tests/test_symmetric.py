@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symprod import (AlgebraicPoint, DegenerateMapError, DomainError, MPoly,
-                     NumberField, PkPoint, RationalMap1, UniPoly,
+from symprod import (AlgebraicPoint, DegenerateMapError, DomainError, MorphismPk,
+                     MPoly, NumberField, PkPoint, RationalMap1, UniPoly,
                      conjugate_points, eta, eta_coords, eta_tilde,
-                     form_of_point, p1_point, parse_map, point_of_form,
-                     symmetrize, verify_commutation)
+                     form_of_point, morphism_of_map, p1_point, parse_map,
+                     point_of_form, symmetrize, verify_commutation)
 from symprod import symmetric
 from symprod.parser import parse_mpoly
 from symprod.projective import BinaryForm, minpoly_of_factor
@@ -117,6 +117,33 @@ def test_commutation_random_points():
             rhs = Fk.apply(eta(pts))
             assert lhs == rhs, (f, pts)
             checks += 1
+
+
+def _direct_morphism(f):
+    """[P, Q] as a MorphismPk built term by term from f's coefficients."""
+    d = f.d
+    num = MPoly(2, {(d - j, j): Fraction(c) for j, c in enumerate(f.num) if c})
+    den = MPoly(2, {(d - j, j): Fraction(c) for j, c in enumerate(f.den) if c})
+    return MorphismPk([num, den])
+
+
+@given(st.lists(st.integers(-9, 9), min_size=3, max_size=4),
+       st.lists(st.integers(-9, 9), min_size=4, max_size=4), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_first_symmetric_product_is_the_map(num, den, polynomial):
+    """symmetrize(f, 1) is [P, Q] itself, term for term and in insertion
+    order (the Green iteration sums terms in that order), so
+    morphism_of_map(f) can return it."""
+    d = len(num) - 1
+    den = [0] * d + [den[0] or 1] if polynomial else den[:d + 1]
+    try:
+        f = RationalMap1(num, den)
+    except (DegenerateMapError, DomainError):
+        return
+    F1 = symmetrize(f, 1)
+    assert ([list(c.terms.items()) for c in F1.components]
+            == [list(c.terms.items()) for c in _direct_morphism(f).components])
+    assert morphism_of_map(f) is F1
 
 
 def test_commutation_symbolic():

@@ -4,10 +4,11 @@ Grammar: rational constants, + - * / ^, parentheses, and variables.  An
 affine map is a polynomial in one variable (``x^2 - 29/16``); a homogeneous
 map is a bracketed pair of forms in z and t (``[16*z^2-29*t^2, 16*t^2]``).
 Division is only allowed by nonzero constants, which is exactly what rational
-coefficients need.  Exponents and degrees above DEFAULT_BUDGET, and powers
-of a single term whose coefficient would be longer than a typed numeral may
-be, are refused before anything is expanded.  Errors carry the offending
-position.
+coefficients need.  Exponents and degrees above DEFAULT_BUDGET are refused
+before anything is expanded.  No coefficient of any subexpression may be
+longer than a typed numeral: a power whose coefficients could be is refused
+before it is expanded, and a sum, product or quotient that is, right after
+it is formed.  Errors carry the offending position.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ class _Parser:
             if t.kind == "op" and t.value in "+-":
                 self.take()
                 term = self.parse_term()
-                acc = acc + term if t.value == "+" else acc - term
+                acc = _sized(acc + term if t.value == "+" else acc - term, t.pos)
             else:
                 return acc
 
@@ -111,7 +112,7 @@ class _Parser:
                 rhs = self.parse_power()
                 _check_budget("degree", acc.total_degree() + rhs.total_degree(),
                               t.pos)
-                acc = acc * rhs
+                acc = _sized(acc * rhs, t.pos)
             elif t.kind == "op" and t.value == "/":
                 self.take()
                 divisor = self.parse_power()
@@ -119,7 +120,7 @@ class _Parser:
                 if len(divisor.terms) != 1 or const is None or const == 0:
                     raise ParseError("division is only allowed by a nonzero constant",
                                      t.pos)
-                acc = acc * (1 / const)
+                acc = _sized(acc * (1 / const), t.pos)
             else:
                 return acc
 
@@ -134,8 +135,7 @@ class _Parser:
             n = _numeral(e)
             _check_budget("exponent", n, e.pos)
             _check_budget("degree", base.total_degree() * n, e.pos)
-            if len(base.terms) == 1:
-                _check_power_size(next(iter(base.terms.values())), n, e.pos)
+            _check_power_size(base, n, e.pos)
             return base ** n
         return base
 
@@ -172,14 +172,29 @@ def _numeral(t: Token) -> int:
     return int(t.value)
 
 
-def _check_power_size(c: Fraction, n: int, pos: int):
-    """Refuse c^n, before computing it, when it surely has more digits than
-    a typed numeral may: |a|^n >= 2^((bits(a) - 1) n) for its numerator or
-    denominator a, and 2^_MAX_BITS >= 10^_MAX_DIGITS."""
-    bits = max(c.numerator.bit_length(), c.denominator.bit_length())
-    if (bits - 1) * n >= _MAX_BITS:
+def _sized(poly: MPoly, pos: int) -> MPoly:
+    """poly, unless a numerator or denominator is longer than a typed numeral
+    may be (more than _MAX_BITS bits, as 10^_MAX_DIGITS <= 2^_MAX_BITS)."""
+    for c in poly.terms.values():
+        if max(c.numerator.bit_length(), c.denominator.bit_length()) > _MAX_BITS:
+            raise BudgetExceededError(
+                f"coefficient has more than {_MAX_DIGITS} digits "
+                f"(at position {pos})")
+    return poly
+
+
+def _check_power_size(base: MPoly, n: int, pos: int):
+    """Refuse base^n, before expanding it, unless its coefficients surely fit
+    _sized.  Write base = N/D with D the lcm of its denominators: every
+    coefficient of base^n has a numerator at most |N|_1^n and a denominator
+    dividing D^n.  For a single term c = a/b the bound is |a|^n or b^n
+    itself, so exactly the powers too long for _sized are refused."""
+    den = math.lcm(*(c.denominator for c in base.terms.values()))
+    norm = sum(abs(c.numerator) * (den // c.denominator)
+               for c in base.terms.values())
+    if n * math.log2(max(norm, den)) >= _MAX_BITS:
         raise BudgetExceededError(
-            f"power has more than {_MAX_DIGITS} digits (at position {pos})")
+            f"power may have more than {_MAX_DIGITS} digits (at position {pos})")
 
 
 def _check_budget(what: str, value: int, pos: int):

@@ -64,3 +64,26 @@ def test_strong_pseudoprime_to_the_first_twelve_prime_bases(capsys):
                    "--v", "1", "--k", "1"])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error[E_DOMAIN]")
+
+
+def test_perfect_powers_are_taken_apart_before_rho(capsys):
+    # the resultant of x^2 + 1/N is N^4: its root N is what rho splits, so
+    # the budget is that of a 67-bit N, not of the 266-bit N^4
+    p, q = 9999999943, 9999999967
+    assert factor_integer((p * q) ** 4) == {p: 4, q: 4}
+    assert factor_integer(-(p ** 3) * q ** 6 * 2 ** 5) == {2: 5, p: 3, q: 6}
+    assert factor_integer(1000003 ** 7) == {1000003: 7}
+    assert cli.main(["bad-primes", "--map", f"x^2 + 1/({p}*{q})"]) == 0
+    assert capsys.readouterr().out.split() == [str(p), str(q)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([1000003, 1000033, 1000037, 99999989,
+                                 2147483647]), min_size=1, max_size=6),
+       st.integers(1, 4))
+def test_factor_products_of_large_primes(primes, e):
+    n = math.prod(primes) ** e
+    want = {}
+    for p in primes:
+        want[p] = want.get(p, 0) + e
+    assert factor_integer(n) == dict(sorted(want.items()))

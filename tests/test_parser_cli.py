@@ -264,13 +264,25 @@ def test_parse_degree_cap():
             parse_map(text)
     with pytest.raises(ParseError):
         parse_map("x^2 - " + "9" * 5000)
-    # a power of one term is refused when its coefficient surely has more
-    # digits than a typed numeral may, and kept when it may not
+    # no coefficient of a subexpression may be longer than a typed numeral:
+    # a power of one term is refused exactly when it would be, a power of
+    # several when it could be, and products and sums when they are
     assert parse_map("x^2 + (10^64)^64").map.num[2] == 10 ** 4096
+    big = 10 ** 67 - 1
+    assert parse_mpoly(f"(x + {big})^64", ["x"]).terms[(0,)] == big ** 64
+    assert parse_map("x^2 + (10^64)^64/(10^64)^64").map.num[2] == 1
     for text in ("x^2 + ((10^64)^64)^64", "x^2 + ((10^64)^64*x)^2",
-                 "x^2 + (1/(10^60)^50)^2"):
+                 "x^2 + (1/(10^60)^50)^2", "x^2 + (x + (10^64)^64)^8",
+                 f"x^2 + (x + 9{big})^64", f"x^2 + (x/9{big} + 1)^64",
+                 "x^2 + (x + (10^64)^64)*(x + (10^64)^64)",
+                 "x^2 + (10^64)^64*(10^64)^64",
+                 "x^2 + 1/((10^64)^64 - 1) + 1/((10^64)^64 + 1)"):
         with pytest.raises(symprod.BudgetExceededError):
             parse_map(text)
+    for text in ("((10^64)^64)^64", f"(x + 9{big})^64",
+                 "x^2*(10^64)^64*(10^64)^64", "x/(10^64)^64/(10^64)^64"):
+        with pytest.raises(symprod.BudgetExceededError):
+            parse_mpoly(text, ["x"])
 
 
 def test_cli_huge_exponent_is_refused_quickly(capsys):
@@ -280,6 +292,8 @@ def test_cli_huge_exponent_is_refused_quickly(capsys):
                  ["period-bound", "--Np", "3", "--p", "3", "--v", "1",
                   "--k", "100000000"],
                  ["symmetrize", "--map", "x^2 + ((10^64)^64)^64", "--k", "2"],
+                 ["symmetrize", "--map", "x^2 + (x + (10^64)^64)^8", "--k", "2"],
+                 ["bad-primes", "--map", f"x^2 + (x + {'9' * 4296})^64"],
                  ["bad-primes", "--map", f"x^2 + 1/{semiprime}"]):
         start = time.perf_counter()
         rc = cli.main(argv)

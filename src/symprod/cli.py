@@ -54,8 +54,12 @@ def _cmd_preperiodic(args):
              "rational preperiodic points of the base map:"]
     lines += [f"  {pt.to_text()}" for pt in rat]
     total = len(rat)
-    for minpoly, fld in orbits:
-        roots = fld.degree if fld.is_galois() else 1
+    orbit_rows = []
+    for _minpoly, fld in orbits:
+        orbit_rows.append({"minpoly": fld.minpoly_int.to_text(),
+                           "degree": fld.degree, "galois": fld.is_galois()})
+        # the orbit's points over its own field: one per automorphism
+        roots = fld.automorphism_count()
         total += roots
         lines.append(f"over degree-{fld.degree} field "
                      f"{fld.minpoly_int.to_text()}: {roots} points")
@@ -64,9 +68,7 @@ def _cmd_preperiodic(args):
     payload = graph.to_json()
     payload["recovered"] = {
         "rational": [pt.to_text() for pt in rat],
-        "orbits": [{"minpoly": fld.minpoly_int.to_text(),
-                    "degree": fld.degree,
-                    "galois": fld.is_galois()} for _m, fld in orbits],
+        "orbits": orbit_rows,
         "total_galois_counted": total,
     }
     if args.dot:

@@ -37,7 +37,7 @@ class NumberField:
         object.__setattr__(self, "minpoly_int", prim)
         object.__setattr__(self, "minpoly", prim.monic())
         object.__setattr__(self, "degree", prim.degree)
-        object.__setattr__(self, "_galois", None)
+        object.__setattr__(self, "_galois", None)  # automorphism count, on demand
         object.__setattr__(self, "_mulcache", None)
 
     def __setattr__(self, *a):
@@ -104,12 +104,18 @@ class NumberField:
             raise DomainError("coordinate vector length must equal the field degree")
         return NFElem(self, coords)
 
+    def automorphism_count(self) -> int:
+        """|Aut(K/Q)|: the number of roots of the defining polynomial in the
+        field.  A field of degree <= 2 holds all of them, with no norm."""
+        if self._galois is None:
+            n = self.degree if self.degree <= 2 else len(
+                roots_in_number_field(self.minpoly, self))
+            object.__setattr__(self, "_galois", n)
+        return self._galois
+
     def is_galois(self) -> bool:
         """True when the defining polynomial splits completely in the field."""
-        if self._galois is None:
-            n = len(roots_in_number_field(self.minpoly, self))
-            object.__setattr__(self, "_galois", n == self.degree)
-        return self._galois
+        return self.automorphism_count() == self.degree
 
 
 class NFElem:

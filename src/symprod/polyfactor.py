@@ -6,9 +6,9 @@ is exact by Gauss's lemma), then one Zassenhaus round trip for each
 squarefree part f of degree n and lead lc, monic or not:
 
 * prime: among odd primes p not dividing lc for which f/lc is squarefree mod
-  p, take the one whose distinct-degree split shows the fewest factors (at
-  most four primes are tried); only that one is split further
-  (Cantor-Zassenhaus);
+  p, take the first whose distinct-degree split shows at most six factors,
+  else the one showing the fewest among the first four; only that one is
+  split further (Cantor-Zassenhaus);
 * lift: Hensel-lift the monic factors of f/lc mod p to p^t > 2B, with
   B = |lc| 2^n (||f||_2 + 1) bounding lc times the Landau-Mignotte bound;
 * recombine: lc(g) times a subset product, in symmetric residues, is a
@@ -213,6 +213,10 @@ def _hensel_tree(f, modular_factors, p, target):
 # ---------------------------------------------------------------------------
 
 _PRIME_LIMIT = 10 ** 6
+# Up to this many modular factors, recombination tries at most 41 subsets
+# (sizes 1..3 of 6), each behind the constant-term test: cheaper than the
+# distinct-degree split at another prime.
+_CHEAP_RECOMBINATION = 6
 
 
 def _symrep(c, mod):
@@ -221,9 +225,9 @@ def _symrep(c, mod):
 
 
 def _choose_prime(f):
-    """(count, p, distinct-degree split of f/lc mod p) for the usable odd prime
-    whose split shows the fewest factors, among the first four usable primes;
-    a prime that shows one factor is taken at once."""
+    """(count, p, distinct-degree split of f/lc mod p) for the first usable
+    odd prime whose split shows at most _CHEAP_RECOMBINATION factors, else for
+    the one showing the fewest among the first four usable primes."""
     n, lc = len(f) - 1, f[-1]
     best, tried = None, 0
     for p in range(3, _PRIME_LIMIT, 2):
@@ -239,7 +243,7 @@ def _choose_prime(f):
         if best is None or count < best[0]:
             best = (count, p, ddf)
         tried += 1
-        if tried == 4 or count == 1:
+        if tried == 4 or count <= _CHEAP_RECOMBINATION:
             return best
     if best is None:
         raise DomainError(f"no usable prime below {_PRIME_LIMIT} for factorization")

@@ -271,7 +271,11 @@ class RationalMap1:
         object.__setattr__(self, "num", tuple(ints[: d + 1]))
         object.__setattr__(self, "den", tuple(ints[d + 1:]))
         object.__setattr__(self, "d", d)
-        res = sylvester_resultant(list(self.num), list(self.den), d, d)
+        if any(self.den[:-1]):
+            res = sylvester_resultant(list(self.num), list(self.den), d, d)
+        else:
+            # Res(P, c t^d) = (-1)^d c^d P(1, 0)^d, the Sylvester sign included
+            res = Fraction((-self.den[-1] * self.num[0]) ** d)
         if res == 0:
             raise DegenerateMapError(
                 "resultant vanishes: the pair does not define a morphism")

@@ -140,7 +140,11 @@ def test_same_field():
 def test_quadratic_fields_are_galois(b, c, a):
     f = UniPoly((c, b, a))
     if is_irreducible(f):
-        assert NumberField(f).is_galois()
+        K = NumberField(f)
+        assert K.is_galois() and K.automorphism_count() == 2
+        # the degree <= 2 shortcut answers without a norm; the norm route
+        # must agree
+        assert len(roots_in_number_field(f, K)) == 2
 
 
 def _cubic_disc_is_square(f):
@@ -156,6 +160,7 @@ def test_cubic_galois_matches_square_discriminant():
         f = UniPoly(cs)
         assert _cubic_disc_is_square(f) is galois
         assert NumberField(f).is_galois() is galois
+        assert NumberField(f).automorphism_count() == (3 if galois else 1)
 
 
 @given(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9),

@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import os
+import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 import symprod
@@ -12,6 +19,9 @@ from symprod import fixtures as fixtures_mod
 from symprod.parser import parse_mpoly
 
 F = Fraction
+HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(HERE), "src")
+MODULE = os.path.splitext(os.path.basename(__file__))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +176,41 @@ def test_cli_preperiodic_json_stable(capsys):
     assert data["recovered"]["rational"]
 
 
+def _conjugates_in_own_field(minpoly_text):
+    """How many roots of the minimal polynomial are polynomials in one root
+    a with rational coefficients: PSLQ on 600-bit roots, no field code."""
+    coeffs = parse_mpoly(minpoly_text, ["x"]).terms
+    n = max(e for (e,) in coeffs)
+    with mpmath.workprec(600):
+        roots = mpmath.polyroots([int(coeffs.get((n - i,), 0)) for i in range(n + 1)],
+                                 maxsteps=200, extraprec=600)
+        a = roots[0]
+        weight = mpmath.e  # a relation among complex numbers, read on one real line
+        count = 0
+        for b in roots:
+            vec = [b] + [a ** i for i in range(n)]
+            rel = mpmath.pslq([mpmath.re(z) + weight * mpmath.im(z) for z in vec],
+                              maxcoeff=10 ** 8, maxsteps=10 ** 5)
+            count += rel is not None
+    return count
+
+
+@pytest.mark.parametrize("text", ["x^2 - 1", "x^2 - 29/16"])
+def test_cli_preperiodic_counts_points_per_automorphism(capsys, text):
+    # at k = 4 some quartic orbits hold a and -a but not the other two
+    # conjugates: such an orbit has two points over its own field
+    assert cli.main(["preperiodic", "--map", text, "--k", "4", "--n-max", "2"]) == 0
+    out = capsys.readouterr().out
+    orbits = re.findall(r"over degree-(\d+) field (.+): (\d+) points", out)
+    rational = out.split("base map:\n")[1].split("\nover")[0].splitlines()
+    assert orbits and rational
+    for degree, minpoly, count in orbits:
+        assert int(count) == _conjugates_in_own_field(minpoly), minpoly
+    assert any(1 < int(c) < int(d) for d, _m, c in orbits)
+    total = int(out.rsplit(": ", 1)[1])
+    assert total == len(rational) + sum(int(c) for _d, _m, c in orbits)
+
+
 def test_cli_multipliers(capsys):
     rc = cli.main(["multipliers", "--map", "x^2 - 29/16", "--k", "3",
                    "--n-max", "3"])
@@ -256,7 +301,7 @@ def test_fixture_corpus_passes_and_covers_every_operation(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_parse_degree_cap():
+def _parse_degree_cap():
     assert parse_map("(x^8)^8").map.d == symprod.DEFAULT_BUDGET
     for text in ("x^99999999", "(x+1)^65", "(x^8)^9", "x^40*x^30",
                  "[z^65, t^65]", "2^65*x^2"):
@@ -285,7 +330,7 @@ def test_parse_degree_cap():
             parse_mpoly(text, ["x"])
 
 
-def test_cli_huge_exponent_is_refused_quickly(capsys):
+def _refuse_huge_inputs():
     semiprime = (2 ** 89 - 1) * (2 ** 107 - 1)
     for argv in (["bad-primes", "--map", "x^99999999"],
                  ["symmetrize", "--map", "x^2 - 2", "--k", "65"],
@@ -295,11 +340,45 @@ def test_cli_huge_exponent_is_refused_quickly(capsys):
                  ["symmetrize", "--map", "x^2 + (x + (10^64)^64)^8", "--k", "2"],
                  ["bad-primes", "--map", f"x^2 + (x + {'9' * 4296})^64"],
                  ["bad-primes", "--map", f"x^2 + 1/{semiprime}"]):
+        err = io.StringIO()
         start = time.perf_counter()
-        rc = cli.main(argv)
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
         assert time.perf_counter() - start < 0.5, argv
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error[E_BUDGET]")
+        assert err.getvalue().startswith("error[E_BUDGET]")
+
+
+def _parse_degree_64_map():
+    # a polynomial map's resultant is a power of its leading coefficient;
+    # the 128 x 128 Sylvester determinant ran past 100 s
+    start = time.perf_counter()
+    f = parse_map("x^2 + (x + 99)^64").map
+    assert time.perf_counter() - start < 1
+    assert f.d == 64 and f.res == 1
+
+
+def _in_child(fn):
+    """Run fn, a function of this module, in a fresh interpreter: an input
+    that hangs again fails its test after 10 s instead of stalling the suite."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", f"import {MODULE} as t; t.{fn.__name__}()"],
+        cwd=HERE, env=env, capture_output=True, text=True, timeout=10)
+    assert done.returncode == 0, done.stderr
+
+
+def test_parse_degree_cap():
+    _in_child(_parse_degree_cap)
+
+
+def test_cli_huge_exponent_is_refused_quickly():
+    _in_child(_refuse_huge_inputs)
+
+
+def test_parse_degree_64_polynomial_map():
+    _in_child(_parse_degree_64_map)
 
 
 _BAD_MAPS = ["", "x", "x^2 +", "x^^2", "(x^2", "[z^2, ]", "[z^2, t^3]",

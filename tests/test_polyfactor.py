@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from symprod import (DomainError, UniPoly, factor_unipoly, is_irreducible,
                      rational_roots, squarefree_decomposition)
+from symprod import polyfactor
 
 F = Fraction
 
@@ -160,6 +161,46 @@ def test_no_usable_prime_below_113():
     p = UniPoly((-2, 0, L))
     content, facs = factor_unipoly(p)
     assert content == 1 and [(g, m) for g, m in facs] == [(p, 1)]
+
+
+def _primes_split(monkeypatch):
+    """Record (p, modular factor count) for every distinct-degree split."""
+    seen = []
+    ddf = polyfactor._ddf
+
+    def recording(f, p):
+        out = ddf(f, p)
+        seen.append((p, sum((len(g) - 1) // d for d, g in out)))
+        return out
+    monkeypatch.setattr(polyfactor, "_ddf", recording)
+    return seen
+
+
+def test_prime_search_stops_when_recombination_is_cheap(monkeypatch):
+    # 3 and 5 divide the discriminant; mod 7 there are five factors
+    f = (UniPoly((-2, 0, 1)) * UniPoly((-3, 0, 1)) * UniPoly((-5, 0, 0, 1))
+         * UniPoly((1, 1, 1, 0, 1)))
+    seen = _primes_split(monkeypatch)
+    count, p, _ddf = polyfactor._choose_prime(f.primitive_int_coeffs())
+    assert seen == [(p, count)] and 1 < count <= 6
+
+
+# Swinnerton-Dyer: the minimal polynomial of sqrt2 + sqrt3 + sqrt5 + sqrt7
+# splits into factors of degree <= 2, so into >= 8 factors, mod every prime
+SWINNERTON_DYER_16 = (46225, 0, -5596840, 0, 13950764, 0, -7453176, 0,
+                      1513334, 0, -141912, 0, 6476, 0, -136, 0, 1)
+
+
+def test_prime_search_keeps_the_fewest_of_four_above_six(monkeypatch):
+    sd = UniPoly(SWINNERTON_DYER_16)
+    seen = _primes_split(monkeypatch)
+    count, p, _ddf = polyfactor._choose_prime(list(SWINNERTON_DYER_16))
+    assert len(seen) == 4 and all(c >= 8 for _q, c in seen)
+    assert count == min(c for _q, c in seen) and (p, count) in seen
+    assert factor_unipoly(sd) == (1, [(sd, 1)])
+    cubic, quadratic = UniPoly((-2, 0, 0, 1)), UniPoly((1, 1, 3))
+    assert factor_unipoly(sd * cubic * quadratic) == (
+        1, [(quadratic, 1), (cubic, 1), (sd, 1)])
 
 
 def test_rational_roots():

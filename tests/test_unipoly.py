@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symprod import UniPoly
+from symprod import DegenerateMapError, RationalMap1, UniPoly
 from symprod.unipoly import sylvester_resultant
 
 F = Fraction
@@ -80,6 +80,23 @@ def test_resultant_morphism_examples():
     assert sylvester_resultant([-2, 0, 1], [1, 0, 0], 2, 2) == 1
     # a common root makes it vanish (both divisible by z - t)
     assert sylvester_resultant([0, -1, 1], [0, -2, 2], 2, 2) == 0
+
+
+@given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=9),
+                min_size=2, max_size=9),
+       st.fractions(min_value=-5, max_value=5, max_denominator=5).filter(bool))
+@settings(max_examples=80, deadline=None)
+def test_polynomial_map_resultant_matches_sylvester(num, c):
+    # [P : c t^d] takes its resultant in closed form, not from the determinant
+    d = len(num) - 1
+    den = [0] * d + [c]
+    if num[0] == 0:  # P and t^d share the root [1 : 0]
+        assert sylvester_resultant(num, den, d, d) == 0
+        with pytest.raises(DegenerateMapError):
+            RationalMap1(num, den)
+        return
+    f = RationalMap1(num, den)
+    assert f.res == sylvester_resultant(list(f.num), list(f.den), d, d)
 
 
 def test_resultant_multiplicative_oracle():

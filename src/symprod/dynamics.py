@@ -21,10 +21,10 @@ from .gf import FiniteField, cycle_lengths, p1_points, reduce_map
 from .heights import bad_primes, bad_primes_sym, morphism_certificate
 from .intfactor import is_prime
 from .projective import (AlgebraicPoint, BinaryForm, MorphismPk, PkPoint,
-                         RationalMap1, form_of_point, point_of_form,
+                         RationalMap1, point_of_factors,
                          zero_form_to_point_form)
 from .symmetric import _check_k, conjugate_points, eta_tilde, symmetrize
-from .unipoly import _conv
+from .unipoly import _conv, _int_divide
 
 _ORBIT_CAP = 100000
 
@@ -249,10 +249,11 @@ def fixed_point_form(f: RationalMap1, n: int) -> BinaryForm:
     return zero_form_to_point_form(BinaryForm(zero_form))
 
 
-def _candidate_points(W: BinaryForm, k: int):
-    """The points of P^k whose forms are products of irreducible factors of
-    W, repetition allowed, of total degree exactly k; in a fixed order."""
-    pool = [g for g, _m in W.factor() if g.degree <= k]
+def _candidate_points(pool, k: int):
+    """The points of P^k whose forms are products of the distinct
+    irreducible forms in pool, repetition allowed, of total degree exactly
+    k, each carrying its factorization; in a fixed order."""
+    pool = [g for g in pool if g.degree <= k]
 
     def rec(i, remaining):
         if remaining == 0:
@@ -263,19 +264,50 @@ def _candidate_points(W: BinaryForm, k: int):
         g = pool[i]
         for c in range(remaining // g.degree + 1):
             for rest in rec(i + 1, remaining - c * g.degree):
-                yield [g] * c + rest
+                yield [(g, c)] + rest if c else rest
 
-    for forms in rec(0, k):
-        prod = forms[0]
-        for g in forms[1:]:
-            prod = prod * g
-        yield point_of_form(prod)
+    for factors in rec(0, k):
+        yield point_of_factors(factors)
+
+
+def _dynatomic_part(f: RationalMap1, n: int):
+    """(Phi*_n, its distinct irreducible factors), memoized on f.
+
+    Phi*_n = prod_{m | n} W_m^mu(n/m) with W_m = fixed_point_form(f, m), so
+    W_n = prod_{m | n} Phi*_m (Silverman, The Arithmetic of Dynamical
+    Systems, 4.1): Phi*_n is W_n divided exactly by the parts of the proper
+    divisors of n, and factoring it skips every factor of a W_m, m | n."""
+    got = f._dynatomic.get(n)
+    if got is None:
+        below = [1]
+        for m in range(1, n):
+            if n % m == 0:
+                below = _conv(below, _dynatomic_part(f, m)[0].coeffs)
+        # coefficient j multiplies X^(deg - j) Y^j: divide as polynomials in
+        # Y, after taking equal powers of X off both
+        a = list(fixed_point_form(f, n).coeffs)
+        while not below[-1] and not a[-1]:
+            a.pop()
+            below.pop()
+        q = _int_divide(a, below) if below[-1] else None
+        if q is None:
+            raise DomainError("fixed-point form not divisible by its "
+                              "dynatomic parts")  # unreachable
+        phi = BinaryForm(q)
+        got = f._dynatomic[n] = (phi, [g for g, _m in phi.factor()])
+    return got
 
 
 def rational_periodic_points(f: RationalMap1, k: int, n_max: int,
                              budget: int = DEFAULT_BUDGET):
     """All rational periodic points of the k-symmetric product built from
     f-periodic points of period <= n_max, each with its exact period.
+
+    The candidates of period dividing n are the Galois-stable multisets of
+    degree k built from the irreducible factors of the dynatomic parts
+    Phi*_m, m | n, which together are the factors of the fixed-point form
+    W_n; each part is factored once per map.  Every candidate is verified
+    by exact iteration of F, and carries its factorization.
 
     Returns a sorted list of (PkPoint, period)."""
     if n_max < 1:
@@ -286,7 +318,13 @@ def rational_periodic_points(f: RationalMap1, k: int, n_max: int,
     F = symmetrize(f, k)
     found: dict[PkPoint, int] = {}
     for n in range(1, n_max + 1):
-        for p in _candidate_points(fixed_point_form(f, n), k):
+        # parts share a factor when the multiplier of a point of period
+        # m < n is a primitive (n/m)-th root of unity (a fixed point with
+        # multiplier -1 is a root of Phi*_1 and Phi*_2); a repeated form gives
+        # candidates twice, with its multiplicity split between the copies
+        pool = dict.fromkeys(g for m in range(1, n + 1) if n % m == 0
+                             for g in _dynatomic_part(f, m)[1])
+        for p in _candidate_points(pool, k):
             if p in found:
                 continue
             per = _return_time(p, F.apply, n)
@@ -325,18 +363,32 @@ def default_n_max(f: RationalMap1, k: int, user_cap: int | None = None,
 # ---------------------------------------------------------------------------
 
 
+def _pullback_factors(f: RationalMap1, g: BinaryForm):
+    """The distinct irreducible factors of the pullback of the point form g
+    under f, memoized on f."""
+    got = f._pullbacks.get(g)
+    if got is None:
+        # H(z, t) = g(Q(z,t), -P(z,t)) vanishes on the f-preimages of the
+        # points that g encodes
+        H = _form_at(g.coeffs, f.den, [-c for c in f.num])
+        got = f._pullbacks[g] = [
+            h for h, _m in zero_form_to_point_form(BinaryForm(H)).factor()]
+    return got
+
+
 def rational_preimages(f: RationalMap1, F: MorphismPk, q: PkPoint):
     """The exact set of rational points p with F(p) = q, for F the symmetric
-    product of f."""
+    product of f.
+
+    Pulling back is a ring map, so the pullback of q's form prod g_j^e_j is
+    prod (g_j o f)^e_j, and distinct g_j have coprime pullbacks: the
+    candidates are built from the factors of each g_j o f, factored once
+    per map, and kept when F sends them to q."""
     if q.k != F.k:
         raise DomainError("dimension mismatch")
-    k = F.k
-    G = form_of_point(q)
-    # pullback: H(z, t) = G(Q(z,t), -P(z,t)) vanishes on the f-preimages of
-    # the multiset encoded by q
-    H = _form_at(G.coeffs, f.den, [-c for c in f.num])
+    pool = [h for g, _m in q.factors() for h in _pullback_factors(f, g)]
     out = set()
-    for p in _candidate_points(zero_form_to_point_form(BinaryForm(H)), k):
+    for p in _candidate_points(pool, F.k):
         if p not in out and F.apply(p) == q:
             out.add(p)
     return sorted(out)

@@ -37,9 +37,12 @@ def _normalize_int_vector(vals):
 
 
 class PkPoint:
-    """A point of P^k(Q) in canonical coprime-integer coordinates."""
+    """A point of P^k(Q) in canonical coprime-integer coordinates.
 
-    __slots__ = ("coords",)
+    The irreducible factorization of the point's form is kept in a slot
+    once known (see factors); it takes no part in equality or hashing."""
+
+    __slots__ = ("coords", "_factors")
 
     def __init__(self, coords):
         object.__setattr__(self, "coords", _normalize_int_vector(coords))
@@ -62,6 +65,18 @@ class PkPoint:
 
     def __lt__(self, other):
         return self.coords < other.coords
+
+    def factors(self):
+        """The (irreducible BinaryForm, multiplicity) pairs of
+        form_of_point(self).factor(), in no fixed order: carried when the
+        point was built from known factors (point_of_factors), else
+        computed on first use and kept."""
+        try:
+            return self._factors
+        except AttributeError:
+            facs = tuple(form_of_point(self).factor())
+            object.__setattr__(self, "_factors", facs)
+            return facs
 
 
 def p1_point(a, b=None) -> PkPoint:
@@ -152,6 +167,18 @@ def form_of_point(p: PkPoint) -> BinaryForm:
 
 def point_of_form(g: BinaryForm) -> PkPoint:
     return PkPoint(g.coeffs)
+
+
+def point_of_factors(factors) -> PkPoint:
+    """The point whose form is prod g^m over distinct irreducible (g, m),
+    carrying that factorization."""
+    prod = [1]
+    for g, m in factors:
+        for _ in range(m):
+            prod = _conv(prod, g.coeffs)
+    p = PkPoint(prod)
+    object.__setattr__(p, "_factors", tuple(factors))
+    return p
 
 
 def zero_form_to_point_form(g: BinaryForm) -> BinaryForm:
@@ -247,9 +274,13 @@ class AlgebraicPoint:
 
 
 class RationalMap1:
-    """A self-map of P^1 given by a coprime pair of degree-d binary forms."""
+    """A self-map of P^1 given by a coprime pair of degree-d binary forms.
 
-    __slots__ = ("num", "den", "d", "res")
+    _dynatomic and _pullbacks hold the factorizations that the periodic and
+    preimage searches of dynamics derive from the map, so that each is
+    computed once per map and freed with it."""
+
+    __slots__ = ("num", "den", "d", "res", "_dynatomic", "_pullbacks")
 
     def __init__(self, num_coeffs, den_coeffs):
         num = [Fraction(c) for c in num_coeffs]
@@ -280,6 +311,8 @@ class RationalMap1:
             raise DegenerateMapError(
                 "resultant vanishes: the pair does not define a morphism")
         object.__setattr__(self, "res", res)
+        object.__setattr__(self, "_dynatomic", {})
+        object.__setattr__(self, "_pullbacks", {})
 
     def __setattr__(self, *a):
         raise AttributeError("RationalMap1 is immutable")

@@ -18,7 +18,7 @@ from .linalg import det_bareiss
 from .mpoly import MPoly
 from .numberfield import NumberField
 from .projective import (AlgebraicPoint, BinaryForm, MorphismPk, PkPoint,
-                         RationalMap1, form_of_point, minpoly_of_factor)
+                         RationalMap1, minpoly_of_factor, point_of_form)
 
 
 def eta_coords(pairs):
@@ -158,8 +158,16 @@ def eta_tilde(point: AlgebraicPoint, k: int) -> PkPoint:
 def decompose_form(form: BinaryForm):
     """Factor a point-encoded binary form into the algebraic points it
     encodes: a list of (NumberField | None, AlgebraicPoint, multiplicity)."""
+    return conjugate_points(point_of_form(form))
+
+
+def conjugate_points(p: PkPoint):
+    """Decompose a rational point of P^k into the Galois-stable multiset it
+    encodes: a list of (NumberField | None, AlgebraicPoint, multiplicity)
+    whose total degree (with multiplicity) is k.  Reads the factorization
+    the point carries, if it carries one."""
     out = []
-    for g, mult in form.factor():
+    for g, mult in p.factors():
         if g.degree == 1:
             pt = AlgebraicPoint.from_p1(PkPoint(g.coeffs))
             out.append((None, pt, mult))
@@ -169,13 +177,6 @@ def decompose_form(form: BinaryForm):
             out.append((field, AlgebraicPoint(field, field.gen()), mult))
     out.sort(key=_conjugate_sort_key)
     return out
-
-
-def conjugate_points(p: PkPoint):
-    """Decompose a rational point of P^k into the Galois-stable multiset it
-    encodes: a list of (NumberField | None, AlgebraicPoint, multiplicity)
-    whose total degree (with multiplicity) is k."""
-    return decompose_form(form_of_point(p))
 
 
 def _conjugate_sort_key(entry):

@@ -1,19 +1,25 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from symprod import (DEFAULT_BUDGET, AlgebraicPoint, BudgetExceededError,
-                     DomainError, NumberField, OrbitClassification, PeriodBoundInput,
-                     PkPoint, RationalMap1, UniPoly, apply, bad_primes,
-                     default_n_max, eta, exponent_bound, fixed_point_form,
+from symprod import (DEFAULT_BUDGET, P1_INFINITY, AlgebraicPoint, BinaryForm,
+                     BudgetExceededError, DegenerateMapError, DomainError,
+                     NumberField, OrbitClassification, PeriodBoundInput, PkPoint,
+                     RationalMap1, UniPoly, apply, bad_primes, default_n_max, eta,
+                     exponent_bound, fixed_point_form, form_of_point,
                      morphism_certificate, orbit_classify, p1_point, parse_map,
-                     period_bound, periods_mod_p, preperiodic_graph,
-                     rational_periodic_points, rational_preimages, symmetrize)
+                     period_bound, periods_mod_p, point_of_form,
+                     preperiodic_graph, rational_periodic_points,
+                     rational_preimages, symmetrize, zero_form_to_point_form)
+from symprod.dynamics import _dynatomic_part, _form_at
+from symprod.unipoly import _conv
 
 F = Fraction
 
@@ -359,3 +365,157 @@ def test_graph_export_shapes():
     assert {e["src"] for e in data["edges"]} <= set(range(len(g.nodes)))
     assert all({"id", "coords", "tail", "period", "components"} <= set(n)
                for n in data["nodes"])
+
+
+# ---------------------------------------------------------------------------
+# each new piece factored once: dynatomic parts, pullbacks, carried factors
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _small_maps(draw):
+    """A map of degree 2 or 3 with small coefficients: a polynomial, or a
+    pair whose denominator does not vanish at 0."""
+    d = draw(st.integers(2, 3))
+    coef = st.integers(-3, 3)
+    if draw(st.booleans()):
+        num = [draw(st.integers(1, 2))] + [draw(coef) for _ in range(d)]
+        den = [0] * d + [draw(st.integers(1, 4))]
+    else:
+        num = [draw(coef) for _ in range(d + 1)]
+        den = [draw(coef) for _ in range(d)] + [draw(st.integers(1, 3))]
+    try:
+        return RationalMap1(num, den)
+    except DegenerateMapError:
+        assume(False)
+
+
+# 0 and infinity periodic (or preperiodic) in several ways
+_EDGE_MAPS = ("[t^2, z^2]", "x^2 - x", "x^2 - 1", "x^3", "[z^2 - t^2, z*t]",
+              "[z^2 + z*t, t^2 - z*t]", "x^2 - 29/16")
+
+
+def _mobius(n):
+    out, m, p = 1, n, 2
+    while m > 1:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return out
+
+
+def _form_product(forms):
+    prod = [1]
+    for g in forms:
+        prod = _conv(prod, g.coeffs)
+    return BinaryForm(prod)
+
+
+def _check_dynatomic_parts(f, n_max):
+    for n in range(1, n_max + 1):
+        W = fixed_point_form(f, n)
+        parts = [_dynatomic_part(f, m)[0] for m in range(1, n + 1) if n % m == 0]
+        assert _form_product(parts) == W, (f, n)
+        # Phi*_n = prod W_m^mu(n/m), cross-multiplied
+        plus = [fixed_point_form(f, m) for m in range(1, n + 1)
+                if n % m == 0 and _mobius(n // m) == 1]
+        minus = [fixed_point_form(f, m) for m in range(1, n + 1)
+                 if n % m == 0 and _mobius(n // m) == -1]
+        assert _form_product([parts[-1]] + minus) == _form_product(plus), (f, n)
+
+
+@pytest.mark.parametrize("text", _EDGE_MAPS)
+def test_dynatomic_parts_multiply_to_fixed_point_forms(text):
+    f = _map(text)
+    _check_dynatomic_parts(f, 5 if f.d == 2 else 4)
+
+
+@given(_small_maps())
+@settings(max_examples=25, deadline=None)
+def test_dynatomic_parts_multiply_to_fixed_point_forms_random(f):
+    # Phi*_5 of a cubic has degree 240 and takes about 25 s to factor
+    _check_dynatomic_parts(f, 5 if f.d == 2 else 4)
+
+
+def _multiset_points(forms, k):
+    """Points of P^k whose forms are products of forms from the list."""
+    pool = [g for g in forms if g.degree <= k]
+    for r in range(1, k + 1):
+        for combo in combinations_with_replacement(pool, r):
+            if sum(g.degree for g in combo) == k:
+                yield point_of_form(_form_product(combo))
+
+
+def _periodic_by_fixed_point_forms(f, k, n_max):
+    """Oracle: candidates from the full factorization of each W_n."""
+    F = symmetrize(f, k)
+    found = {}
+    for n in range(1, n_max + 1):
+        forms = [g for g, _m in fixed_point_form(f, n).factor()]
+        for p in _multiset_points(forms, k):
+            if p not in found:
+                cur, j = apply(F, p), 1
+                while cur != p:
+                    cur, j = apply(F, cur), j + 1
+                    assert j <= n
+                found[p] = j
+    return sorted(found.items())
+
+
+def _preimages_by_full_pullback(f, F, q):
+    """Oracle: candidates from the full factorization of the pullback of
+    q's form."""
+    H = _form_at(form_of_point(q).coeffs, f.den, [-c for c in f.num])
+    forms = [g for g, _m in zero_form_to_point_form(BinaryForm(H)).factor()]
+    return sorted({p for p in _multiset_points(forms, F.k) if apply(F, p) == q})
+
+
+def _check_carried(points):
+    for p in points:
+        assert Counter(p.factors()) == Counter(form_of_point(p).factor()), p
+        assert p == PkPoint(p.coords) and hash(p) == hash(PkPoint(p.coords))
+
+
+def _check_searches(f, k, n_max, extra):
+    F = symmetrize(f, k)
+    periodic = rational_periodic_points(f, k, n_max)
+    assert periodic == _periodic_by_fixed_point_forms(f, k, n_max)
+    _check_carried(p for p, _n in periodic)
+    targets = [p for p, _n in periodic] + [apply(F, eta(pts)) for pts in extra]
+    for q in targets:
+        got = rational_preimages(f, F, q)
+        assert got == _preimages_by_full_pullback(f, F, q), (f, q)
+        _check_carried(got)
+
+
+@pytest.mark.parametrize("text,k,n_max", [
+    ("x^2 - 29/16", 3, 3), ("x^2 - 21/16", 3, 2), ("x^2 - 3/4", 3, 4),
+    ("[t^2, z^2]", 3, 2), ("[z^2 - t^2, z*t]", 2, 3), ("x^3 - x", 2, 2)])
+def test_searches_match_full_factorization(text, k, n_max):
+    extra = [[p1_point(a) for a in pts] for pts in ([0] * k, [1] + [-1] * (k - 1))]
+    _check_searches(_map(text), k, n_max, extra)
+
+
+@given(_small_maps(), st.integers(1, 3),
+       st.lists(st.sampled_from([F(0), F(1), F(-1), F(2), F(1, 2), None]),
+                min_size=3, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_searches_match_full_factorization_random(f, k, xs):
+    pts = [P1_INFINITY if x is None else p1_point(x) for x in xs[:k]]
+    _check_searches(f, k, 3 if f.d == 2 else 2, [pts])
+
+
+def test_pullbacks_are_kept_per_map():
+    # the same target pulled back under two maps: 0 has preimages +-1 under
+    # x^2 - 1 and 0, -1 under x^2 + x
+    q = p1_point(0)
+    for text, want in (("x^2 - 1", {1, -1}), ("x^2 + x", {0, -1}),
+                       ("x^2 - 1", {1, -1})):
+        f = _map(text)
+        F1 = symmetrize(f, 1)
+        got = rational_preimages(f, F1, q)
+        assert got == _preimages_by_full_pullback(f, F1, q)
+        assert {F(*p.coords) for p in got} == want

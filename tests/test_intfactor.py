@@ -1,11 +1,14 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symprod import DomainError, cli, factor_integer, is_prime, prime_divisors
+from symprod import (BudgetExceededError, DomainError, cli, factor_integer,
+                     is_prime, prime_divisors)
+from symprod.intfactor import _perfect_power
 from symprod.unipoly import sylvester_resultant
 
 
@@ -87,3 +90,24 @@ def test_factor_products_of_large_primes(primes, e):
     for p in primes:
         want[p] = want.get(p, 0) + e
     assert factor_integer(n) == dict(sorted(want.items()))
+
+
+def test_perfect_powers_of_every_exponent():
+    # the residue test in front of each k-th root lets every true power by
+    p, q = 1000003, 1000033
+    for n, want in ((p ** 6, (p, 6)), ((p * q) ** 35, (p * q, 35)),
+                    (p ** 97, (p, 97)), (p ** 2 * q, (p ** 2 * q, 1)),
+                    ((p * q ** 2) ** 15, (p * q ** 2, 15))):
+        assert _perfect_power(n) == want
+
+
+def test_is_prime_work_budget():
+    # 427! + 1 (940 digits) and 1477! + 1 (4042 digits) are factorial primes:
+    # the first is tested within the budget, the second is refused before
+    # any squaring
+    assert is_prime(math.factorial(427) + 1)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        is_prime(math.factorial(1477) + 1)
+    assert time.perf_counter() - start < 0.1
+    assert not is_prime(math.factorial(1477) + 3)   # divisible by 3

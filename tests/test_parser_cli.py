@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -349,6 +350,19 @@ def _refuse_huge_inputs():
         assert err.getvalue().startswith("error[E_BUDGET]")
 
 
+def _refuse_huge_probable_prime():
+    # 1477! + 1 is a 4042-digit factorial prime; its Miller-Rabin test would
+    # take about 90 s, so bad-primes refuses it by the work budget
+    n = math.factorial(1477) + 1
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(["bad-primes", "--map", f"x^2 + 1/{n}"])
+    assert time.perf_counter() - start < 1
+    assert rc == 1
+    assert err.getvalue().startswith("error[E_BUDGET]")
+
+
 def _parse_degree_64_map():
     # a polynomial map's resultant is a power of its leading coefficient;
     # the 128 x 128 Sylvester determinant ran past 100 s
@@ -375,6 +389,10 @@ def test_parse_degree_cap():
 
 def test_cli_huge_exponent_is_refused_quickly():
     _in_child(_refuse_huge_inputs)
+
+
+def test_cli_huge_probable_prime_is_refused_quickly():
+    _in_child(_refuse_huge_probable_prime)
 
 
 def test_parse_degree_64_polynomial_map():

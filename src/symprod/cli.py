@@ -246,8 +246,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    # one parser per process, built on the first call rather than at import
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    ap = _parser
     args = ap.parse_args(argv)
     if getattr(args, "k_required", False) and args.k is None:
         ap.error(f"{args.command} requires --k")

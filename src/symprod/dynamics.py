@@ -4,9 +4,11 @@ The search for rational periodic points of a symmetric product works on the
 base map: the points of period dividing n are the roots of the fixed-point
 form of f^n (degree d^n + 1); Galois-stable multisets of total degree k built
 from its irreducible factors give candidate points of P^k(Q), and every
-candidate is verified by exact iteration.  Preimages are enumerated the same
-way from a pullback form, with a final exact filter, so the root-convention
-bookkeeping is self-correcting.
+candidate is verified by exact iteration.  Preimages are not searched for:
+each irreducible factor of a pullback form pushes forward to a known power of
+the form it was pulled back from, so the preimages of a point are the
+solutions of one small knapsack per factor of its form, and each is checked
+once by applying the symmetric product.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, DomainError
 from .gf import FiniteField, cycle_lengths, p1_points, reduce_map
@@ -249,25 +251,29 @@ def fixed_point_form(f: RationalMap1, n: int) -> BinaryForm:
     return zero_form_to_point_form(BinaryForm(zero_form))
 
 
+def _weighted_counts(weights, total):
+    """Every tuple c of nonnegative integers with sum c_i * weights[i] =
+    total, in a fixed order."""
+    n = len(weights)
+
+    def rec(i, remaining):
+        if remaining == 0:
+            yield (0,) * (n - i)
+        elif i < n:
+            w = weights[i]
+            for c in range(remaining // w + 1):
+                for tail in rec(i + 1, remaining - c * w):
+                    yield (c,) + tail
+
+    return rec(0, total)
+
+
 def _candidate_points(pool, k: int):
     """The points of P^k whose forms are products of the distinct
     irreducible forms in pool, repetition allowed, of total degree exactly
     k, each carrying its factorization; in a fixed order."""
-    pool = [g for g in pool if g.degree <= k]
-
-    def rec(i, remaining):
-        if remaining == 0:
-            yield []
-            return
-        if i == len(pool):
-            return
-        g = pool[i]
-        for c in range(remaining // g.degree + 1):
-            for rest in rec(i + 1, remaining - c * g.degree):
-                yield [(g, c)] + rest if c else rest
-
-    for factors in rec(0, k):
-        yield point_of_factors(factors)
+    for cs in _weighted_counts([g.degree for g in pool], k):
+        yield point_of_factors([(g, c) for g, c in zip(pool, cs) if c])
 
 
 def _dynatomic_part(f: RationalMap1, n: int):
@@ -378,19 +384,31 @@ def _pullback_factors(f: RationalMap1, g: BinaryForm):
 
 def rational_preimages(f: RationalMap1, F: MorphismPk, q: PkPoint):
     """The exact set of rational points p with F(p) = q, for F the symmetric
-    product of f.
+    product of f, sorted.
 
-    Pulling back is a ring map, so the pullback of q's form prod g_j^e_j is
-    prod (g_j o f)^e_j, and distinct g_j have coprime pullbacks: the
-    candidates are built from the factors of each g_j o f, factored once
-    per map, and kept when F sends them to q."""
+    F pushes a multiset forward factor by factor (Silverman, The Arithmetic
+    of Dynamical Systems, 4.1): an irreducible h dividing the pullback g o f
+    of an irreducible g has roots whose images are the roots of g, each
+    deg h / deg g times, so h pushes forward to g^(deg h / deg g), and no
+    other g receives it.  With q's form prod g_j^e_j, the preimages are
+    exactly the products of prod h^c_h over the factors h of each g_j o f
+    with sum c_h deg h / deg g_j = e_j for every j.  Each is checked once
+    by applying F."""
     if q.k != F.k:
         raise DomainError("dimension mismatch")
-    pool = [h for g, _m in q.factors() for h in _pullback_factors(f, g)]
-    out = set()
-    for p in _candidate_points(pool, F.k):
-        if p not in out and F.apply(p) == q:
-            out.add(p)
+    per_factor = []
+    for g, e in q.factors():
+        hs = _pullback_factors(f, g)
+        weights = [h.degree // g.degree for h in hs]
+        per_factor.append([[(h, c) for h, c in zip(hs, cs) if c]
+                           for cs in _weighted_counts(weights, e)])
+    out = []
+    for parts in product(*per_factor):
+        p = point_of_factors([hc for part in parts for hc in part])
+        if F.apply(p) != q:
+            raise DomainError("a matched preimage does not map to its "
+                              "target")  # unreachable
+        out.append(p)
     return sorted(out)
 
 
@@ -529,17 +547,19 @@ def preperiodic_graph(f: RationalMap1, k: int, n_max: int | None = None,
     periodic = rational_periodic_points(f, k, n_max, budget=budget)
     periods = {p: per for p, per in periodic}
     nodes = set(periods)
+    # every node is a preimage of its image, itself a node, so each node's
+    # image is recorded exactly once, when that image's preimages are found
+    images = {}
     frontier = sorted(nodes)
     while frontier:
         new = []
         for q in frontier:
             for p in rational_preimages(f, F, q):
+                images[p] = q
                 if p not in nodes:
                     nodes.add(p)
                     new.append(p)
         frontier = sorted(new)
-    images = {p: F.apply(p) for p in nodes}
-    for p, img in images.items():
-        if img not in nodes:
-            raise DomainError("graph closure violated")  # unreachable
+    if len(images) != len(nodes):
+        raise DomainError("graph closure violated")  # unreachable
     return PreperiodicGraph(f, k, nodes, images, periods)

@@ -14,8 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError, FieldMismatchError
+from .intfactor import is_prime
 from .linalg import det_bareiss
-from .polyfactor import factor_unipoly
+from .polyfactor import factor_unipoly, frobenius_degrees
 from .unipoly import UniPoly
 
 _field_cache: dict[tuple, "NumberField"] = {}
@@ -106,10 +107,14 @@ class NumberField:
 
     def automorphism_count(self) -> int:
         """|Aut(K/Q)|: the number of roots of the defining polynomial in the
-        field.  A field of degree <= 2 holds all of them, with no norm."""
+        field.  A field of degree <= 2 holds all of them, with no norm; a
+        field whose Frobenius bound leaves only the identity has 1, with no
+        norm either."""
         if self._galois is None:
-            n = self.degree if self.degree <= 2 else len(
-                roots_in_number_field(self.minpoly, self))
+            n = self.degree
+            if n > 2:
+                n = 1 if _frobenius_bound(self.minpoly_int, n) == 1 else len(
+                    roots_in_number_field(self.minpoly, self))
             object.__setattr__(self, "_galois", n)
         return self._galois
 
@@ -253,6 +258,34 @@ class NFElem:
 
     def __repr__(self):
         return f"NFElem({self.to_text()})"
+
+
+_FROBENIUS_PRIMES = 8
+
+
+def _frobenius_bound(m: UniPoly, n: int) -> int:
+    """The largest divisor of n that bounds |Aut(K/Q)|, K = Q[x]/(m) of
+    degree n, at the first _FROBENIUS_PRIMES odd primes p not dividing
+    lc(m) disc(m).
+
+    Reduction mod a prime of K above p of residue degree d maps the roots
+    of m in K injectively to roots of m mod p in F_(p^d) (Dedekind), and
+    the degree-d primes above p match the degree-d factors of m mod p: so
+    |Aut(K/Q)| <= sum_(d_j | d) d_j over the factor degrees d_j, for every
+    factor degree d.  The count also divides n."""
+    coeffs = m.primitive_int_coeffs()
+    bound, tried, p = n, 0, 1
+    while tried < _FROBENIUS_PRIMES and bound > 1:
+        p += 2
+        degrees = frobenius_degrees(coeffs, p) if is_prime(p) else None
+        if degrees is None:
+            continue
+        tried += 1
+        for d in degrees:
+            bound = min(bound, sum(e * c for e, c in degrees.items() if d % e == 0))
+        while n % bound:
+            bound -= 1
+    return bound
 
 
 def nf_arith(field: NumberField, a: NFElem, b: NFElem, op: str) -> NFElem:

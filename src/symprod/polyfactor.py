@@ -2,8 +2,9 @@
 
 Everything runs on integer coefficient lists, low to high.  Pipeline: the
 content/primitive split, Yun's squarefree decomposition over Z (every quotient
-is exact by Gauss's lemma), then one Zassenhaus round trip for each
-squarefree part f of degree n and lead lc, monic or not:
+is exact by Gauss's lemma), then a squarefree quadratic splits in closed form
+when its discriminant is a square, and every other squarefree part f of
+degree n and lead lc, monic or not, takes one Zassenhaus round trip:
 
 * prime: among odd primes p not dividing lc for which f/lc is squarefree mod
   p, take the first whose distinct-degree split shows at most six factors,
@@ -224,20 +225,37 @@ def _symrep(c, mod):
     return c - mod if c > mod // 2 else c
 
 
+def _monic_squarefree_mod(f, p):
+    """f/lc(f) mod the odd prime p, or None when p divides lc(f) or f is not
+    squarefree mod p."""
+    lc = f[-1]
+    if lc % p == 0:
+        return None
+    inv = pow(lc, -1, p)
+    fp = [c * inv % p for c in f]
+    dfp = _trim([i * fp[i] % p for i in range(1, len(f))])
+    return None if len(_pgcd(fp, dfp, p)) > 1 else fp
+
+
+def frobenius_degrees(f, p):
+    """{d: number of degree-d irreducible factors of f mod p} for an integer
+    polynomial f (low to high) and an odd prime p, or None when p divides
+    lc(f) or f is not squarefree mod p."""
+    fp = _monic_squarefree_mod(f, p)
+    if fp is None:
+        return None
+    return {d: (len(g) - 1) // d for d, g in _ddf(fp, p)}
+
+
 def _choose_prime(f):
     """(count, p, distinct-degree split of f/lc mod p) for the first usable
     odd prime whose split shows at most _CHEAP_RECOMBINATION factors, else for
     the one showing the fewest among the first four usable primes."""
-    n, lc = len(f) - 1, f[-1]
     best, tried = None, 0
     for p in range(3, _PRIME_LIMIT, 2):
-        if lc % p == 0 or not is_prime(p):
+        fp = _monic_squarefree_mod(f, p) if is_prime(p) else None
+        if fp is None:
             continue
-        inv = pow(lc, -1, p)
-        fp = [c * inv % p for c in f]
-        dfp = _trim([i * fp[i] % p for i in range(1, n + 1)])
-        if len(_pgcd(fp, dfp, p)) > 1:
-            continue  # not squarefree mod p
         ddf = _ddf(fp, p)
         count = sum((len(g) - 1) // d for d, g in ddf)
         if best is None or count < best[0]:
@@ -256,6 +274,14 @@ def _factor_squarefree_primitive(f):
     n = len(f) - 1
     if n <= 1:
         return [list(f)] if n == 1 else []
+    if n == 2:
+        # a x^2 + b x + c = (2a x + b - r)(2a x + b + r) / 4a, r^2 = b^2 - 4ac
+        c, b, a = f
+        disc = b * b - 4 * a * c
+        r = math.isqrt(disc) if disc > 0 else 0
+        if r * r != disc:
+            return [list(f)]
+        return [_primitive([b - r, 2 * a]), _primitive([b + r, 2 * a])]
     count, p, ddf = _choose_prime(f)
     if count == 1:
         return [list(f)]

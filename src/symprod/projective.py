@@ -25,9 +25,11 @@ from .unipoly import UniPoly, _conv, sylvester_resultant
 
 def _normalize_int_vector(vals):
     """Clear denominators, strip the gcd, make the first nonzero entry positive."""
-    fr = [Fraction(v) for v in vals]
-    den = math.lcm(*(v.denominator for v in fr))
-    ints = [v.numerator * (den // v.denominator) for v in fr]
+    ints = list(vals)
+    if not all(type(v) is int for v in ints):
+        fr = [Fraction(v) for v in ints]
+        den = math.lcm(*(v.denominator for v in fr))
+        ints = [v.numerator * (den // v.denominator) for v in fr]
     g = math.gcd(*ints)
     if g == 0:
         raise DomainError("all coordinates are zero")

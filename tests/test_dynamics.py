@@ -311,6 +311,25 @@ def test_power_map_graph():
                    (1, -1): (1, 1)}
 
 
+def test_graph_applies_F_once_per_preperiodic_node(monkeypatch):
+    # the preimage search checks each matched preimage once, and the graph
+    # takes its edges from those checks
+    from symprod.projective import MorphismPk
+
+    calls = []
+    real = MorphismPk.apply
+    monkeypatch.setattr(MorphismPk, "apply",
+                        lambda F, p: calls.append(p) or real(F, p))
+    for text, k, n_max in (("x^2 - 29/16", 3, 3), ("[z^2 - t^2, z*t]", 2, 3)):
+        calls.clear()
+        rational_periodic_points(_map(text), k, n_max)
+        periodic_calls = len(calls)
+        calls.clear()
+        g = preperiodic_graph(_map(text), k, n_max)
+        assert len(calls) - periodic_calls == len(g)
+        assert set(calls[periodic_calls:]) == {n.point for n in g.nodes}
+
+
 def test_graph_closure_and_recovery_soundness():
     f = _map("x^2 - 21/16")
     g = preperiodic_graph(f, 2, 2)
@@ -493,7 +512,8 @@ def _check_searches(f, k, n_max, extra):
 
 @pytest.mark.parametrize("text,k,n_max", [
     ("x^2 - 29/16", 3, 3), ("x^2 - 21/16", 3, 2), ("x^2 - 3/4", 3, 4),
-    ("[t^2, z^2]", 3, 2), ("[z^2 - t^2, z*t]", 2, 3), ("x^3 - x", 2, 2)])
+    ("[t^2, z^2]", 3, 2), ("[z^2 - t^2, z*t]", 2, 3), ("x^3 - x", 2, 2),
+    ("x^2 - 29/16", 4, 2), ("[z^3 - 3*z*t^2, 3*z^2*t - t^3]", 3, 2)])
 def test_searches_match_full_factorization(text, k, n_max):
     extra = [[p1_point(a) for a in pts] for pts in ([0] * k, [1] + [-1] * (k - 1))]
     _check_searches(_map(text), k, n_max, extra)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from symprod import (DomainError, FieldMismatchError, NumberField, UniPoly,
                      minimal_polynomial, nf_arith, roots_in_number_field,
                      same_field)
+from symprod import numberfield
 from symprod.polyfactor import is_irreducible
 from symprod.unipoly import sylvester_resultant
 
@@ -170,6 +172,54 @@ def test_cubic_galois_matches_square_discriminant_random(c0, c1, c2, c3):
     f = UniPoly((c0, c1, c2, c3))
     if is_irreducible(f):
         assert NumberField(f).is_galois() is _cubic_disc_is_square(f)
+
+
+# (defining polynomial low to high, |Aut(K/Q)|)
+_AUTOMORPHISM_CORPUS = [
+    ((-1, 0, -2, 0, 1), 2),           # x^4 - 2x^2 - 1: Q(sqrt(1 + sqrt2))
+    ((1, 3, -3, -4, 1, 1), 5),        # 2 cos(2 pi / 11), cyclic quintic
+    ((1, 1, 1, 1, 1), 4),             # zeta_5
+    ((1, 0, 0, 0, 1), 4),             # zeta_8
+    ((-2, 0, 0, 0, 1), 2),            # 2^(1/4)
+    ((-2, 0, 0, 1), 1), ((1, -3, 0, 1), 3), ((23, -164, 16, 64), 3),
+    ((-1, -1, 0, 0, 1), 1),           # S4 quartic
+    ((-1, -1, 0, 0, 0, 1), 1),        # S5 quintic
+    ((-2, 0, 0, 0, 0, 1), 1), ((2, 0, -3, 0, 1, 0, 1), 2),
+]
+
+
+def _random_fields(count, seed):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(3, 5)
+        cs = tuple(rng.randint(-6, 6) for _ in range(n)) + (rng.choice([1, 2, 3]),)
+        if cs[0] and is_irreducible(UniPoly(cs)):
+            out.append(cs)
+    return out
+
+
+def test_automorphism_count_corpus():
+    # the Frobenius bound may only skip the norm when it proves the count
+    # is 1; every count agrees with the roots the norm finds
+    for cs, want in _AUTOMORPHISM_CORPUS:
+        K = NumberField(UniPoly(cs))
+        assert K.automorphism_count() == want, cs
+        assert len(roots_in_number_field(K.minpoly, K)) == want, cs
+    for cs in _random_fields(40, 3):
+        K = NumberField(UniPoly(cs))
+        assert K.automorphism_count() == len(roots_in_number_field(K.minpoly, K)), cs
+
+
+def test_automorphism_count_skips_the_norm_when_frobenius_decides(monkeypatch):
+    def no_norm(*a):
+        raise AssertionError("norm taken")
+
+    monkeypatch.setattr(numberfield, "roots_in_number_field", no_norm)
+    for cs in ((-2, 0, 0, 1), (-1, -1, 0, 0, 1), (-1, -1, 0, 0, 0, 1)):
+        assert NumberField(UniPoly(cs)).automorphism_count() == 1
+    with pytest.raises(AssertionError):
+        NumberField(UniPoly((1, -3, 0, 1))).automorphism_count()
 
 
 coords4 = st.tuples(*([st.fractions(min_value=-3, max_value=3,

@@ -245,6 +245,27 @@ def test_cli_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_cli_parser_is_reused_across_calls(capsys):
+    argv = ["preperiodic", "--map", "x^2 - 21/16", "--k", "3", "--n-max", "2",
+            "--json"]
+    assert cli.main(["symmetrize", "--map", "x^2 - 2", "--k", "2"]) == 0
+    parser = cli._parser
+    assert cli.main(["period-bound", "--Np", "3", "--p", "3", "--v", "1",
+                     "--k", "2", "--json"]) == 0
+    for bad in (["preperiodic", "--map", "x^2"], ["symmetrize", "--k", "x"]):
+        with pytest.raises(SystemExit) as e:
+            cli.main(bad)
+        assert e.value.code == 2
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    assert cli._parser is parser
+    fresh = subprocess.run([sys.executable, "-m", "symprod.cli"] + argv,
+                           env=_env(), capture_output=True, text=True,
+                           timeout=30)
+    assert fresh.returncode == 0
+    assert capsys.readouterr().out == fresh.stdout
+
+
 def test_cli_budget_default_is_library_default():
     args = cli.build_parser().parse_args(
         ["preperiodic", "--map", "x^2 - 2", "--k", "2"])
@@ -372,14 +393,32 @@ def _parse_degree_64_map():
     assert f.d == 64 and f.res == 1
 
 
-def _in_child(fn):
-    """Run fn, a function of this module, in a fresh interpreter: an input
-    that hangs again fails its test after 10 s instead of stalling the suite."""
+def _preperiodic_k5():
+    # the k = 5 graph of x^2 - 29/16 took 24 s when preimages were found by
+    # filtering every product of pullback factors through F
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(["preperiodic", "--map", "x^2 - 29/16", "--k", "5",
+                       "--n-max", "3", "--json"])
+    assert time.perf_counter() - start < 20
+    assert rc == 0
+    assert len(json.loads(out.getvalue())["nodes"]) == 2725
+
+
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def _in_child(fn, timeout=10):
+    """Run fn, a function of this module, in a fresh interpreter: an input
+    that hangs again fails its test after timeout seconds instead of stalling
+    the suite."""
     done = subprocess.run(
         [sys.executable, "-c", f"import {MODULE} as t; t.{fn.__name__}()"],
-        cwd=HERE, env=env, capture_output=True, text=True, timeout=10)
+        cwd=HERE, env=_env(), capture_output=True, text=True, timeout=timeout)
     assert done.returncode == 0, done.stderr
 
 
@@ -397,6 +436,10 @@ def test_cli_huge_probable_prime_is_refused_quickly():
 
 def test_parse_degree_64_polynomial_map():
     _in_child(_parse_degree_64_map)
+
+
+def test_cli_preperiodic_k5_is_fast():
+    _in_child(_preperiodic_k5, timeout=30)
 
 
 _BAD_MAPS = ["", "x", "x^2 +", "x^^2", "(x^2", "[z^2, ]", "[z^2, t^3]",

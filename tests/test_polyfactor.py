@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symprod import (DomainError, UniPoly, factor_unipoly, is_irreducible,
@@ -305,3 +305,27 @@ def test_known_irreducibles_with_large_leads(parts):
     content, facs = factor_unipoly(p)
     assert content == 1
     assert {tuple(int(c) for c in g.coeffs): m for g, m in facs} == expected
+
+
+@given(st.tuples(big, st.integers(min_value=-2 ** 80, max_value=2 ** 80)).map(_linear),
+       st.tuples(big, st.integers(min_value=-2 ** 80, max_value=2 ** 80)).map(_linear),
+       st.integers(min_value=1, max_value=2 ** 20))
+@settings(max_examples=60, deadline=None)
+def test_quadratic_closed_form_splits_products_of_linears(a, b, scale):
+    assume(a != b)
+    p = UniPoly.from_int_list(a) * UniPoly.from_int_list(b) * scale
+    content, facs = factor_unipoly(p)
+    assert content == scale
+    assert sorted((tuple(int(c) for c in g.coeffs), m) for g, m in facs) \
+        == sorted([(a, 1), (b, 1)])
+
+
+@given(st.integers(1, 40), st.integers(-40, 40), st.integers(-40, 40))
+@settings(max_examples=80, deadline=None)
+def test_quadratic_closed_form_matches_rational_root_oracle(a, b, c):
+    assume(c != 0 and math.gcd(a, b, c) == 1 and b * b != 4 * a * c)
+    content, facs = factor_unipoly(UniPoly((c, b, a)))
+    irreducible = oracle_no_rational_root([c, b, a])
+    assert (len(facs) == 1) is irreducible
+    assert [g.degree for g, m in facs] == ([2] if irreducible else [1, 1])
+    assert reconstruct(content, facs) == UniPoly((c, b, a))

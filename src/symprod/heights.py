@@ -19,8 +19,10 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import add
 
 import mpmath
+import numpy as np
 
 from .errors import CertificateError, DomainError
 from .gf import degenerates_mod_p
@@ -123,6 +125,7 @@ def _search_certificate(F: MorphismPk):
     k, d = F.k, F.d
     nvars = k + 1
     cap = (k + 1) * (d - 1) + 1
+    fterms = [[(e, int(c)) for e, c in comp.terms.items()] for comp in F.components]
     exps = [None] * nvars
     mults = [None] * nvars
     gnorms = [None] * nvars
@@ -136,52 +139,70 @@ def _search_certificate(F: MorphismPk):
         if len(gmons) * nvars > _CERT_DIM_CAP:
             raise CertificateError(
                 f"certificate system too large at degree {M} (k={k}, d={d})")
-        row_index = {m: i for i, m in enumerate(rows_mons)}
-        ncols = nvars * len(gmons)
-        rows = [[0] * ncols for _ in rows_mons]
-        colinfo = []
-        col = 0
-        for j in range(nvars):
-            fterms = [(int(c), e) for e, c in F.components[j].terms.items()]
-            for alpha in gmons:
-                for c, e in fterms:
-                    tot = tuple(a + b for a, b in zip(alpha, e))
-                    rows[row_index[tot]][col] += c
-                colinfo.append((j, alpha))
-                col += 1
-        system = IntSystem(rows)
+        system = IntSystem(_macaulay_matrix(fterms, gmons, rows_mons, M))
         for i in missing:
             target = [0] * nvars
             target[i] = M
+            target = tuple(target)
             rhs = [0] * len(rows_mons)
-            rhs[row_index[tuple(target)]] = 1
+            rhs[rows_mons.index(target)] = 1
             sol = solve_int_system(system, rhs)
             if sol is None:
                 continue
             den = math.lcm(*(x.denominator for x in sol)) if sol else 1
-            gsum = 0
             polys = [dict() for _ in range(nvars)]
-            for (j, alpha), x in zip(colinfo, sol):
+            for col, x in enumerate(sol):
                 if x:
-                    polys[j][alpha] = int(x * den)
-            for j in range(nvars):
-                gsum += sum(abs(c) for c in polys[j].values())
-            # exact verification of the identity sum g_ij F_j = r_i x_i^M
-            acc = MPoly.zero(nvars)
-            for j in range(nvars):
-                if polys[j]:
-                    gp = MPoly(nvars, {a: Fraction(c) for a, c in polys[j].items()})
-                    acc = acc + gp * F.components[j]
-            want = MPoly(nvars, {tuple(target): Fraction(den)})
-            if acc != want:
+                    j, a = divmod(col, len(gmons))
+                    polys[j][gmons[a]] = x.numerator * (den // x.denominator)
+            if not _certificate_identity_holds(fterms, polys, target, den):
                 raise CertificateError("certificate failed exact verification")
             exps[i] = M
             mults[i] = den
-            gnorms[i] = gsum
+            gnorms[i] = sum(abs(c) for g in polys for c in g.values())
     if any(e is None for e in exps):
         raise CertificateError(
             f"no Nullstellensatz certificate up to degree {cap}")
     return tuple(exps), tuple(mults), tuple(gnorms)
+
+
+def _macaulay_matrix(fterms, gmons, rows_mons, M):
+    """The integer matrix of (g_0, ..., g_k) -> sum_j g_j F_j on forms of
+    degree M: column j * len(gmons) + a holds x^gmons[a] * F_j, row t the
+    coefficient of x^rows_mons[t].  Exponent vectors are encoded as base
+    M + 1 integers, so a product of monomials encodes as the sum of their
+    codes, and rows are found by searchsorted.  The array is int64 when the
+    coefficients' total absolute value (a bound on every row |A|-sum) fits."""
+    nvars = len(rows_mons[0])
+    base = M + 1
+    code_type = np.int64 if base ** nvars < 2 ** 63 else object
+    weights = np.array([base ** t for t in reversed(range(nvars))], dtype=code_type)
+    # rows_mons is lexicographically decreasing, so its codes decrease
+    row_codes = -(np.array(rows_mons, dtype=code_type) @ weights)
+    g_codes = np.array(gmons, dtype=code_type) @ weights
+    terms = [(j, e, c) for j, ts in enumerate(fterms) for e, c in ts]
+    coeff_type = np.int64 if sum(abs(c) for _j, _e, c in terms) < 2 ** 63 else object
+    term_comp = np.array([j for j, _e, _c in terms])
+    term_codes = np.array([e for _j, e, _c in terms], dtype=code_type) @ weights
+    coeffs = np.array([c for _j, _e, c in terms], dtype=coeff_type)
+    G = len(gmons)
+    rows = np.searchsorted(row_codes, -(g_codes[:, None] + term_codes[None, :]))
+    cols = term_comp[None, :] * G + np.arange(G)[:, None]
+    A = np.zeros((len(rows_mons), len(fterms) * G), dtype=coeff_type)
+    A[rows, cols] = coeffs[None, :]  # a column's products are distinct monomials
+    return A
+
+
+def _certificate_identity_holds(fterms, polys, target, den) -> bool:
+    """sum_j g_j F_j == den * x^target, by integer convolution of the terms
+    of the g_j and of the components of F."""
+    acc = {}
+    for g, fj in zip(polys, fterms):
+        for alpha, a in g.items():
+            for e, c in fj:
+                key = tuple(map(add, alpha, e))
+                acc[key] = acc.get(key, 0) + a * c
+    return {e: c for e, c in acc.items() if c} == {target: den}
 
 
 def _summarize_certificate(F: MorphismPk, search, bad) -> HeightCertificate:

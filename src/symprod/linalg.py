@@ -5,18 +5,27 @@ the integers for resultants, Q[x] for characteristic polynomials and the
 number-field norms built in numberfield, and multivariate polynomials (MPoly)
 for the symmetric product.  Small systems go through plain
 fraction Gaussian elimination.  The large sparse integer systems that arise
-in certificate searches are solved by a p-adic (Dixon) lift with numpy
-doing the modular arithmetic.  All k+1 right-hand sides of one certificate
-degree share a matrix.  An IntSystem splits it once into the connected
-blocks of its nonzero pattern (for x^2 + c the symmetry x -> -x splits
-every certificate matrix in two) and eliminates a block mod p, in one
-Gauss-Jordan pass that gives its pivots, left null space and pivot-block
-inverse (see _Block), only when a right-hand side first reaches it; later
-right-hand sides reuse that work.  A solve touches only the
-blocks holding the right-hand side's nonzero rows, and its answer is the
-one a single elimination of the whole matrix gives (see solve_int_system).
-Every candidate solution is verified exactly before it is returned, so the
-numerics are only a search accelerator.
+in certificate searches are solved by a p-adic (Dixon) lift on machine
+integers.  All k+1 right-hand sides of one certificate degree share a
+matrix.  An IntSystem splits it once into the connected blocks of its
+nonzero pattern (for x^2 + c the symmetry x -> -x splits every certificate
+matrix in two) and eliminates a block mod p = 2^20 + 7, in one Gauss-Jordan
+pass that gives its pivots, left null space and pivot-block inverse (see
+_Block), only when a right-hand side first reaches it; later right-hand
+sides reuse that work.  Two bounds keep the numpy arithmetic in int64:
+
+* the elimination reduces mod p only the pivot row and column at each step
+  and everything once at the end; each of at most min(m, n) updates adds
+  less than p^2 < 2^41 to an entry, below 2^52 for the 2000 columns a
+  certificate block may have (asserted against 2^63 for any size);
+* a Dixon step runs in int64 when the pivot block's row |A|-sums and |b|
+  are below 2^40, so residuals stay below 2^41 and products below 2^61;
+  larger inputs take the same steps on Python integers.
+
+A solve touches only the blocks holding the right-hand side's nonzero rows,
+and its answer is the one a single elimination of the whole matrix gives
+(see solve_int_system).  Every candidate solution is verified exactly
+before it is returned, so the numerics are only a search accelerator.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from .unipoly import UniPoly
 
 _DIXON_PRIME = 2 ** 20 + 7  # products of two reduced entries stay well inside int64
 _DIXON_MAX_STEPS = 13333  # p-adic digits lifted before the exact fallback
+_DIXON_INT64_BOUND = 2 ** 40  # row |A|-sums and |b| below this lift in int64
 
 
 def det_bareiss(rows):
@@ -138,14 +148,17 @@ class IntSystem:
     """
 
     def __init__(self, rows):
+        """rows: the rows of A, or A as an object array or as an int64
+        array whose row |A|-sums fit in int64."""
         self.rows = rows
         self._blocks = {}
 
     @cached_property
     def _split(self):
-        """A as an object array and the block label of every row and column
+        """A as an integer array and the block label of every row and column
         (-1 for an all-zero row or column)."""
-        A = np.array(self.rows, dtype=object)
+        A = self.rows if isinstance(self.rows, np.ndarray) else \
+            np.array(self.rows, dtype=object)
         m, n = A.shape
         rr, cc = np.nonzero(A)
         row_label = np.full(m, -1)
@@ -200,17 +213,28 @@ class _Block:
 
     @cached_property
     def _echelon(self):
-        """(pivot rows, pivot columns, left null space, pivot-block inverse)"""
+        """(pivot rows, pivot columns, left null space, pivot-block inverse)
+
+        Reduction mod p is delayed (Dumas, Giorgi and Pernet): a step
+        reduces only the pivot column and the pivot row, and the rows it
+        clears receive M[i, c] * M[r, j] with both factors in [0, p), less
+        than p^2 < 2^41.  An entry receives at most one such update per
+        pivot, so after at most min(m, n) pivots (2000 for a certificate
+        block) it stays below min(m, n) * p^2 < 2^52 in absolute value, and
+        one reduction at the end gives the step-by-step reduced matrix."""
         p = _DIXON_PRIME
         A = self.A
         m, n = A.shape
+        assert p + min(m, n) * (p - 1) ** 2 < 2 ** 63
         M = np.concatenate([np.mod(A, p).astype(np.int64),
                             np.eye(m, dtype=np.int64)], axis=1)
         piv_rows, piv_cols = [], []
         row_order = list(range(m))
         r = 0
         for c in range(n):
-            nz = np.nonzero(M[r:, c])[0]
+            col = M[:, c]
+            col %= p
+            nz = np.flatnonzero(col[r:])
             if nz.size == 0:
                 continue
             i = r + int(nz[0])
@@ -218,23 +242,33 @@ class _Block:
                 M[[r, i]] = M[[i, r]]
                 row_order[r], row_order[i] = row_order[i], row_order[r]
             inv = pow(int(M[r, c]), p - 2, p)
-            M[r, c:] = (M[r, c:] * inv) % p
-            others = np.nonzero(M[:, c])[0]
-            others = others[others != r]
-            if others.size:
-                # row r is zero left of column c, so only columns c.. change
-                M[others, c:] = (M[others, c:] - np.outer(M[others, c], M[r, c:])) % p
+            prow = M[r, c:]  # row r is zero left of column c
+            prow %= p
+            prow *= inv
+            prow %= p
+            col[r] = 0  # column c is never read again
+            others = np.flatnonzero(col)
+            if 2 * others.size > m:  # after fill-in: one dense update
+                M[:, c:] -= np.outer(col, prow)
+            elif others.size:
+                M[others, c:] -= np.outer(col[others], prow)
             piv_rows.append(row_order[r])
             piv_cols.append(c)
             r += 1
             if r == m:
                 break
+        M %= p
         return piv_rows, piv_cols, M[r:, n:], M[:r, n + np.array(piv_rows, dtype=int)]
 
     @cached_property
     def _pivot_block(self):
+        """The pivot block: int64 when its row |A|-sums are below
+        _DIXON_INT64_BOUND, else Python integers (see lift)."""
         piv_rows, piv_cols, _null, _inv = self._echelon
-        return self.A[np.ix_(piv_rows, piv_cols)]
+        Asub = self.A[np.ix_(piv_rows, piv_cols)]
+        if np.abs(Asub).sum(axis=1).max() < _DIXON_INT64_BOUND:
+            return Asub.astype(np.int64)
+        return Asub.astype(object)
 
     def consistent_mod_p(self, b):
         p = _DIXON_PRIME
@@ -247,32 +281,37 @@ class _Block:
         and verifying A x = b exactly; None when only exact elimination can
         decide.  A reconstruction that solves the pivot block exactly but
         not A x = b is that block's unique solution, so lifting further
-        cannot help."""
+        cannot help.
+
+        A step is x = inv * residual mod p, residual <- (residual - A x) / p.
+        With row |A|-sums and |b| below 2^40 the residual stays below 2^41
+        and |A x| below 2^40 * p < 2^61, so steps run in int64; otherwise
+        they run on Python integers (an object pivot block makes A x one)."""
         sub_rows, sub_cols, _null, inv = self._echelon
         if not sub_cols:
             return None  # every entry is a multiple of p
         p = _DIXON_PRIME
-        Asub_obj = self._pivot_block
+        Asub = self._pivot_block
         r = len(sub_rows)
         b_sub = [b[i] for i in sub_rows]
-        residual = np.array(b_sub, dtype=object)
-        digits = []
+        small = (Asub.dtype == np.int64
+                 and max(map(abs, b_sub)) < _DIXON_INT64_BOUND)
+        residual = np.array(b_sub, dtype=np.int64 if small else object)
+        acc = np.zeros(r, dtype=object)  # the p-adic digits so far, summed
+        weight = 1
         step = 0
         check_at = 16
         while step < _DIXON_MAX_STEPS:
-            x_i = (inv @ np.mod(residual.astype(object), p).astype(np.int64)) % p
-            digits.append(x_i)
-            residual = (residual - Asub_obj @ x_i.astype(object)) // p
+            x_i = (inv @ (residual % p).astype(np.int64)) % p
+            acc += x_i.astype(object) * weight
+            weight *= p
+            residual = (residual - Asub @ x_i) // p
             step += 1
             if step == check_at or step == _DIXON_MAX_STEPS:
                 check_at *= 2
-                mod = p ** step
                 xs = []
-                for j in range(r):
-                    val = 0
-                    for d in reversed(digits):
-                        val = val * p + int(d[j])
-                    fr = _rational_reconstruct(val % mod, mod)
+                for val in acc:
+                    fr = _rational_reconstruct(int(val), weight)
                     if fr is None:
                         break
                     xs.append(fr)
@@ -283,7 +322,7 @@ class _Block:
                     cand[c] = xs[j]
                 if _verify_solution(self.A, b, cand):
                     return cand
-                if _verify_solution(Asub_obj, b_sub, xs):
+                if _verify_solution(Asub, b_sub, xs):
                     break
                 # reconstruction succeeded but was spurious; keep lifting
         return None

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from symprod import (AlgebraicPoint, NumberField, PkPoint, RationalMap1,
@@ -11,8 +12,10 @@ from symprod import (AlgebraicPoint, NumberField, PkPoint, RationalMap1,
                      green_local, height_comparison_constant, morphism_of_map,
                      naive_height, p1_point, parse_map, preperiodicity_bound,
                      symmetrize)
+from symprod import heights
 from symprod.gf import morphism_degenerate_over
 from symprod.heights import morphism_certificate
+from symprod.mpoly import MPoly
 
 F = Fraction
 
@@ -304,6 +307,19 @@ def test_certificate_escape_threshold_is_sound():
     assert math.log(cert.escape_threshold - 1) >= cert.bound
 
 
+# g_norms per (map, k): the search does not depend on the bad primes
+PINNED_G_NORMS = {
+    ("x^2 - 2", 4): (31, 953, 126980, 606, 1),
+    ("x^2 - 29/16", 3): (49365, 3273369, 8194403, 1),
+    ("x^2 - 16/9", 5): (2320825, 1526788276, 637900876282580,
+                        26376027737045476, 220332323900, 1),
+    ("x^3 - 2", 3): (15, 6080, 4622, 1),
+    ("x^2 + x - 3", 4): (2556, 68489519, 2110421030, 7250, 1),
+    ("x^2 - 1000003/1000", 3): (1001010007030009027, 1002517026085578153067581,
+                                3003048041244123432081243, 1),
+}
+
+
 @pytest.mark.parametrize("text,k,bad,exps,mults,bad_out,constant", [
     ("x^2 - 2", 4, (), (2, 4, 6, 4, 2), (1, 1, 8, 4, 1), (), 9.672343332045605),
     ("x^2 - 2", 4, None, (2, 4, 6, 4, 2), (1, 1, 8, 4, 1), (2,),
@@ -317,6 +333,13 @@ def test_certificate_escape_threshold_is_sound():
     # three blocks
     ("x^3 - 2", 3, "bad_primes", (3, 7, 7, 3), (1, 2, 8, 1), (),
      8.019612795401267),
+    # one block at every degree
+    ("x^2 + x - 3", 4, "bad_primes", (6, 6, 6, 4, 2), (1, 27, 2187, 81, 1), (),
+     14.746354419223044),
+    # row |A|-sums above 2^40: Dixon steps on Python integers
+    ("x^2 - 1000003/1000", 3, "bad_primes", (2, 4, 4, 2),
+     (1000000000000000000, 125000375000000000000000,
+      250002250006750006750000000000, 1000000000), (2, 5), 43.528484080259034),
 ])
 def test_certificate_values_are_pinned(monkeypatch, text, k, bad, exps, mults,
                                        bad_out, constant):
@@ -327,8 +350,64 @@ def test_certificate_values_are_pinned(monkeypatch, text, k, bad, exps, mults,
     cert = morphism_certificate(symmetrize(f, k), bad=bad)
     assert cert.exponents == exps
     assert cert.multipliers == mults
+    assert cert.g_norms == PINNED_G_NORMS[text, k]
     assert cert.bad == bad_out
     assert cert.constant == constant
+
+
+def _macaulay_rows_reference(F, M):
+    """The certificate matrix at degree M, one term at a time into dense
+    rows: column j * len(gmons) + a holds x^gmons[a] * F_j."""
+    nvars = F.k + 1
+    gmons = heights._monomials(nvars, M - F.d)
+    row_index = {m: i for i, m in enumerate(heights._monomials(nvars, M))}
+    rows = [[0] * (nvars * len(gmons)) for _ in row_index]
+    for j, comp in enumerate(F.components):
+        for a, alpha in enumerate(gmons):
+            for e, c in comp.terms.items():
+                tot = tuple(x + y for x, y in zip(alpha, e))
+                rows[row_index[tot]][j * len(gmons) + a] += int(c)
+    return rows
+
+
+@pytest.mark.parametrize("text,k,dtype", [
+    ("x^2 + x - 3", 3, np.int64), ("x^3 - 2", 2, np.int64),
+    ("[z^2 - 3*t^2 + z*t, 5*z^2 + t^2]", 3, np.int64),
+    ("x^2 + 3^50", 2, object),
+])
+def test_macaulay_matrix_matches_termwise_build(text, k, dtype):
+    F = symmetrize(_map(text), k)
+    nvars = k + 1
+    fterms = [[(e, int(c)) for e, c in comp.terms.items()] for comp in F.components]
+    for M in range(F.d, F.d + 3):
+        A = heights._macaulay_matrix(fterms, heights._monomials(nvars, M - F.d),
+                                     heights._monomials(nvars, M), M)
+        assert A.dtype == dtype
+        assert A.tolist() == _macaulay_rows_reference(F, M)
+
+
+def test_certificate_identity_check_against_mpoly():
+    # x^2 - 2 at k = 1: F = [X^2 - 2Y^2, Y^2], so X^2 = F_0 + 2 F_1
+    F = symmetrize(_map("x^2 - 2"), 1)
+    fterms = [[(e, int(c)) for e, c in comp.terms.items()] for comp in F.components]
+    rng = random.Random(5)
+    cases = [([{(0, 0): 1}, {(0, 0): 2}], (2, 0), 1, True),
+             ([{(0, 0): 3}, {(0, 0): 6}], (2, 0), 3, True),
+             ([{(0, 0): 1}, {(0, 0): 2}], (2, 0), 2, False),
+             ([{(0, 0): 1}, {(0, 0): 1}], (2, 0), 1, False),
+             ([{}, {(0, 0): 1}], (0, 2), 1, True)]
+    for _ in range(40):
+        M = rng.randint(2, 4)
+        polys = [{(a, M - 2 - a): rng.randint(-2, 2) for a in range(M - 1)
+                  if rng.random() < 0.5} for _ in range(2)]
+        target = rng.choice([(M, 0), (0, M)])
+        den = rng.randint(1, 3)
+        acc = MPoly.zero(2)
+        for g, comp in zip(polys, F.components):
+            acc = acc + MPoly(2, g) * comp
+        cases.append((polys, target, den, acc == MPoly(2, {target: den})))
+    for polys, target, den, want in cases:
+        assert heights._certificate_identity_holds(fterms, polys, target, den) == want
 
 
 def test_certificate_without_bad_primes_searches_once(monkeypatch):

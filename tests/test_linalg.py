@@ -2,11 +2,16 @@ import time
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symprod import linalg
 from symprod.linalg import (IntSystem, charpoly, mat_mul, solve_fraction,
                             solve_int_system)
+
+P = linalg._DIXON_PRIME
 
 # rank 2 (row 2 = row 0 + row 1, row 3 = 2 * row 0): b is in the column span
 # exactly when b2 = b0 + b1 and b3 = 2 * b0
@@ -149,6 +154,114 @@ def test_block_solution_that_fails_the_full_system_stops_lifting():
     x = solve_int_system(rows, rhs)
     assert time.perf_counter() - start < 0.5
     assert x is None and solve_fraction(rows, rhs) is None
+
+
+def _echelon_reference(A):
+    """Gauss-Jordan over [A | I] mod p, reducing every entry after every
+    pivot: (pivot rows, pivot columns, left null space, pivot-block
+    inverse), as _Block._echelon promises."""
+    m, n = A.shape
+    M = np.concatenate([np.mod(A, P).astype(np.int64),
+                        np.eye(m, dtype=np.int64)], axis=1)
+    piv_rows, piv_cols = [], []
+    row_order = list(range(m))
+    r = 0
+    for c in range(n):
+        nz = np.nonzero(M[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        M[[r, i]] = M[[i, r]]
+        row_order[r], row_order[i] = row_order[i], row_order[r]
+        M[r, c:] = (M[r, c:] * pow(int(M[r, c]), P - 2, P)) % P
+        for i in range(m):
+            if i != r and M[i, c]:
+                M[i, c:] = (M[i, c:] - M[i, c] * M[r, c:]) % P
+        piv_rows.append(row_order[r])
+        piv_cols.append(c)
+        r += 1
+        if r == m:
+            break
+    return piv_rows, piv_cols, M[r:, n:], M[:r, n + np.array(piv_rows, dtype=int)]
+
+
+# mostly zero; nonzero entries include negatives, multiples of p and
+# entries at or above p
+sparse_entry = st.one_of(
+    st.just(0), st.just(0), st.just(0), st.integers(-5, 5),
+    st.integers(-3 * P, 3 * P), st.sampled_from([P, -P, 2 * P, P + 1, P - 1, -P - 2]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda m: st.integers(1, 9).flatmap(
+    lambda n: st.lists(st.lists(sparse_entry, min_size=n, max_size=n),
+                       min_size=m, max_size=m))),
+       st.sampled_from([object, np.int64]))
+def test_delayed_reduction_echelon_matches_stepwise_reference(rows, dtype):
+    A = np.array(rows, dtype=dtype)
+    got = linalg._Block(None, None, A)._echelon
+    want = _echelon_reference(A)
+    assert got[0] == want[0] and got[1] == want[1]
+    assert np.array_equal(got[2], want[2])
+    assert np.array_equal(got[3], want[3])
+
+
+def _only_block(system):
+    [blk] = system._blocks.values()
+    return blk
+
+
+@pytest.mark.parametrize("rows,rhs,path", [
+    # inside the int64 gate: row |A|-sums and |b| below 2^40
+    ([[3, -1, 4], [1, 5, -9], [2, 6, 5]], [7, -2, 11], np.int64),
+    ([[2 ** 39, 1], [-1, 2 ** 39 - 5]], [2 ** 39, -3], np.int64),
+    # a row |A|-sum above 2^40
+    ([[2 ** 40, 3], [-7, 2 ** 41 + 5]], [1, 2 ** 45 + 1], object),
+    ([[2 ** 39, 2 ** 39, 1], [1, -1, 0], [5, 0, 7]], [1, 2, 3], object),
+    ([[3, 1], [2 ** 70, 1]], [2, 5], object),
+])
+def test_both_lift_paths_agree_with_fraction_elimination(rows, rhs, path):
+    system = IntSystem(rows)
+    x = solve_int_system(system, rhs)
+    assert x is not None and x == solve_fraction(rows, rhs)
+    assert _only_block(system)._pivot_block.dtype == path
+
+
+def test_large_right_hand_side_lifts_on_python_integers():
+    # small A, but |b| above 2^40 keeps the steps off int64
+    rows = [[2, 1], [1, 3]]
+    for rhs in ([2 ** 40, 1], [-2 ** 62, 2 ** 80 + 1]):
+        assert solve_int_system(rows, rhs) == solve_fraction(rows, rhs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_systems())
+def test_lift_paths_give_the_same_answers(case):
+    # the same solutions, and the same right-hand sides without one, whether
+    # Dixon steps run in int64 or on Python integers
+    rows, rhss = case
+    fast, slow = IntSystem(rows), IntSystem(rows)
+    answers = [solve_int_system(fast, rhs) for rhs, _ok in rhss]
+    gate = linalg._DIXON_INT64_BOUND
+    try:
+        linalg._DIXON_INT64_BOUND = 0
+        assert [solve_int_system(slow, rhs) for rhs, _ok in rhss] == answers
+    finally:
+        linalg._DIXON_INT64_BOUND = gate
+
+
+def test_fixed_cases_solve_the_same_on_both_lift_paths(monkeypatch):
+    cases = [(RANK_DEFICIENT, rhs) for rhs in (
+        [1, 0, 1, 2], [7, -3, 4, 14], [0, 0, 0, 0], [3, 5, 8, 6],
+        [1, 0, 0, 0], [0, 0, 1, 0], [1, 1, 2, 3])]
+    cases += [([[2, 0], [0, 3], [2, 3]], [1, 1, 2]),
+              ([[0, 0, 0], [0, 0, 0]], [0, 1]),
+              ([[P, 0], [0, 1]], [P, 1])]
+    answers = [solve_int_system(rows, rhs) for rows, rhs in cases]
+    monkeypatch.setattr(linalg, "_DIXON_INT64_BOUND", 0)
+    assert [solve_int_system(rows, rhs) for rows, rhs in cases] == answers
+    assert [x is None for x in answers] == [solve_fraction(rows, rhs) is None
+                                            for rows, rhs in cases]
 
 
 def _leibniz_det(M):

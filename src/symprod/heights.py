@@ -171,8 +171,8 @@ def _macaulay_matrix(fterms, gmons, rows_mons, M):
     degree M: column j * len(gmons) + a holds x^gmons[a] * F_j, row t the
     coefficient of x^rows_mons[t].  Exponent vectors are encoded as base
     M + 1 integers, so a product of monomials encodes as the sum of their
-    codes, and rows are found by searchsorted.  The array is int64 when the
-    coefficients' total absolute value (a bound on every row |A|-sum) fits."""
+    codes, and rows are found by searchsorted.  The array is int64 when
+    every coefficient fits, else it holds Python integers."""
     nvars = len(rows_mons[0])
     base = M + 1
     code_type = np.int64 if base ** nvars < 2 ** 63 else object
@@ -181,7 +181,7 @@ def _macaulay_matrix(fterms, gmons, rows_mons, M):
     row_codes = -(np.array(rows_mons, dtype=code_type) @ weights)
     g_codes = np.array(gmons, dtype=code_type) @ weights
     terms = [(j, e, c) for j, ts in enumerate(fterms) for e, c in ts]
-    coeff_type = np.int64 if sum(abs(c) for _j, _e, c in terms) < 2 ** 63 else object
+    coeff_type = np.int64 if max(abs(c) for _j, _e, c in terms) < 2 ** 63 else object
     term_comp = np.array([j for j, _e, _c in terms])
     term_codes = np.array([e for _j, e, _c in terms], dtype=code_type) @ weights
     coeffs = np.array([c for _j, _e, c in terms], dtype=coeff_type)

@@ -20,7 +20,9 @@ sides reuse that work.  Two bounds keep the numpy arithmetic in int64:
   certificate block may have (asserted against 2^63 for any size);
 * a Dixon step runs in int64 when the pivot block's row |A|-sums and |b|
   are below 2^40, so residuals stay below 2^41 and products below 2^61;
-  larger inputs take the same steps on Python integers.
+  larger inputs take the same steps on Python integers.  An IntSystem
+  holds A in int64 only when its row |A|-sums are below 2^63, so that
+  test cannot overflow; callers may pass any integer matrix.
 
 A solve touches only the blocks holding the right-hand side's nonzero rows,
 and its answer is the one a single elimination of the whole matrix gives
@@ -148,19 +150,26 @@ class IntSystem:
     """
 
     def __init__(self, rows):
-        """rows: the rows of A, or A as an object array or as an int64
-        array whose row |A|-sums fit in int64."""
+        """rows: the rows of A, or A as an int64 or object array."""
         self.rows = rows
         self._blocks = {}
 
     @cached_property
     def _split(self):
         """A as an integer array and the block label of every row and column
-        (-1 for an all-zero row or column)."""
+        (-1 for an all-zero row or column).
+
+        A is int64 when its row |A|-sums, summed exactly over the nonzero
+        entries, are below 2^63, so that no sum over part of a row overflows
+        (see _Block._pivot_block); otherwise it holds Python integers."""
         A = self.rows if isinstance(self.rows, np.ndarray) else \
             np.array(self.rows, dtype=object)
         m, n = A.shape
         rr, cc = np.nonzero(A)
+        row_sums = np.zeros(m, dtype=object)
+        np.add.at(row_sums, rr, np.abs(A[rr, cc].astype(object)))
+        A = A.astype(np.int64 if row_sums.max(initial=0) < 2 ** 63 else object,
+                     copy=False)
         row_label = np.full(m, -1)
         row_label[rr] = _row_components(m, n, rr, cc)[rr]
         col_label = np.full(n, -1)
@@ -248,9 +257,7 @@ class _Block:
             prow %= p
             col[r] = 0  # column c is never read again
             others = np.flatnonzero(col)
-            if 2 * others.size > m:  # after fill-in: one dense update
-                M[:, c:] -= np.outer(col, prow)
-            elif others.size:
+            if others.size:
                 M[others, c:] -= np.outer(col[others], prow)
             piv_rows.append(row_order[r])
             piv_cols.append(c)
@@ -263,7 +270,9 @@ class _Block:
     @cached_property
     def _pivot_block(self):
         """The pivot block: int64 when its row |A|-sums are below
-        _DIXON_INT64_BOUND, else Python integers (see lift)."""
+        _DIXON_INT64_BOUND, else Python integers (see lift).  The sums do
+        not overflow: A is int64 only when its full row sums fit (see
+        IntSystem._split)."""
         piv_rows, piv_cols, _null, _inv = self._echelon
         Asub = self.A[np.ix_(piv_rows, piv_cols)]
         if np.abs(Asub).sum(axis=1).max() < _DIXON_INT64_BOUND:
@@ -393,12 +402,14 @@ def solve_int_system(system, rhs):
 
 
 def _verify_solution(A, rhs, x):
-    """A x = b exactly, for an object array A of integers: with x scaled by
-    the lcm of its denominators, only the nonzero columns take part."""
+    """A x = b exactly, for an int64 or object array A of integers: with x
+    scaled by the lcm of its denominators, only the nonzero columns take
+    part, and the product is taken on Python integers."""
     cols = [j for j, xj in enumerate(x) if xj]
     if not cols:
         return all(b == 0 for b in rhs)
     den = math.lcm(*(x[j].denominator for j in cols))
     nums = np.array([x[j].numerator * (den // x[j].denominator) for j in cols],
                     dtype=object)
-    return all(int(v) == den * b for v, b in zip(A[:, cols].dot(nums), rhs))
+    return all(v == den * b
+               for v, b in zip(A[:, cols].astype(object).dot(nums), rhs))

@@ -355,18 +355,17 @@ def test_certificate_values_are_pinned(monkeypatch, text, k, bad, exps, mults,
     assert cert.constant == constant
 
 
-def _macaulay_rows_reference(F, M):
+def _macaulay_rows_reference(fterms, nvars, d, M):
     """The certificate matrix at degree M, one term at a time into dense
     rows: column j * len(gmons) + a holds x^gmons[a] * F_j."""
-    nvars = F.k + 1
-    gmons = heights._monomials(nvars, M - F.d)
+    gmons = heights._monomials(nvars, M - d)
     row_index = {m: i for i, m in enumerate(heights._monomials(nvars, M))}
     rows = [[0] * (nvars * len(gmons)) for _ in row_index]
-    for j, comp in enumerate(F.components):
+    for j, terms in enumerate(fterms):
         for a, alpha in enumerate(gmons):
-            for e, c in comp.terms.items():
+            for e, c in terms:
                 tot = tuple(x + y for x, y in zip(alpha, e))
-                rows[row_index[tot]][j * len(gmons) + a] += int(c)
+                rows[row_index[tot]][j * len(gmons) + a] += c
     return rows
 
 
@@ -383,7 +382,26 @@ def test_macaulay_matrix_matches_termwise_build(text, k, dtype):
         A = heights._macaulay_matrix(fterms, heights._monomials(nvars, M - F.d),
                                      heights._monomials(nvars, M), M)
         assert A.dtype == dtype
-        assert A.tolist() == _macaulay_rows_reference(F, M)
+        assert A.tolist() == _macaulay_rows_reference(fterms, nvars, F.d, M)
+
+
+def test_macaulay_matrix_encodes_many_variables_on_python_integers():
+    # 2 * 3^40 > 2^63: the code of x_0^2 in base 3 over 41 variables
+    # leaves int64
+    nvars, d, M = 41, 1, 2
+    rng = random.Random(11)
+    fterms = []
+    for j in range(nvars):
+        terms = {}
+        for _ in range(3):
+            e = [0] * nvars
+            e[rng.randrange(nvars)] = 1
+            terms[tuple(e)] = rng.choice([-7, -1, 2, 5])
+        fterms.append(list(terms.items()))
+    A = heights._macaulay_matrix(fterms, heights._monomials(nvars, M - d),
+                                 heights._monomials(nvars, M), M)
+    assert A.dtype == np.int64
+    assert A.tolist() == _macaulay_rows_reference(fterms, nvars, d, M)
 
 
 def test_certificate_identity_check_against_mpoly():

@@ -227,6 +227,16 @@ def test_both_lift_paths_agree_with_fraction_elimination(rows, rhs, path):
     assert _only_block(system)._pivot_block.dtype == path
 
 
+def test_int64_matrix_with_overflowing_row_sums_is_held_exactly():
+    # every entry fits in int64, but a row |A|-sum does not
+    rows = [[2 ** 62, 2 ** 62, 1], [1, -1, 0], [5, 0, 7]]
+    system = IntSystem(np.array(rows, dtype=np.int64))
+    x = solve_int_system(system, [1, 2, 3])
+    assert x is not None and x == solve_fraction(rows, [1, 2, 3])
+    assert system._split[0].dtype == object
+    assert _only_block(system)._pivot_block.dtype == object
+
+
 def test_large_right_hand_side_lifts_on_python_integers():
     # small A, but |b| above 2^40 keeps the steps off int64
     rows = [[2, 1], [1, 3]]

@@ -27,7 +27,7 @@ PROG = "symprod"
 
 def _emit(args, payload: dict, human: str):
     if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True))  # no indent: json's C encoder
     else:
         print(human)
 

@@ -157,50 +157,22 @@ class PeriodBoundInput:
             raise DomainError("Np must be a power of p")
 
 
-def _sign_plus_sqrt5(a: int, b: int) -> int:
-    """Sign of a + b*sqrt(5), exactly."""
-    if a == 0 and b == 0:
-        return 0
-    if a >= 0 and b >= 0:
-        return 1
-    if a <= 0 and b <= 0:
-        return -1
-    s = a * a - 5 * b * b
-    if a > 0:
-        return 1 if s > 0 else -1
-    return -1 if s > 0 else 1
-
-
 def exponent_bound(p: int, vp: int) -> int:
     """Certified floor of the wild-part exponent bound.
 
     For p != 2 this is floor(1 + log2 v(p)); for p = 2 it is
-    floor(1 + log_phi((sqrt5 v + sqrt(5 v^2 + 4))/2)), decided in exact
-    arithmetic in Z[sqrt5] (phi^s = (L_s + F_s sqrt5)/2 with Lucas/Fibonacci
-    numbers, so each comparison is a sign computation)."""
+    floor(1 + log_phi((sqrt5 v + sqrt(5 v^2 + 4))/2)).  With
+    phi^s = (L_s + F_s sqrt5)/2 and L_s^2 = 5 F_s^2 + 4 (-1)^s (Lucas and
+    Fibonacci numbers), phi^s <= (sqrt5 v + sqrt(5 v^2 + 4))/2 exactly when
+    F_s <= v, so the bound is 1 + the largest s with F_s <= v."""
     if vp < 1:
         raise DomainError("v(p) must be at least 1")
     if p != 2:
         return 1 + (vp.bit_length() - 1)
-    target = 5 * vp * vp + 4  # R^2 with R = sqrt(5 v^2 + 4)
-    s = 0
-    L, Fib = 2, 0  # Lucas and Fibonacci at index 0
-    Ln, Fn = 1, 1  # index 1
-    while True:
-        # test phi^(s+1) <= x_v; phi^(s+1) = (Ln + Fn sqrt5)/2
-        D = Fn - vp
-        lhs_sign = _sign_plus_sqrt5(Ln, D)
-        if lhs_sign <= 0:
-            ok = True
-        else:
-            a = Ln * Ln + 5 * D * D - target
-            b = 2 * Ln * D
-            ok = _sign_plus_sqrt5(a, b) <= 0
-        if not ok:
-            return 1 + s
-        s += 1
-        L, Ln = Ln, L + Ln
-        Fib, Fn = Fn, Fib + Fn
+    s, fib, fib_next = 0, 0, 1  # s, F_s, F_(s+1)
+    while fib_next <= vp:
+        s, fib, fib_next = s + 1, fib_next, fib + fib_next
+    return 1 + s
 
 
 def period_bound(inp: PeriodBoundInput) -> int:
@@ -424,12 +396,11 @@ class PreperiodicGraph:
     """The functional graph of all rational preperiodic points of F found by
     backward closure from the periodic set, with conjugate decompositions."""
 
-    def __init__(self, f, k, nodes, images, periods):
+    def __init__(self, f, k, images, tails, periods):
         self.f = f
         self.k = k
-        points = sorted(nodes)
+        points = sorted(tails)
         self._index = {p: i for i, p in enumerate(points)}
-        tails, pers = _tails_and_periods(points, images, periods)
         self.nodes = []
         fields = {}
         for p in points:
@@ -437,7 +408,7 @@ class PreperiodicGraph:
             for fld, _pt, _m in comps:
                 if fld is not None:
                     fields.setdefault(fld.minpoly.coeffs, fld)
-            self.nodes.append(GraphNode(point=p, tail=tails[p], period=pers[p],
+            self.nodes.append(GraphNode(point=p, tail=tails[p], period=periods[p],
                                         components=tuple(comps)))
         self.edges = sorted((self._index[p], self._index[images[p]]) for p in points)
         self.fields = [fields[key] for key in sorted(fields)]
@@ -445,23 +416,17 @@ class PreperiodicGraph:
     def __len__(self):
         return len(self.nodes)
 
-    def periodic_nodes(self):
-        return [n for n in self.nodes if n.tail == 0]
-
     def recovered_points(self):
         """Distinct base-map preperiodic data: rational points as a sorted
         list, and one (minpoly, field) per higher-degree conjugate orbit."""
         rationals = set()
-        orbits = {}
         for node in self.nodes:
             for fld, pt, _m in node.components:
                 if fld is None:
                     rationals.add(pt)
-                else:
-                    orbits.setdefault(fld.minpoly.coeffs, (fld.minpoly, fld))
         rat = sorted(rationals, key=lambda p: (0, Fraction(0)) if p.infinity
                      else (1, p.value))
-        return rat, [orbits[key] for key in sorted(orbits)]
+        return rat, [(fld.minpoly, fld) for fld in self.fields]
 
     def _node_label(self, node: GraphNode) -> str:
         parts = []
@@ -515,28 +480,6 @@ class PreperiodicGraph:
         }
 
 
-def _tails_and_periods(points, images, periods):
-    tails = {}
-    pers = dict(periods)
-    for p in points:
-        if p in periods:
-            tails[p] = 0
-    for p in points:
-        if p in tails:
-            continue
-        chain = []
-        cur = p
-        while cur not in tails:
-            chain.append(cur)
-            cur = images[cur]
-        base_tail = tails[cur]
-        base_per = pers[cur]
-        for off, node in enumerate(reversed(chain), start=1):
-            tails[node] = base_tail + off
-            pers[node] = base_per
-    return tails, pers
-
-
 def preperiodic_graph(f: RationalMap1, k: int, n_max: int | None = None,
                       budget: int = DEFAULT_BUDGET) -> PreperiodicGraph:
     """All rational preperiodic points of the k-symmetric product reachable
@@ -546,20 +489,23 @@ def preperiodic_graph(f: RationalMap1, k: int, n_max: int | None = None,
     F = symmetrize(f, k)
     periodic = rational_periodic_points(f, k, n_max, budget=budget)
     periods = {p: per for p, per in periodic}
-    nodes = set(periods)
+    tails = dict.fromkeys(periods, 0)
     # every node is a preimage of its image, itself a node, so each node's
-    # image is recorded exactly once, when that image's preimages are found
+    # image is recorded exactly once, when that image's preimages are found;
+    # the search runs breadth first from the periodic set, so a node first
+    # reached from q has q's tail plus one and q's period
     images = {}
-    frontier = sorted(nodes)
+    frontier = sorted(tails)
     while frontier:
         new = []
         for q in frontier:
             for p in rational_preimages(f, F, q):
                 images[p] = q
-                if p not in nodes:
-                    nodes.add(p)
+                if p not in tails:
+                    tails[p] = tails[q] + 1
+                    periods[p] = periods[q]
                     new.append(p)
         frontier = sorted(new)
-    if len(images) != len(nodes):
+    if len(images) != len(tails):
         raise DomainError("graph closure violated")  # unreachable
-    return PreperiodicGraph(f, k, nodes, images, periods)
+    return PreperiodicGraph(f, k, images, tails, periods)

@@ -99,7 +99,6 @@ class HeightCertificate:
     constant: float           # C = max of the two, rounded up
     bound: float              # B = C/(d-1), rounded up
     escape_threshold: int     # coordinates above this certify naive height > B
-    verified: bool = True
 
     def green_constant(self) -> float:
         return max(self.c_upper, self.c_lower) + 1.0
@@ -319,7 +318,7 @@ def green_local(F: MorphismPk, p: PkPoint, place, tol: float = 1e-6,
     exactly.  Returns (value, error_bound).
     """
     _check_tol(tol)
-    cert = morphism_certificate(F, bad) if bad is not None else _certificate_for(F)
+    cert = morphism_certificate(F, bad)
     if p.k != F.k:
         raise DomainError("dimension mismatch")
     if place in ("arch", "inf", "infinity"):
@@ -409,7 +408,7 @@ def canonical_height(F: MorphismPk, p: PkPoint, tol: float = 1e-6,
     """Canonical height of a rational point as a certified sum of local
     Green's functions over the archimedean place and the bad primes."""
     _check_tol(tol)
-    cert = morphism_certificate(F, bad) if bad is not None else _certificate_for(F)
+    cert = morphism_certificate(F, bad)
     places = [("arch", None)] + [(str(q), q) for q in cert.bad]
     share = tol / len(places)
     contributions = []

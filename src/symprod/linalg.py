@@ -367,7 +367,10 @@ def solve_int_system(system, rhs):
     system inconsistent.  Each touched block is tested against its left
     null space mod p, then Dixon-lifted (_Block.lift).  When some block
     needs exact elimination, every touched block is eliminated exactly.
-    Returns a Fraction list or None (inconsistent).
+    Returns a Fraction list, or None when the system is inconsistent mod
+    p = _DIXON_PRIME = 2^20 + 7.  That implies inconsistency over Q only
+    when p divides no minor of the block: a consistent system whose every
+    solution has p in a denominator, such as [[p]] x = [1], also gives None.
 
     The answer is the one a single elimination of all of A gives.  Column
     order pivoting keeps the greedy column basis, mod p and over Q; the

@@ -49,10 +49,6 @@ class MPoly:
         exp[i] = 1
         return MPoly(nvars, {tuple(exp): Fraction(1)})
 
-    @staticmethod
-    def monomial(nvars: int, exp, c=1) -> "MPoly":
-        return MPoly(nvars, {tuple(exp): Fraction(c)})
-
     # -- structure -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -232,9 +228,6 @@ class MPoly:
         num = math.gcd(*(abs(c.numerator) for c in self.terms.values()))
         return num, den
 
-    def has_integer_coeffs(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
-
     # -- text -------------------------------------------------------------------
 
     def to_text(self, names=None) -> str:
@@ -260,12 +253,6 @@ class MPoly:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-    @staticmethod
-    def from_text(text: str, names) -> "MPoly":
-        from .parser import parse_mpoly
-
-        return parse_mpoly(text, names)
 
     def __repr__(self):
         return f"MPoly({self.to_text()})"

@@ -17,7 +17,7 @@ from .errors import DomainError, FieldMismatchError
 from .intfactor import is_prime
 from .linalg import det_bareiss
 from .polyfactor import factor_unipoly, frobenius_degrees
-from .unipoly import UniPoly
+from .unipoly import UniPoly, _conv, _field_gcd
 
 _field_cache: dict[tuple, "NumberField"] = {}
 
@@ -333,35 +333,6 @@ def minimal_polynomial(e: NFElem | Fraction | int) -> UniPoly:
 # ---------------------------------------------------------------------------
 
 
-def _kpoly_trim(cs):
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return cs
-
-
-def _kpoly_divmod(a, b, field):
-    inv = b[-1].inverse()
-    r = list(a)
-    q = [field.zero()] * max(0, len(a) - len(b) + 1)
-    for i in range(len(r) - 1, len(b) - 2, -1):
-        if not r[i].is_zero():
-            f = r[i] * inv
-            q[i - len(b) + 1] = f
-            for j, c in enumerate(b):
-                r[i - len(b) + 1 + j] = r[i - len(b) + 1 + j] - f * c
-    return _kpoly_trim(q), _kpoly_trim(r)
-
-
-def _kpoly_gcd(a, b, field):
-    a, b = _kpoly_trim(list(a)), _kpoly_trim(list(b))
-    while b:
-        a, b = b, _kpoly_divmod(a, b, field)[1]
-    if a:
-        inv = a[-1].inverse()
-        a = [c * inv for c in a]
-    return a
-
-
 def roots_in_number_field(poly: UniPoly, field: NumberField) -> list[NFElem]:
     """All roots of a Q-polynomial that lie in the given number field.
 
@@ -392,7 +363,7 @@ def roots_in_number_field(poly: UniPoly, field: NumberField) -> list[NFElem]:
         roots = []
         for h, _mult in facs:
             if h.degree == field.degree:
-                g = _kpoly_gcd(pk, _shift_into_field(h, s, alpha), field)
+                g = _field_gcd(pk, _shift_into_field(h, s, alpha))
                 if len(g) == 2:  # monic linear factor x + g0
                     roots.append(-g[0])
         roots.sort(key=lambda r: r.coords)
@@ -401,21 +372,13 @@ def roots_in_number_field(poly: UniPoly, field: NumberField) -> list[NFElem]:
 
 
 def _shift_into_field(h: UniPoly, s: int, alpha: NFElem):
-    """h(x + s*alpha) as a polynomial with NFElem coefficients."""
-    field = alpha.field
-    out = [field.zero()]
-    shift = s * alpha
-    for c in reversed(h.coeffs):
-        # out = out * (x + shift) + c
-        new = [field.zero()] * (len(out) + 1)
-        for i, a in enumerate(out):
-            new[i + 1] = new[i + 1] + a
-            new[i] = new[i] + a * shift
-        new[0] = new[0] + field.from_rational(c)
-        out = _kpoly_trim(new)
-        if not out:
-            out = [field.zero()]
-    return _kpoly_trim(out)
+    """h(x + s*alpha) as a list of NFElem coefficients, by Horner."""
+    lin = [s * alpha, 1]
+    out = [alpha.field.from_rational(h.lead)]
+    for c in reversed(h.coeffs[:-1]):
+        out = _conv(out, lin)
+        out[0] += c
+    return out
 
 
 def same_field(a: NumberField, b: NumberField) -> bool:

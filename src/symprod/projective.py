@@ -113,13 +113,6 @@ class BinaryForm:
     def __hash__(self):
         return hash(("binform", self.coeffs))
 
-    def __mul__(self, other: "BinaryForm") -> "BinaryForm":
-        return BinaryForm(_conv(self.coeffs, other.coeffs))
-
-    def eval(self, x, y):
-        n = self.degree
-        return sum(c * x ** (n - j) * y ** j for j, c in enumerate(self.coeffs))
-
     def to_text(self, x="X", y="Y") -> str:
         n = self.degree
         poly = MPoly(2, {(n - j, j): Fraction(c)
@@ -247,9 +240,6 @@ class AlgebraicPoint:
             raise DomainError("the point at infinity has no affine minimal polynomial")
         return minimal_polynomial(self.value)
 
-    def degree(self) -> int:
-        return 1 if self.infinity else self.minimal_polynomial().degree
-
     def __eq__(self, other):
         if not isinstance(other, AlgebraicPoint):
             return NotImplemented
@@ -352,11 +342,6 @@ class RationalMap1:
 
     def flip_den(self) -> UniPoly:
         return UniPoly(self.den)
-
-    def is_polynomial(self) -> bool:
-        """True when the denominator is a constant times t^d (infinity is
-        totally invariant)."""
-        return all(c == 0 for c in self.den[:-1])
 
     def eval_pair(self, z, t):
         """Exact evaluation of the lift at a coordinate pair (any ring)."""

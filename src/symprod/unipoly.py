@@ -7,7 +7,8 @@ The gcd works on integer coefficient lists (low to high): `_conv` multiplies
 them, `_int_divide` divides exactly over Z, and `_int_gcd` is the primitive
 polynomial remainder sequence.  By Gauss's lemma a primitive divisor of an
 integer polynomial leaves an integer quotient, so the factoring code in
-`polyfactor` never needs fractions.
+`polyfactor` never needs fractions.  Over a field, Q or a number field,
+`_field_divmod` is the long division and `_field_gcd` the monic Euclid.
 """
 
 from __future__ import annotations
@@ -55,16 +56,8 @@ class UniPoly:
         return UniPoly((1,))
 
     @staticmethod
-    def x() -> "UniPoly":
-        return UniPoly((0, 1))
-
-    @staticmethod
     def constant(c) -> "UniPoly":
         return UniPoly((c,))
-
-    @staticmethod
-    def monomial(c, n: int) -> "UniPoly":
-        return UniPoly((0,) * n + (c,))
 
     @staticmethod
     def from_int_list(cs) -> "UniPoly":
@@ -152,26 +145,14 @@ class UniPoly:
         """Exact polynomial division with remainder over Q."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        dlead = other.lead
-        dn = other.degree
-        for i in range(len(rem) - 1, dn - 1, -1):
-            if rem[i]:
-                f = rem[i] / dlead
-                q[i - dn] = f
-                for j, b in enumerate(other.coeffs):
-                    rem[i - dn + j] -= f * b
-        return UniPoly(tuple(q)), UniPoly(tuple(rem))
+        q, r = _field_divmod(self.coeffs, other.coeffs)
+        return UniPoly(q), UniPoly(r)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
 
     def __mod__(self, other):
         return self.divmod(other)[1]
-
-    def divides(self, other: "UniPoly") -> bool:
-        return (other % self).is_zero()
 
     # -- calculus & evaluation ---------------------------------------------
 
@@ -214,10 +195,6 @@ class UniPoly:
         den = math.lcm(*(c.denominator for c in self.coeffs))
         return _primitive([c.numerator * (den // c.denominator)
                            for c in self.coeffs])
-
-    def reverse(self) -> "UniPoly":
-        """x^deg * p(1/x); trailing zero coefficients are dropped."""
-        return UniPoly(tuple(reversed(self.coeffs)))
 
     # -- gcd / resultant ----------------------------------------------------
 
@@ -272,7 +249,8 @@ def _trim(a):
 
 
 def _conv(a, b):
-    """Product of two integer coefficient lists (length len(a) + len(b) - 1)."""
+    """Product of two coefficient lists (length len(a) + len(b) - 1) over Z,
+    or over any ring whose elements add to int 0, such as a number field."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -295,6 +273,33 @@ def _int_divide(a, b):
             for j, bj in enumerate(b):
                 r[i + j] -= c * bj
     return None if any(r[:len(b) - 1]) else q
+
+
+def _field_divmod(a, b):
+    """Quotient and remainder, trimmed, of coefficient lists over a field
+    (Fraction or NFElem entries; b trimmed and nonzero).  The lead of b is
+    inverted once; quotient terms that vanish stay int 0."""
+    inv = 1 / b[-1]
+    shift = len(b) - 1
+    q = [0] * max(0, len(a) - shift)
+    r = list(a)
+    for i in range(len(r) - 1, shift - 1, -1):
+        if r[i] != 0:
+            f = q[i - shift] = r[i] * inv
+            for j, c in enumerate(b):
+                r[i - shift + j] -= f * c
+    return _trim(q), _trim(r)
+
+
+def _field_gcd(a, b):
+    """Monic gcd of two coefficient lists over a field ([] if both are 0)."""
+    a, b = _trim(list(a)), _trim(list(b))
+    while b:
+        a, b = b, _field_divmod(a, b)[1]
+    if not a:
+        return a
+    inv = 1 / a[-1]
+    return [c * inv for c in a]
 
 
 def _primitive(a):

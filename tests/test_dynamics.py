@@ -178,6 +178,50 @@ def test_exponent_bound():
         exponent_bound(3, 0)
 
 
+def _sign_plus_sqrt5(a: int, b: int) -> int:
+    """Sign of a + b*sqrt(5), exactly."""
+    if a == 0 and b == 0:
+        return 0
+    if a >= 0 and b >= 0:
+        return 1
+    if a <= 0 and b <= 0:
+        return -1
+    s = a * a - 5 * b * b
+    if a > 0:
+        return 1 if s > 0 else -1
+    return -1 if s > 0 else 1
+
+
+def _exponent_bound_2_oracle(v: int) -> int:
+    """floor(1 + log_phi(x_v)), x_v = (sqrt5 v + sqrt(5 v^2 + 4))/2, by
+    testing phi^(s+1) <= x_v as signs in Z[sqrt5], with
+    phi^s = (L_s + F_s sqrt5)/2 (Lucas and Fibonacci numbers)."""
+    target = 5 * v * v + 4  # R^2 with R = sqrt(5 v^2 + 4)
+    s = 0
+    L, Fib = 2, 0  # Lucas and Fibonacci at index 0
+    Ln, Fn = 1, 1  # index 1
+    while True:
+        # phi^(s+1) <= x_v  <=>  Ln + (Fn - v) sqrt5 <= R
+        D = Fn - v
+        if _sign_plus_sqrt5(Ln, D) > 0 and _sign_plus_sqrt5(
+                Ln * Ln + 5 * D * D - target, 2 * Ln * D) > 0:
+            return 1 + s
+        s += 1
+        L, Ln = Ln, L + Ln
+        Fib, Fn = Fn, Fib + Fn
+
+
+def test_exponent_bound_2_matches_the_sqrt5_oracle():
+    for v in range(1, 10 ** 4 + 1):
+        assert exponent_bound(2, v) == _exponent_bound_2_oracle(v), v
+
+
+@given(st.integers(1, 10 ** 60 - 1))
+@settings(max_examples=200, deadline=None)
+def test_exponent_bound_2_matches_the_sqrt5_oracle_large(v):
+    assert exponent_bound(2, v) == _exponent_bound_2_oracle(v)
+
+
 def test_period_bound_example():
     assert period_bound(PeriodBoundInput(Np=3, k=2, p=3, vp=1)) == 234
     with pytest.raises(DomainError):

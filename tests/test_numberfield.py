@@ -11,7 +11,8 @@ from symprod import (DomainError, FieldMismatchError, NumberField, UniPoly,
                      same_field)
 from symprod import numberfield
 from symprod.polyfactor import is_irreducible
-from symprod.unipoly import sylvester_resultant
+from symprod.unipoly import (_conv, _field_divmod, _field_gcd, _trim,
+                             sylvester_resultant)
 
 F = Fraction
 
@@ -236,3 +237,49 @@ def test_minimal_polynomial_vanishes_is_irreducible_and_divides_degree(e):
     assert me(e).is_zero()
     assert is_irreducible(me)
     assert e.field.degree % me.degree == 0
+
+
+# ---------------------------------------------------------------------------
+# the shared Euclid over Q and over number fields
+# ---------------------------------------------------------------------------
+
+
+def _coefficient_lists(field):
+    """Coefficient lists of length <= 4 over Q (field None) or the field."""
+    rat = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    entry = rat if field is None else st.tuples(
+        *([rat] * field.degree)).map(field.element)
+    return st.lists(entry, max_size=4)
+
+
+def _list_add(a, b):
+    n = max(len(a), len(b))
+    return [x + y for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))]
+
+
+@given(st.sampled_from([None, CUBIC, ZETA5]).flatmap(
+    lambda K: st.tuples(*([_coefficient_lists(K)] * 3))))
+@settings(max_examples=60, deadline=None)
+def test_field_divmod_and_gcd(lists):
+    a0, b0, c = (_trim(list(x)) for x in lists)
+    a = _conv(a0, c) if a0 and c else []  # c divides a and b
+    b = _conv(b0, c) if b0 and c else []
+    if b:
+        q, r = _field_divmod(a, b)
+        assert len(r) < len(b)
+        assert _trim(_list_add(_conv(q, b) if q else [], r)) == a
+    g = _field_gcd(a, b)
+    if not (a or b):
+        assert g == []
+        return
+    assert g[-1] == 1
+    assert _field_divmod(a, g)[1] == [] and _field_divmod(b, g)[1] == []
+    if c:
+        assert _field_divmod(g, c)[1] == []
+
+
+@given(st.one_of(coords4.map(ZETA5.element), coords3.map(CUBIC.element)))
+@settings(max_examples=40, deadline=None)
+def test_inverse_property(e):
+    if not e.is_zero():
+        assert e * e.inverse() == 1

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 
-from . import fixtures as fixtures_mod
 from .dynamics import (DEFAULT_BUDGET, PeriodBoundInput, default_n_max,
                        period_bound, preperiodic_graph,
                        rational_periodic_points)
@@ -158,7 +157,8 @@ def _cmd_pcf(args):
 
 
 def _cmd_fixtures(args):
-    results = fixtures_mod.run_fixtures()
+    from .fixtures import run_fixtures
+    results = run_fixtures()
     lines = []
     ok = True
     for r in results:

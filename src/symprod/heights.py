@@ -21,9 +21,6 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import add
 
-import mpmath
-import numpy as np
-
 from .errors import CertificateError, DomainError
 from .gf import degenerates_mod_p
 from .intfactor import prime_divisors
@@ -32,7 +29,9 @@ from .mpoly import MPoly
 from .projective import MorphismPk, PkPoint, RationalMap1, morphism_of_map
 from .symmetric import eta_tilde, symmetrize
 
-# mpmath's working precision is process-global; callers may use threads.
+# mpmath is imported inside the functions that take logs or iterate Green
+# functions, so that only a height loads it.  Its working precision is
+# process-global; callers may use threads.
 _mp_lock = threading.Lock()
 
 
@@ -48,6 +47,7 @@ def naive_height(p: PkPoint) -> float:
 
 
 def _log_int(n: int) -> float:
+    import mpmath
     return float(mpmath.log(n)) if n > 1 else 0.0
 
 
@@ -172,6 +172,7 @@ def _macaulay_matrix(fterms, gmons, rows_mons, M):
     M + 1 integers, so a product of monomials encodes as the sum of their
     codes, and rows are found by searchsorted.  The array is int64 when
     every coefficient fits, else it holds Python integers."""
+    import numpy as np
     nvars = len(rows_mons[0])
     base = M + 1
     code_type = np.int64 if base ** nvars < 2 ** 63 else object
@@ -206,6 +207,7 @@ def _certificate_identity_holds(fterms, polys, target, den) -> bool:
 
 def _summarize_certificate(F: MorphismPk, search, bad) -> HeightCertificate:
     """The certificate's constants for one set of bad primes."""
+    import mpmath
     exps, mults, gnorms = search
     d = F.d
     U = max(sum(abs(int(c)) for c in comp.terms.values()) for comp in F.components)
@@ -230,12 +232,11 @@ def _summarize_certificate(F: MorphismPk, search, bad) -> HeightCertificate:
 
 
 def _ceil_log(n: int) -> float:
-    if n <= 1:
-        return 0.0
-    return float(mpmath.log(n)) + 1e-12
+    return _log_int(n) + 1e-12 if n > 1 else 0.0
 
 
 def _ceil_log_fraction(x: Fraction) -> float:
+    import mpmath
     if x <= 1:
         return 0.0
     return float(mpmath.log(x.numerator) - mpmath.log(x.denominator)) + 1e-12
@@ -330,6 +331,7 @@ def green_local(F: MorphismPk, p: PkPoint, place, tol: float = 1e-6,
 
 
 def _green_arch(F: MorphismPk, p: PkPoint, tol, prec, cert):
+    import mpmath
     d = F.d
     C = cert.green_constant()
     N = max(1, int(mpmath.ceil(mpmath.log(C / (tol * (d - 1))) / mpmath.log(d))) + 1)
@@ -354,6 +356,7 @@ def _green_arch(F: MorphismPk, p: PkPoint, tol, prec, cert):
 
 
 def _eval_mp(comp: MPoly, vals):
+    import mpmath
     total = mpmath.mpf(0)
     for e, c in comp.terms.items():
         term = mpmath.mpf(c.numerator)
@@ -365,6 +368,7 @@ def _eval_mp(comp: MPoly, vals):
 
 
 def _green_finite(F: MorphismPk, p: PkPoint, q: int, tol, cert):
+    import mpmath
     d = F.d
     A = cert.valuation_caps.get(q, 0)
     if A == 0:

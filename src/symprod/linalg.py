@@ -36,8 +36,6 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from .unipoly import UniPoly
 
 _DIXON_PRIME = 2 ** 20 + 7  # products of two reduced entries stay well inside int64
@@ -134,7 +132,8 @@ def mat_mul(A, B):
 
 # ---------------------------------------------------------------------------
 # Large sparse integer systems: connected blocks, one modular elimination
-# per block, Dixon lifting
+# per block, Dixon lifting.  numpy is imported inside the functions that use
+# it, so that only a certificate search loads it.
 # ---------------------------------------------------------------------------
 
 
@@ -162,6 +161,7 @@ class IntSystem:
         A is int64 when its row |A|-sums, summed exactly over the nonzero
         entries, are below 2^63, so that no sum over part of a row overflows
         (see _Block._pivot_block); otherwise it holds Python integers."""
+        import numpy as np
         A = self.rows if isinstance(self.rows, np.ndarray) else \
             np.array(self.rows, dtype=object)
         m, n = A.shape
@@ -179,6 +179,7 @@ class IntSystem:
     def _block(self, label):
         blk = self._blocks.get(label)
         if blk is None:
+            import numpy as np
             A, row_label, col_label = self._split
             rows = np.flatnonzero(row_label == label)
             cols = np.flatnonzero(col_label == label)
@@ -190,6 +191,7 @@ def _row_components(m, n, rr, cc):
     """A label per row, equal for rows joined by a chain of shared columns
     of the nonzero entries (rr[t], cc[t]): min-label propagation through
     the columns with pointer jumping, so no zero entry is ever visited."""
+    import numpy as np
     label = np.arange(m)
     while True:
         col_min = np.full(n, m)
@@ -231,6 +233,7 @@ class _Block:
         pivot, so after at most min(m, n) pivots (2000 for a certificate
         block) it stays below min(m, n) * p^2 < 2^52 in absolute value, and
         one reduction at the end gives the step-by-step reduced matrix."""
+        import numpy as np
         p = _DIXON_PRIME
         A = self.A
         m, n = A.shape
@@ -273,6 +276,7 @@ class _Block:
         _DIXON_INT64_BOUND, else Python integers (see lift).  The sums do
         not overflow: A is int64 only when its full row sums fit (see
         IntSystem._split)."""
+        import numpy as np
         piv_rows, piv_cols, _null, _inv = self._echelon
         Asub = self.A[np.ix_(piv_rows, piv_cols)]
         if np.abs(Asub).sum(axis=1).max() < _DIXON_INT64_BOUND:
@@ -280,6 +284,7 @@ class _Block:
         return Asub.astype(object)
 
     def consistent_mod_p(self, b):
+        import numpy as np
         p = _DIXON_PRIME
         bmod = np.array([c % p for c in b], dtype=np.int64)
         return not np.any((self._echelon[2] @ bmod) % p)
@@ -296,6 +301,7 @@ class _Block:
         With row |A|-sums and |b| below 2^40 the residual stays below 2^41
         and |A x| below 2^40 * p < 2^61, so steps run in int64; otherwise
         they run on Python integers (an object pivot block makes A x one)."""
+        import numpy as np
         sub_rows, sub_cols, _null, inv = self._echelon
         if not sub_cols:
             return None  # every entry is a multiple of p
@@ -408,6 +414,7 @@ def _verify_solution(A, rhs, x):
     """A x = b exactly, for an int64 or object array A of integers: with x
     scaled by the lcm of its denominators, only the nonzero columns take
     part, and the product is taken on Python integers."""
+    import numpy as np
     cols = [j for j, xj in enumerate(x) if xj]
     if not cols:
         return all(b == 0 for b in rhs)

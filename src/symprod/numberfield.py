@@ -17,7 +17,7 @@ from .errors import DomainError, FieldMismatchError
 from .intfactor import is_prime
 from .linalg import det_bareiss
 from .polyfactor import factor_unipoly, frobenius_degrees
-from .unipoly import UniPoly, _conv, _field_gcd
+from .unipoly import UniPoly, _field_gcd
 
 _field_cache: dict[tuple, "NumberField"] = {}
 
@@ -238,7 +238,7 @@ class NFElem:
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        return self.inverse() if other == 1 else self.inverse() * other
 
     def __pow__(self, n: int):
         if n < 0:
@@ -372,12 +372,12 @@ def roots_in_number_field(poly: UniPoly, field: NumberField) -> list[NFElem]:
 
 
 def _shift_into_field(h: UniPoly, s: int, alpha: NFElem):
-    """h(x + s*alpha) as a list of NFElem coefficients, by Horner."""
-    lin = [s * alpha, 1]
+    """h(x + s*alpha) as a list of NFElem coefficients, by Horner: a step
+    multiplies by x + s*alpha, so entry i becomes out[i-1] + s*alpha*out[i]."""
+    sa = s * alpha
     out = [alpha.field.from_rational(h.lead)]
     for c in reversed(h.coeffs[:-1]):
-        out = _conv(out, lin)
-        out[0] += c
+        out = [sa * out[0] + c] + [a + sa * b for a, b in zip(out, out[1:])] + [out[-1]]
     return out
 
 

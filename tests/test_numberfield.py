@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symprod import (DomainError, FieldMismatchError, NumberField, UniPoly,
@@ -283,3 +283,28 @@ def test_field_divmod_and_gcd(lists):
 def test_inverse_property(e):
     if not e.is_zero():
         assert e * e.inverse() == 1
+        assert 1 / e == e.inverse() and 2 / e == e.inverse() * 2
+
+
+def _shift_by_conv(h, s, alpha):
+    """h(x + s*alpha) by Horner through _conv with the linear factor
+    [s*alpha, 1]: the reference for numberfield._shift_into_field."""
+    lin = [s * alpha, 1]
+    out = [alpha.field.from_rational(h.lead)]
+    for c in reversed(h.coeffs[:-1]):
+        out = _conv(out, lin)
+        out[0] += c
+    return out
+
+
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+       st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4),
+                min_size=1, max_size=6).filter(lambda cs: cs[-1] != 0),
+       st.integers(-5, 5))
+@settings(max_examples=60, deadline=None)
+def test_shift_into_field_matches_horner_through_conv(m, h, s):
+    m = UniPoly(tuple(m) + (1,))
+    assume(is_irreducible(m))
+    alpha = NumberField(m).gen()
+    h = UniPoly(h)
+    assert numberfield._shift_into_field(h, s, alpha) == _shift_by_conv(h, s, alpha)

@@ -9,7 +9,6 @@ import sys
 import time
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 import symprod
@@ -180,6 +179,7 @@ def test_cli_preperiodic_json_stable(capsys):
 def _conjugates_in_own_field(minpoly_text):
     """How many roots of the minimal polynomial are polynomials in one root
     a with rational coefficients: PSLQ on 600-bit roots, no field code."""
+    import mpmath  # here, so that the child of _cold_start starts without it
     coeffs = parse_mpoly(minpoly_text, ["x"]).terms
     n = max(e for (e,) in coeffs)
     with mpmath.workprec(600):
@@ -406,6 +406,23 @@ def _preperiodic_k5():
     assert len(json.loads(out.getvalue())["nodes"]) == 2725
 
 
+def _cold_start():
+    # the exact commands search no certificate and compute no height, so
+    # they load neither numpy nor mpmath
+    for argv in (["preperiodic", "--map", "x^2 - 29/16", "--k", "3",
+                  "--n-max", "3", "--json"],
+                 ["bad-primes", "--map", "x^2 - 29/16"],
+                 ["symmetrize", "--map", "x^2 - 29/16", "--k", "3"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules and "mpmath" not in sys.modules
+    f = parse_map("x^2 - 29/16").map
+    symprod.morphism_certificate(symprod.symmetrize(f, 2))
+    assert "numpy" in sys.modules
+    symprod.canonical_height_nf(f, symprod.AlgebraicPoint.rational(3))
+    assert "mpmath" in sys.modules
+
+
 def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
@@ -440,6 +457,10 @@ def test_parse_degree_64_polynomial_map():
 
 def test_cli_preperiodic_k5_is_fast():
     _in_child(_preperiodic_k5, timeout=30)
+
+
+def test_cold_start_loads_numpy_and_mpmath_only_when_needed():
+    _in_child(_cold_start, timeout=30)
 
 
 _BAD_MAPS = ["", "x", "x^2 +", "x^^2", "(x^2", "[z^2, ]", "[z^2, t^3]",

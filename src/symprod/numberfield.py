@@ -4,9 +4,9 @@ Irreducibility of the defining polynomial is verified at construction and
 never trusted from the caller.  Elements are immutable coordinate vectors;
 inversion is by the extended Euclidean algorithm against the minimal
 polynomial.  The norm of a polynomial with coefficients in the field is one
-determinant over Q[x] (multiplication on the power basis); it gives the
-characteristic and minimal polynomials of an element and drives root
-finding inside a field.
+determinant over Q[x] (multiplication on the power basis); it drives root
+finding inside a field.  An element's minimal polynomial comes from the
+characteristic polynomial of its multiplication matrix over Q.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import DomainError, FieldMismatchError
 from .intfactor import is_prime
-from .linalg import det_bareiss
+from .linalg import charpoly, det_bareiss
 from .polyfactor import factor_unipoly, frobenius_degrees
 from .unipoly import UniPoly, _field_gcd
 
@@ -322,10 +322,18 @@ def _norm(coeffs) -> UniPoly:
 def minimal_polynomial(e: NFElem | Fraction | int) -> UniPoly:
     """Monic minimal polynomial over Q; its degree divides the field degree.
 
-    The characteristic polynomial N(x - e) is a power of it."""
+    The characteristic polynomial of multiplication by e on the power basis
+    1, a, ..., a^(n-1) (linalg.charpoly, by Hessenberg form) is a power of
+    it, so it is that charpoly's squarefree part: the charpoly itself
+    unless e lies in a proper subfield."""
     if isinstance(e, (int, Fraction)):
         return UniPoly((-Fraction(e), Fraction(1)))
-    return _norm([-e, e.field.one()]).squarefree_part()
+    alpha = e.field.gen()
+    rows = [e.coords]  # e a^r on the power basis: the transposed matrix
+    for _ in range(e.field.degree - 1):
+        e = e * alpha
+        rows.append(e.coords)
+    return charpoly(rows).squarefree_part()
 
 
 # ---------------------------------------------------------------------------

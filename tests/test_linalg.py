@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symprod import linalg
-from symprod.linalg import (IntSystem, charpoly, mat_mul, solve_fraction,
-                            solve_int_system)
+from symprod.linalg import (IntSystem, charpoly, det_bareiss, mat_mul,
+                            solve_fraction, solve_int_system)
+from symprod.unipoly import UniPoly
 
 P = linalg._DIXON_PRIME
 
@@ -158,31 +159,58 @@ def test_block_solution_that_fails_the_full_system_stops_lifting():
 
 def _echelon_reference(A):
     """Gauss-Jordan over [A | I] mod p, reducing every entry after every
-    pivot: (pivot rows, pivot columns, left null space, pivot-block
-    inverse), as _Block._echelon promises."""
+    pivot, with _Block's row rule: among the rows not pivoted on yet that
+    are nonzero in the pivot column, the one with the fewest nonzeros in A,
+    the lowest on ties.  Returns (pivot rows, pivot columns, left null
+    space, pivot-block inverse), as _Block._echelon promises."""
     m, n = A.shape
     M = np.concatenate([np.mod(A, P).astype(np.int64),
                         np.eye(m, dtype=np.int64)], axis=1)
+    free = list(range(m))
     piv_rows, piv_cols = [], []
-    row_order = list(range(m))
-    r = 0
     for c in range(n):
-        nz = np.nonzero(M[r:, c])[0]
-        if nz.size == 0:
+        cands = [i for i in free if M[i, c]]
+        if not cands:
             continue
-        i = r + int(nz[0])
-        M[[r, i]] = M[[i, r]]
-        row_order[r], row_order[i] = row_order[i], row_order[r]
-        M[r, c:] = (M[r, c:] * pow(int(M[r, c]), P - 2, P)) % P
+        r = min(cands, key=lambda i: np.count_nonzero(M[i, :n]))
+        M[r] = (M[r] * pow(int(M[r, c]), P - 2, P)) % P
         for i in range(m):
             if i != r and M[i, c]:
-                M[i, c:] = (M[i, c:] - M[i, c] * M[r, c:]) % P
-        piv_rows.append(row_order[r])
+                M[i] = (M[i] - M[i, c] * M[r]) % P
+        free.remove(r)
+        piv_rows.append(r)
         piv_cols.append(c)
-        r += 1
-        if r == m:
+        if not free:
             break
-    return piv_rows, piv_cols, M[r:, n:], M[:r, n + np.array(piv_rows, dtype=int)]
+    return (piv_rows, piv_cols, M[free, n:],
+            M[np.ix_(piv_rows, n + np.array(piv_rows, dtype=int))])
+
+
+def _rank_mod_p(B):
+    """Rank of an integer matrix mod p, by plain elimination."""
+    B = [[int(v) % P for v in row] for row in B]
+    rank = 0
+    for c in range(len(B[0]) if B else 0):
+        piv = next((i for i in range(rank, len(B)) if B[i][c]), None)
+        if piv is None:
+            continue
+        B[rank], B[piv] = B[piv], B[rank]
+        inv = pow(B[rank][c], P - 2, P)
+        for i in range(rank + 1, len(B)):
+            if B[i][c]:
+                f = B[i][c] * inv % P
+                B[i] = [(a - f * b) % P for a, b in zip(B[i], B[rank])]
+        rank += 1
+    return rank
+
+
+def _greedy_column_basis(A):
+    """Columns taken left to right when they raise the rank mod p."""
+    basis = []
+    for c in range(A.shape[1]):
+        if _rank_mod_p(A[:, basis + [c]].tolist()) > len(basis):
+            basis.append(c)
+    return basis
 
 
 # mostly zero; nonzero entries include negatives, multiples of p and
@@ -204,6 +232,17 @@ def test_delayed_reduction_echelon_matches_stepwise_reference(rows, dtype):
     assert got[0] == want[0] and got[1] == want[1]
     assert np.array_equal(got[2], want[2])
     assert np.array_equal(got[3], want[3])
+    # what solve_int_system relies on, whatever the row rule
+    piv_rows, piv_cols, null, inv = got
+    m, r = A.shape[0], len(piv_rows)
+    assert piv_cols == _greedy_column_basis(A)
+    Aint = A.astype(object)
+    assert not np.any(null.astype(object).dot(Aint) % P)
+    assert _rank_mod_p(null.tolist()) == m - r == null.shape[0]
+    if r:
+        block = Aint[np.ix_(piv_rows, piv_cols)]
+        assert np.array_equal(inv.astype(object).dot(block) % P,
+                              np.eye(r, dtype=int))
 
 
 def _only_block(system):
@@ -305,3 +344,31 @@ def test_charpoly_against_cayley_hamilton_trace_and_det(M):
         acc = mat_mul(acc, M)
         acc = [[acc[i][j] + c * eye[i][j] for j in range(n)] for i in range(n)]
     assert all(v == 0 for row in acc for v in row)
+
+
+def _charpoly_by_determinant(M):
+    """det(xI - M) as a Bareiss determinant over Q[x]."""
+    return det_bareiss([[UniPoly((-c, 1) if i == j else (-c,))
+                         for j, c in enumerate(row)]
+                        for i, row in enumerate(M)])
+
+
+@st.composite
+def sparse_rational_matrices(draw):
+    """n x n rational matrices, n <= 6, with many zeros, and some columns
+    zero below the subdiagonal, where the Hessenberg reduction finds no
+    pivot."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(Fraction(0)), rational)
+    M = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    for c in draw(st.sets(st.integers(0, n - 1))):
+        for i in range(c + 1, n):
+            M[i][c] = Fraction(0)
+    return M
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_rational_matrices())
+def test_hessenberg_charpoly_matches_the_determinant_over_q_x(M):
+    assert charpoly(M) == _charpoly_by_determinant(M)

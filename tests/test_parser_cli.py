@@ -371,6 +371,17 @@ def _refuse_huge_inputs():
         assert err.getvalue().startswith("error[E_BUDGET]")
 
 
+def _refuse_oversized_symmetric_product():
+    # F has up to 21 C(30, 10) = 6.3e8 terms; the determinant ran past 25 s
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(["symmetrize", "--map", "x^10", "--k", "20"])
+    assert time.perf_counter() - start < 2
+    assert rc == 1
+    assert err.getvalue().startswith("error[E_BUDGET]")
+
+
 def _refuse_huge_probable_prime():
     # 1477! + 1 is a 4042-digit factorial prime; its Miller-Rabin test would
     # take about 90 s, so bad-primes refuses it by the work budget
@@ -513,3 +524,4 @@ def test_cli_failures_are_always_coded(capsys):
         assert rc in (0, 1), argv
         if rc == 1:
             assert err.startswith("error[E_"), (argv, err)
+    _in_child(_refuse_oversized_symmetric_product)

@@ -13,6 +13,7 @@ from symprod import (AlgebraicPoint, DegenerateMapError, DomainError, MorphismPk
                      form_of_point, morphism_of_map, p1_point, parse_map,
                      point_of_form, symmetrize, verify_commutation)
 from symprod import symmetric
+from symprod.linalg import det_bareiss
 from symprod.parser import parse_mpoly
 from symprod.projective import BinaryForm, minpoly_of_factor
 
@@ -243,3 +244,64 @@ def test_eta_tilde_numeric_split_oracle():
 def test_minpoly_of_factor_sign_convention():
     g = BinaryForm((1, -1, 1, -1, 1))
     assert minpoly_of_factor(g) == UniPoly((1, 1, 1, 1, 1))
+
+
+def _sylvester_components(f, k):
+    """F's components from the Sylvester determinant with MPoly entries over
+    Q[x_0..x_k, Y], terms inserted by ascending reversed exponent: the
+    oracle for symmetrize's packed integer determinant."""
+    d = f.d
+    nv = k + 2
+    zero = MPoly.zero(nv)
+    y = MPoly.variable(nv, k + 1)
+    g = [MPoly.variable(nv, j) for j in range(k, -1, -1)]
+    h = [(-1) ** i * (y * f.den[d - i] + f.num[d - i]) for i in range(d, -1, -1)]
+    rows = ([[zero] * r + h + [zero] * (k - 1 - r) for r in range(k)]
+            + [[zero] * r + g + [zero] * (d - 1 - r) for r in range(d)])
+    res = det_bareiss(rows)
+    parts = [{} for _ in range(k + 1)]
+    for e, c in sorted(res.terms.items(), key=lambda ec: ec[0][::-1]):
+        parts[e[k + 1]][e[:k + 1]] = c
+    return MorphismPk([MPoly(k + 1, t) for t in parts], expected_degree=d).components
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+           st.lists(st.integers(-9, 9), min_size=d + 1, max_size=d + 1),
+           st.lists(st.integers(-9, 9), min_size=d + 1, max_size=d + 1))),
+       st.booleans(), st.integers(1, 5))
+@settings(max_examples=60, deadline=None)
+def test_packed_determinant_matches_the_mpoly_determinant(coeffs, polynomial, k):
+    """Equal components with equal term insertion order: the Green
+    iteration sums F's terms in that order."""
+    num, den = coeffs
+    d = len(num) - 1
+    if polynomial:
+        den = [0] * d + [den[-1] or 1]
+    try:
+        f = RationalMap1(num, den)
+    except (DegenerateMapError, DomainError):
+        return
+    symmetric._symmetrize_cache.clear()
+    got = symmetrize(f, k).components
+    want = _sylvester_components(f, k)
+    assert [list(c.terms.items()) for c in got] == \
+        [list(c.terms.items()) for c in want]
+
+
+def test_packed_division_refuses_a_remainder():
+    guard = 0b100100  # two 3-bit slots, value bits 2
+    x = symmetric._Packed({0b000001: 1}, guard)
+    one = symmetric._Packed({0: 1}, guard)
+    xy = symmetric._Packed({0b001001: 3}, guard)
+    assert (xy // x).terms == {0b001000: 3}
+    with pytest.raises(DomainError):
+        x // xy  # a negative exponent
+    with pytest.raises(DomainError):
+        (xy - one) // x
+    with pytest.raises(DomainError):
+        xy // symmetric._Packed({0: 2}, guard)  # 3 / 2
+    x2_plus_1 = symmetric._Packed({0b000010: 1, 0: 1}, guard)
+    x_minus_1 = x - one
+    assert ((x2_plus_1 * x_minus_1) // x_minus_1).terms == x2_plus_1.terms
+    with pytest.raises(DomainError):
+        x2_plus_1 // x_minus_1  # x^2 + 1 = (x + 1)(x - 1) + 2

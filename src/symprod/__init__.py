@@ -35,7 +35,7 @@ from .heights import (BadPrimeSet, HeightValue, bad_primes, bad_primes_sym,
                       naive_height, preperiodicity_bound)
 from .spectra import (MultiplierReport, PCFCertificate, critical_points,
                       is_pcf, is_strongly_pcf_symmetric, multiplier_F,
-                      multiplier_f, multiplier_matrix)
+                      multiplier_f)
 from .parser import MapExpression, parse_map, parse_point
 
 __version__ = "0.1.0"
@@ -55,7 +55,7 @@ __all__ = [
     "form_of_point", "green_local", "height_comparison_constant",
     "is_irreducible", "is_pcf", "is_prime", "is_strongly_pcf_symmetric",
     "minimal_polynomial", "morphism_certificate", "morphism_of_map",
-    "multiplier_F", "multiplier_f", "multiplier_matrix", "naive_height",
+    "multiplier_F", "multiplier_f", "naive_height",
     "nf_arith", "orbit_classify", "p1_point", "parse_map", "parse_point",
     "period_bound", "periods_mod_p", "point_of_form", "preperiodic_graph",
     "preperiodicity_bound", "prime_divisors", "rational_periodic_points",

@@ -124,12 +124,12 @@ def _cmd_multipliers(args):
         default_n_max(f, args.k, budget=args.budget)
     pts = rational_periodic_points(f, args.k, n_max, budget=args.budget)
     reports = [multiplier_F(f, args.k, p, per) for p, per in pts]
-    lines = []
-    for rep in reports:
-        lines.append(f"point {rep.point} period {rep.period}: "
-                     f"charpoly = {rep.charpoly_factored()}")
+    data = [rep.to_json() for rep in reports]  # factors each charpoly once
+    lines = [f"point {rep.point} period {rep.period}: "
+             f"charpoly = {d['charpoly_factored']}"
+             for rep, d in zip(reports, data)]
     payload = {"schema_version": "1", "map": args.map, "k": args.k,
-               "multipliers": [rep.to_json() for rep in reports]}
+               "multipliers": data}
     _emit(args, payload, "\n".join(lines) if lines else "no periodic points found")
     return 0
 

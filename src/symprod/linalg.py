@@ -170,12 +170,6 @@ def charpoly(matrix) -> UniPoly:
     return UniPoly(polys[n])
 
 
-def mat_mul(A, B):
-    n, m, p = len(A), len(B), len(B[0])
-    return [[sum(A[i][t] * B[t][j] for t in range(m)) for j in range(p)]
-            for i in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # Large sparse integer systems: connected blocks, one modular elimination
 # per block, Dixon lifting.  numpy is imported inside the functions that use

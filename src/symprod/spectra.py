@@ -1,24 +1,25 @@
 """Multiplier spectra and postcritical-finiteness certificates.
 
 Multipliers of cycles are computed by the chain rule in affine charts (with
-the coordinate flip when a cycle passes through infinity); the multiplier
-matrix of a symmetric-product cycle is the product of exact per-step
-Jacobians of the dehomogenized map, never a symbolic expansion of F^n.
+the coordinate flip when a cycle passes through infinity).  The spectrum of
+a symmetric-product cycle is derived from the multipliers of the base
+points it is made of, never from F itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, prod
 
 from .errors import DomainError
-from .linalg import charpoly, mat_mul
+from .numberfield import minimal_polynomial
 from .polyfactor import factor_unipoly
-from .projective import (AlgebraicPoint, MorphismPk, PkPoint, RationalMap1,
-                         zero_form_to_point_form)
-from .symmetric import conjugate_points, decompose_form, symmetrize
+from .projective import (AlgebraicPoint, BinaryForm, PkPoint, RationalMap1,
+                         point_of_factors, zero_form_to_point_form)
+from .symmetric import conjugate_points, decompose_form, eta_tilde
 from .unipoly import UniPoly
-from .dynamics import _return_time, orbit_classify
+from .dynamics import orbit_classify
 
 
 def _chart(pt: AlgebraicPoint) -> int:
@@ -63,11 +64,7 @@ def multiplier_f(f: RationalMap1, point, n: int):
         orbit.append(f.apply_algebraic(orbit[-1]))
     if orbit[n] != point:
         raise DomainError(f"point is not periodic of period {n}")
-    lam = None
-    for i in range(n):
-        d = _local_derivative(f, orbit[i], orbit[i + 1])
-        lam = d if lam is None else lam * d
-    return lam
+    return prod(_local_derivative(f, a, b) for a, b in zip(orbit, orbit[1:]))
 
 
 @dataclass(frozen=True)
@@ -75,7 +72,6 @@ class MultiplierReport:
     point: PkPoint
     period: int
     base_multipliers: tuple   # (AlgebraicPoint, base period, multiplier)
-    matrix: tuple             # k x k of Fraction
     charpoly: UniPoly
 
     def charpoly_factored(self) -> str:
@@ -90,87 +86,90 @@ class MultiplierReport:
 
     def to_json(self) -> dict:
         return {
-            "schema_version": "1",
+            "schema_version": "2",
             "point": [str(c) for c in self.point.coords],
             "period": self.period,
             "base_multipliers": [
                 {"point": pt.to_text("w"), "period": per,
                  "multiplier": lam.to_text("w") if hasattr(lam, "to_text") else str(lam)}
                 for pt, per, lam in self.base_multipliers],
-            "matrix": [[str(c) for c in row] for row in self.matrix],
             "charpoly": self.charpoly.to_text(),
             "charpoly_factored": self.charpoly_factored(),
         }
 
 
-def _pk_chart(p: PkPoint) -> int:
-    """Canonical chart: the last nonvanishing coordinate."""
-    coords = p.coords
-    for i in range(len(coords) - 1, -1, -1):
-        if coords[i]:
-            return i
-    raise DomainError("zero point")
+def _exact_root(a: UniPoly, l: int) -> UniPoly:
+    """The monic B with B^l == a, or DomainError if a has no such root.
 
-
-def _jacobian_step(F: MorphismPk, p: PkPoint, q: PkPoint):
-    """Exact Jacobian of the dehomogenized map at p, rows indexed by the
-    chart at q, columns by the chart at p."""
-    k = F.k
-    m = _pk_chart(p)
-    mp = _pk_chart(q)
-    x = [Fraction(c, p.coords[m]) for c in p.coords]
-    fvals = [comp.eval(x) for comp in F.components]
-    dvals = [[comp.derivative(j).eval(x) for j in range(k + 1)]
-             for comp in F.components]
-    denom = fvals[mp]
-    if denom == 0:
-        raise DomainError("chart denominator vanished")
-    rows = []
-    for i in range(k + 1):
-        if i == mp:
-            continue
-        row = []
-        for j in range(k + 1):
-            if j == m:
-                continue
-            row.append((dvals[i][j] * denom - fvals[i] * dvals[mp][j])
-                       / (denom * denom))
-        rows.append(row)
-    return rows
-
-
-def multiplier_matrix(F: MorphismPk, p: PkPoint, n: int):
-    """Product of per-step Jacobians along the length-n cycle of p."""
-    orbit = [p]
-    for _ in range(n):
-        orbit.append(F.apply(orbit[-1]))
-    if orbit[n] != p:
-        raise DomainError(f"point is not periodic of period {n}")
-    total = None
-    for i in range(n):
-        J = _jacobian_step(F, orbit[i], orbit[i + 1])
-        total = J if total is None else mat_mul(J, total)
-    return total
+    On reversed coefficients a monic a is a power series with constant term
+    1, and b = a^(1/l) satisfies n b_n = sum_(j=1..n) ((1/l + 1) j - n)
+    a_j b_(n-j) (Knuth, TAOCP vol. 2, 4.7); B is b cut at degree deg(a)/l,
+    reversed, and checked."""
+    rev = a.coeffs[::-1]
+    b = [Fraction(1)]
+    for n in range(1, a.degree // l + 1):
+        s = sum(((l + 1) * j - l * n) * rev[j] * b[n - j]
+                for j in range(1, n + 1))
+        b.append(s / (l * n))
+    root = UniPoly(b[::-1])
+    if root ** l != a:
+        raise DomainError(f"polynomial is not an exact {l}-th power")
+    return root
 
 
 def multiplier_F(f: RationalMap1, k: int, p: PkPoint, n: int) -> MultiplierReport:
-    """Multiplier data of a periodic point of the k-symmetric product:
-    the exact k x k matrix, its characteristic polynomial, and the multipliers
-    of the base points in the conjugate decomposition."""
-    F = symmetrize(f, k)
-    M = multiplier_matrix(F, p, n)
-    cp = charpoly(M)
+    """Multiplier data of a point P of the k-symmetric product with
+    F^n(P) = P: the characteristic polynomial of DF^n at P, and the
+    multipliers of the base points in the conjugate decomposition.
+
+    All of it comes from f.  A base point of P with period r and multiplier
+    lam lies on an f^n-cycle of length l = r / gcd(r, n) with multiplier
+    mu = lam^(n / gcd(r, n)); held e times in P (Sym^e in local
+    coordinates), that cycle gives DF^n the factor prod_(j<=e) (x^l - mu^j).
+    Over a Galois orbit of D points, prod_s (x^l - s(mu^j)) is chi(x^l) with
+    chi = minpoly(mu^j)^(D / deg).  The product over all points counts each
+    f^n-cycle once for each of its l points: grouped by l, it is an exact
+    l-th power."""
+    if n < 1:
+        raise DomainError("period must be at least 1")
+    if p.k != k:
+        raise DomainError(f"expected a point of P^{k}, got one of P^{p.k}")
+    entries = conjugate_points(p)
+    orbits, image = [], []
+    for field, pt, mult in entries:
+        orbit = [pt]
+        for _ in range(n):
+            orbit.append(f.apply_algebraic(orbit[-1]))
+        orbits.append(orbit)
+        # f^n of pt's conjugates (a power of an irreducible form if f^n
+        # lowers the degree: only the comparison below reads it)
+        deg = field.degree if field else 1
+        image.append((BinaryForm(eta_tilde(orbit[n], deg * mult).coords), 1))
+    if point_of_factors(image) != p:
+        raise DomainError(f"point is not periodic of period {n}")
+    # f^n permutes the points of P, so each is periodic under f
     base = []
-    cap = max(64, n * k * 8)
-    for field, pt, mult in conjugate_points(p):
-        per = _return_time(pt, f.apply_algebraic, cap)
-        if per is None:
-            raise DomainError("component point is not periodic")
-        lam = multiplier_f(f, pt, per)
-        for _ in range(mult):
-            base.append((pt, per, lam))
+    groups = {}  # l -> product over the points whose f^n-cycles have length l
+    for (field, pt, mult), orbit in zip(entries, orbits):
+        while pt not in orbit[1:]:
+            orbit.append(f.apply_algebraic(orbit[-1]))
+        per = orbit.index(pt, 1)
+        lam = prod(_local_derivative(f, a, b)
+                   for a, b in zip(orbit[:per], orbit[1:per + 1]))
+        g = gcd(per, n)
+        l, mu = per // g, lam ** (n // g)
+        acc = groups.get(l, UniPoly.one())
+        for j in range(1, mult + 1):
+            chi = minimal_polynomial(mu ** j)
+            chi **= (field.degree if field else 1) // chi.degree
+            acc = acc * chi.compose(UniPoly((0,) * l + (1,)))
+        groups[l] = acc
+        base.extend([(pt, per, lam)] * mult)
+    cp = UniPoly.one()
+    for l, acc in groups.items():
+        cp = cp * _exact_root(acc, l)
     return MultiplierReport(point=p, period=n, base_multipliers=tuple(base),
-                            matrix=tuple(tuple(row) for row in M), charpoly=cp)
+                            charpoly=cp)
 
 
 # ---------------------------------------------------------------------------

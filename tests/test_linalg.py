@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symprod import linalg
-from symprod.linalg import (IntSystem, charpoly, det_bareiss, mat_mul,
-                            solve_fraction, solve_int_system)
+from symprod.linalg import (IntSystem, charpoly, det_bareiss, solve_fraction,
+                            solve_int_system)
 from symprod.unipoly import UniPoly
 
 P = linalg._DIXON_PRIME
@@ -22,6 +22,11 @@ RANK_DEFICIENT = [
     [1, 3, 1, 4, 3],
     [2, 4, 0, 6, 10],
 ]
+
+
+def _mat_mul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
+            for row in A]
 
 
 def _residual_is_zero(rows, rhs, x):
@@ -341,7 +346,7 @@ def test_charpoly_against_cayley_hamilton_trace_and_det(M):
     eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     acc = [[Fraction(0)] * n for _ in range(n)]
     for c in reversed(cp.coeffs):
-        acc = mat_mul(acc, M)
+        acc = _mat_mul(acc, M)
         acc = [[acc[i][j] + c * eye[i][j] for j in range(n)] for i in range(n)]
     assert all(v == 0 for row in acc for v in row)
 

@@ -2,13 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symprod import (AlgebraicPoint, DegenerateMapError, DomainError,
-                     NumberField, PkPoint, RationalMap1, UniPoly, critical_points,
-                     eta, is_pcf, is_strongly_pcf_symmetric, multiplier_F,
-                     multiplier_f, p1_point, parse_map, symmetrize)
+                     NumberField, PkPoint, RationalMap1, UniPoly,
+                     conjugate_points, critical_points, eta, is_pcf,
+                     is_strongly_pcf_symmetric, multiplier_F, multiplier_f,
+                     p1_point, parse_map, rational_periodic_points, symmetrize)
 from symprod.linalg import charpoly
-from symprod.spectra import multiplier_matrix
+from symprod.spectra import _exact_root
 
 F = Fraction
 
@@ -63,7 +65,140 @@ def test_multiplier_algebraic_cycle():
 
 
 # ---------------------------------------------------------------------------
-# symmetric-product multiplier matrices
+# the Jacobian route: an independent oracle for the symmetric-product charpoly
+# ---------------------------------------------------------------------------
+
+
+def _pk_chart(p: PkPoint) -> int:
+    """Canonical chart: the last nonvanishing coordinate."""
+    coords = p.coords
+    for i in range(len(coords) - 1, -1, -1):
+        if coords[i]:
+            return i
+    raise DomainError("zero point")
+
+
+def _jacobian_step(Fk, p: PkPoint, q: PkPoint):
+    """Exact Jacobian of the dehomogenized map at p, rows indexed by the
+    chart at q, columns by the chart at p."""
+    k = Fk.k
+    m = _pk_chart(p)
+    mp = _pk_chart(q)
+    x = [Fraction(c, p.coords[m]) for c in p.coords]
+    fvals = [comp.eval(x) for comp in Fk.components]
+    dvals = [[comp.derivative(j).eval(x) for j in range(k + 1)]
+             for comp in Fk.components]
+    denom = fvals[mp]
+    assert denom != 0
+    rows = []
+    for i in range(k + 1):
+        if i == mp:
+            continue
+        row = []
+        for j in range(k + 1):
+            if j == m:
+                continue
+            row.append((dvals[i][j] * denom - fvals[i] * dvals[mp][j])
+                       / (denom * denom))
+        rows.append(row)
+    return rows
+
+
+def _mat_mul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
+            for row in A]
+
+
+def _oracle_matrix(f, k, p, n):
+    """DF^n at p: the product of the exact per-step Jacobians of F along the
+    length-n orbit of p."""
+    Fk = symmetrize(f, k)
+    orbit = [p]
+    for _ in range(n):
+        orbit.append(Fk.apply(orbit[-1]))
+    assert orbit[n] == p
+    total = None
+    for i in range(n):
+        J = _jacobian_step(Fk, orbit[i], orbit[i + 1])
+        total = J if total is None else _mat_mul(J, total)
+    return total
+
+
+_ORACLE_MAPS = ["x^2 - 29/16", "x^2 - 3/4", "x^2 - 21/16", "x^3 - x",
+                "[z^2 - t^2, z*t]", "[z^2 + 2*t^2, z^2 - z*t]",
+                # maps of the benchmark's cycles pool
+                "x^2 - 2", "x^2 - 16/9", "x^2 - 64/9", "x^2 - 7"]
+
+
+def test_charpoly_matches_jacobian_oracle():
+    """The charpoly derived from the base multipliers is det(xI - DF^n) for
+    every rational periodic point with k <= 4 and n_max = 3, at its exact
+    period n and at 2n; the corpus holds points with a component at
+    infinity and points whose f^n-cycles have length l > 1."""
+    cases = at_infinity = collapsed = 0
+    for text in _ORACLE_MAPS:
+        f = _map(text)
+        for k in (2, 3, 4):
+            for p, per in rational_periodic_points(f, k, 3):
+                for n in (per, 2 * per):
+                    rep = multiplier_F(f, k, p, n)
+                    want = charpoly(_oracle_matrix(f, k, p, n))
+                    assert rep.charpoly == want, (text, k, p, n)
+                    cases += 1
+                    collapsed += any(bper % n for _pt, bper, _lam
+                                     in rep.base_multipliers)
+                at_infinity += any(pt.infinity for _fl, pt, _m
+                                   in conjugate_points(p))
+    assert cases > 500 and at_infinity > 0 and collapsed > 0
+
+
+def test_charpoly_matches_oracle_through_infinity():
+    # [t^2, z^2] swaps 0 and infinity: a collapsed 2-cycle through infinity
+    f = _map("[t^2, z^2]")
+    for pts, n in (([p1_point(0), PkPoint((1, 0))], 1),
+                   ([p1_point(0), PkPoint((1, 0)), p1_point(1)], 1),
+                   ([p1_point(0), PkPoint((1, 0)), p1_point(1)], 2),
+                   ([PkPoint((1, 0))] * 2 + [p1_point(0)] * 2, 1)):
+        p = eta(pts)
+        want = charpoly(_oracle_matrix(f, len(pts), p, n))
+        assert multiplier_F(f, len(pts), p, n).charpoly == want, (pts, n)
+
+
+def test_charpoly_requires_a_periodic_point():
+    f = _map("x^2 - 29/16")
+    p = eta([p1_point(F(5, 4)), p1_point(F(-1, 4))])
+    for n in (1, 2):
+        with pytest.raises(DomainError, match="not periodic of period"):
+            multiplier_F(f, 2, p, n)
+    for n in (3, 6):
+        want = charpoly(_oracle_matrix(f, 2, p, n))
+        assert multiplier_F(f, 2, p, n).charpoly == want
+    with pytest.raises(DomainError, match="not periodic of period"):
+        multiplier_F(f, 2, eta([p1_point(1), p1_point(2)]), 1)
+    with pytest.raises(DomainError):
+        multiplier_F(f, 3, p, 3)
+
+
+_small_rationals = st.fractions(min_value=-9, max_value=9,
+                                max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_small_rationals, max_size=4), st.integers(1, 4))
+def test_exact_root_inverts_powers(tail, l):
+    B = UniPoly(tuple(tail) + (1,))
+    assert _exact_root(B ** l, l) == B
+    if B.degree >= 1 and l >= 2:
+        with pytest.raises(DomainError):
+            _exact_root(B ** l + UniPoly.one(), l)
+        with pytest.raises(DomainError):
+            _exact_root(B ** l * UniPoly((0, 1)), l)
+        with pytest.raises(DomainError):
+            _exact_root(B ** l * UniPoly.constant(2), l)
+
+
+# ---------------------------------------------------------------------------
+# symmetric-product multiplier spectra
 # ---------------------------------------------------------------------------
 
 
@@ -97,13 +232,9 @@ def test_repeated_fixed_point_charpoly():
 
 def test_chart_independence():
     f = _map("x^2 - 21/16")
-    F3 = symmetrize(f, 3)
     p = eta([p1_point(F(-3, 4)), p1_point(F(1, 4)), p1_point(F(-5, 4))])
-    # the canonical chart result
     rep = multiplier_F(f, 3, p, 1)
-    # recompute in every admissible fixed chart by permuting coordinates...
-    # chart choice is per-point inside multiplier_matrix; instead verify the
-    # charpoly is invariant under relabeling the orbit start for a cycle
+    # the charpoly is invariant under relabeling the orbit start of a cycle
     f29 = _map("x^2 - 29/16")
     cyc = [F(5, 4), F(-1, 4), F(-7, 4)]
     reps = []
@@ -199,7 +330,7 @@ def test_trace_consistency_distinct_fixed_points():
         f, c, prod = _random_interpolation_map(rng, 2, fixed)
         deriv = (UniPoly((0, 1)) + prod * c).derivative()
         p = eta([p1_point(v) for v in fixed])
-        M = multiplier_matrix(symmetrize(f, 2), p, 1)
+        M = _oracle_matrix(f, 2, p, 1)
         trace = M[0][0] + M[1][1]
         assert trace == deriv(fixed[0]) + deriv(fixed[1])
 
@@ -296,7 +427,7 @@ def test_multiplier_report_json():
     p = eta([p1_point(F(5, 4)), p1_point(F(-1, 4)), p1_point(F(-7, 4))])
     rep = multiplier_F(f, 3, p, 1)
     data = rep.to_json()
-    assert data["schema_version"] == "1"
+    assert data["schema_version"] == "2"
     assert data["charpoly"] == "x^3 - 35/8"
-    assert len(data["matrix"]) == 3
+    assert "matrix" not in data
     assert is_pcf(f).to_json()["verdict"] in ("PCF", "not-PCF")

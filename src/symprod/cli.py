@@ -124,7 +124,7 @@ def _cmd_multipliers(args):
         default_n_max(f, args.k, budget=args.budget)
     pts = rational_periodic_points(f, args.k, n_max, budget=args.budget)
     reports = [multiplier_F(f, args.k, p, per) for p, per in pts]
-    data = [rep.to_json() for rep in reports]  # factors each charpoly once
+    data = [rep.to_json() for rep in reports]  # the lines below reuse it
     lines = [f"point {rep.point} period {rep.period}: "
              f"charpoly = {d['charpoly_factored']}"
              for rep, d in zip(reports, data)]

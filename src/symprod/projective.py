@@ -269,10 +269,12 @@ class RationalMap1:
     """A self-map of P^1 given by a coprime pair of degree-d binary forms.
 
     _dynatomic and _pullbacks hold the factorizations that the periodic and
-    preimage searches of dynamics derive from the map, so that each is
+    preimage searches of dynamics derive from the map, and _orbits the orbit
+    record of spectra (images, cycles, multipliers), so that each is
     computed once per map and freed with it."""
 
-    __slots__ = ("num", "den", "d", "res", "_dynatomic", "_pullbacks")
+    __slots__ = ("num", "den", "d", "res", "_dynatomic", "_pullbacks",
+                 "_orbits")
 
     def __init__(self, num_coeffs, den_coeffs):
         num = [Fraction(c) for c in num_coeffs]
@@ -305,6 +307,7 @@ class RationalMap1:
         object.__setattr__(self, "res", res)
         object.__setattr__(self, "_dynatomic", {})
         object.__setattr__(self, "_pullbacks", {})
+        object.__setattr__(self, "_orbits", {})
 
     def __setattr__(self, *a):
         raise AttributeError("RationalMap1 is immutable")
@@ -336,29 +339,14 @@ class RationalMap1:
     def affine_den(self) -> UniPoly:
         return UniPoly(tuple(reversed(self.den)))
 
-    # flipped views: P(1, w) and Q(1, w)
-    def flip_num(self) -> UniPoly:
-        return UniPoly(self.num)
-
-    def flip_den(self) -> UniPoly:
-        return UniPoly(self.den)
-
     def eval_pair(self, z, t):
-        """Exact evaluation of the lift at a coordinate pair (any ring)."""
-        d = self.d
-        num = den = None
-        zp = [1]
-        for _ in range(d):
-            zp.append(zp[-1] * z)
-        tp = [1]
-        for _ in range(d):
-            tp.append(tp[-1] * t)
-        for j in range(d + 1):
-            m = zp[d - j] * tp[j]
-            nterm = self.num[j] * m
-            dterm = self.den[j] * m
-            num = nterm if num is None else num + nterm
-            den = dterm if den is None else den + dterm
+        """Exact evaluation of the lift at a coordinate pair (any ring), by
+        Horner in z: about 2d products in z's ring when t is 1."""
+        num, den, tp = self.num[0], self.den[0], 1
+        for a, b in zip(self.num[1:], self.den[1:]):
+            tp = tp * t
+            num = num * z + a * tp
+            den = den * z + b * tp
         return num, den
 
     def apply_point(self, p: PkPoint) -> PkPoint:
@@ -374,7 +362,7 @@ class RationalMap1:
                 return AlgebraicPoint.at_infinity()
             return AlgebraicPoint.rational(Fraction(n, d))
         z = pt.value
-        n, d = self.eval_pair(z, 1 if pt.field is None else pt.field.one())
+        n, d = self.eval_pair(z, 1)
         if pt.field is None:
             if d == 0:
                 return AlgebraicPoint.at_infinity()

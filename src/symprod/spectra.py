@@ -2,8 +2,10 @@
 
 Multipliers of cycles are computed by the chain rule in affine charts (with
 the coordinate flip when a cycle passes through infinity).  The spectrum of
-a symmetric-product cycle is derived from the multipliers of the base
-points it is made of, never from F itself.
+a symmetric-product cycle comes from its base points, never from F: Galois
+conjugation commutes with f and fixes the point, so the charpoly is a
+product of pieces chi(x^l)^m counted per f^n-cycle (see multiplier_F), and
+each base orbit's data is computed once per map, in its orbit record.
 """
 
 from __future__ import annotations
@@ -15,39 +17,61 @@ from math import gcd, prod
 from .errors import DomainError
 from .numberfield import minimal_polynomial
 from .polyfactor import factor_unipoly
-from .projective import (AlgebraicPoint, BinaryForm, PkPoint, RationalMap1,
-                         point_of_factors, zero_form_to_point_form)
-from .symmetric import conjugate_points, decompose_form, eta_tilde
+from .projective import (AlgebraicPoint, PkPoint, RationalMap1,
+                         zero_form_to_point_form)
+from .symmetric import conjugate_points, decompose_form
 from .unipoly import UniPoly
 from .dynamics import orbit_classify
 
 
-def _chart(pt: AlgebraicPoint) -> int:
-    return 1 if pt.infinity else 0
-
-
-def _chart_coord(pt: AlgebraicPoint):
-    if pt.infinity:
-        return Fraction(0)  # w = t/z at infinity
-    return pt.value
-
-
 def _local_derivative(f: RationalMap1, src: AlgebraicPoint, dst: AlgebraicPoint):
     """Derivative of f written from the canonical chart at src to the one at
-    dst, evaluated at src; exact in the field of src."""
-    cin, cout = _chart(src), _chart(dst)
-    if cin == 0:
-        num, den = f.affine_num(), f.affine_den()
+    dst (w = t/z at infinity), evaluated at src; exact in the field of src."""
+    if src.infinity:
+        num, den, u = UniPoly(f.num), UniPoly(f.den), Fraction(0)
     else:
-        num, den = f.flip_num(), f.flip_den()
-    if cout == 1:
+        num, den, u = f.affine_num(), f.affine_den(), src.value
+    if dst.infinity:
         num, den = den, num
-    u = _chart_coord(src)
     nv, dv = num(u), den(u)
     npv, dpv = num.derivative()(u), den.derivative()(u)
-    if (dv == 0) if not hasattr(dv, "is_zero") else dv.is_zero():
+    if dv == 0:
         raise DomainError("image leaves the chart; chart bookkeeping broken")
     return (npv * dv - nv * dpv) / (dv * dv)
+
+
+def _recorded(f: RationalMap1, key, compute):
+    """The entry of f's orbit record under key, computed once per map."""
+    got = f._orbits.get(key)
+    if got is None:
+        got = f._orbits[key] = compute()
+    return got
+
+
+def _image(f: RationalMap1, pt: AlgebraicPoint, n: int = 1) -> AlgebraicPoint:
+    for _ in range(n):
+        pt = _recorded(f, ("image", pt), lambda: f.apply_algebraic(pt))
+    return pt
+
+
+def _cycle(f: RationalMap1, pt: AlgebraicPoint):
+    """(exact period, multiplier) of a periodic point; the walk to the
+    period ends only if pt is periodic, so callers check that first."""
+    def walk():
+        orbit = [pt]
+        while (nxt := _image(f, orbit[-1])) != pt:
+            orbit.append(nxt)
+        return len(orbit), prod(_local_derivative(f, a, _image(f, a))
+                                for a in orbit)
+    return _recorded(f, ("cycle", pt), walk)
+
+
+def _galois_orbit(f: RationalMap1, pt: AlgebraicPoint):
+    """pt's Galois orbit as a key: pt if rational, else its minimal
+    polynomial."""
+    if pt.field is None:
+        return pt
+    return _recorded(f, ("minpoly", pt), pt.minimal_polynomial)
 
 
 def multiplier_f(f: RationalMap1, point, n: int):
@@ -59,12 +83,16 @@ def multiplier_f(f: RationalMap1, point, n: int):
         point = AlgebraicPoint.rational(point)
     if n < 1:
         raise DomainError("period must be at least 1")
-    orbit = [point]
-    for _ in range(n):
-        orbit.append(f.apply_algebraic(orbit[-1]))
-    if orbit[n] != point:
+    if _image(f, point, n) != point:
         raise DomainError(f"point is not periodic of period {n}")
-    return prod(_local_derivative(f, a, b) for a, b in zip(orbit, orbit[1:]))
+    per, lam = _cycle(f, point)
+    return lam ** (n // per)
+
+
+def _piece(f: RationalMap1, chi: UniPoly, l: int) -> UniPoly:
+    """chi(x^l), from f's orbit record."""
+    return _recorded(f, ("piece", chi, l),
+                     lambda: chi.compose(UniPoly((0,) * l + (1,))))
 
 
 @dataclass(frozen=True)
@@ -73,15 +101,23 @@ class MultiplierReport:
     period: int
     base_multipliers: tuple   # (AlgebraicPoint, base period, multiplier)
     charpoly: UniPoly
+    pieces: tuple             # (chi, l, m): charpoly = prod chi(x^l)^m
+    f: RationalMap1
 
     def charpoly_factored(self) -> str:
-        content, facs = factor_unipoly(self.charpoly)
-        parts = []
-        if content != 1:
-            parts.append(str(content))
-        for g, m in facs:
+        """The factorization of the charpoly, merged from those of its
+        pieces (each factored once per map)."""
+        content, facs = Fraction(1), {}
+        for chi, l, m in self.pieces:
+            c, gs = _recorded(self.f, ("factors", chi, l),
+                              lambda: factor_unipoly(_piece(self.f, chi, l)))
+            content *= c ** m
+            for g, a in gs:
+                facs[g] = facs.get(g, 0) + a * m
+        parts = [] if content == 1 else [str(content)]
+        for g in sorted(facs, key=lambda g: (g.degree, g.coeffs)):
             body = f"({g.to_text()})"
-            parts.append(body if m == 1 else f"{body}^{m}")
+            parts.append(body if facs[g] == 1 else f"{body}^{facs[g]}")
         return " * ".join(parts) if parts else "1"
 
     def to_json(self) -> dict:
@@ -98,78 +134,48 @@ class MultiplierReport:
         }
 
 
-def _exact_root(a: UniPoly, l: int) -> UniPoly:
-    """The monic B with B^l == a, or DomainError if a has no such root.
-
-    On reversed coefficients a monic a is a power series with constant term
-    1, and b = a^(1/l) satisfies n b_n = sum_(j=1..n) ((1/l + 1) j - n)
-    a_j b_(n-j) (Knuth, TAOCP vol. 2, 4.7); B is b cut at degree deg(a)/l,
-    reversed, and checked."""
-    rev = a.coeffs[::-1]
-    b = [Fraction(1)]
-    for n in range(1, a.degree // l + 1):
-        s = sum(((l + 1) * j - l * n) * rev[j] * b[n - j]
-                for j in range(1, n + 1))
-        b.append(s / (l * n))
-    root = UniPoly(b[::-1])
-    if root ** l != a:
-        raise DomainError(f"polynomial is not an exact {l}-th power")
-    return root
-
-
 def multiplier_F(f: RationalMap1, k: int, p: PkPoint, n: int) -> MultiplierReport:
     """Multiplier data of a point P of the k-symmetric product with
     F^n(P) = P: the characteristic polynomial of DF^n at P, and the
     multipliers of the base points in the conjugate decomposition.
 
-    All of it comes from f.  A base point of P with period r and multiplier
-    lam lies on an f^n-cycle of length l = r / gcd(r, n) with multiplier
-    mu = lam^(n / gcd(r, n)); held e times in P (Sym^e in local
-    coordinates), that cycle gives DF^n the factor prod_(j<=e) (x^l - mu^j).
-    Over a Galois orbit of D points, prod_s (x^l - s(mu^j)) is chi(x^l) with
-    chi = minpoly(mu^j)^(D / deg).  The product over all points counts each
-    f^n-cycle once for each of its l points: grouped by l, it is an exact
-    l-th power."""
+    All of it comes from f, once per base orbit (f's orbit record).  A base
+    point of P with period r and multiplier lam lies on an f^n-cycle of
+    length l = r / gcd(r, n) with multiplier mu = lam^(n / gcd(r, n)); held
+    e times in P (Sym^e in local coordinates), that cycle gives DF^n the
+    factor prod_(j<=e) (x^l - mu^j).  Galois conjugation commutes with f and
+    fixes P, so it permutes these cycles and maps mu to its conjugates: a
+    Galois orbit of D points adds D / deg chi to the count c of the pair
+    (l, chi = minpoly(mu^j)), each cycle is counted once per point, so l
+    divides c, and the charpoly is prod chi(x^l)^(c / l)."""
     if n < 1:
         raise DomainError("period must be at least 1")
     if p.k != k:
         raise DomainError(f"expected a point of P^{k}, got one of P^{p.k}")
     entries = conjugate_points(p)
-    orbits, image = [], []
-    for field, pt, mult in entries:
-        orbit = [pt]
-        for _ in range(n):
-            orbit.append(f.apply_algebraic(orbit[-1]))
-        orbits.append(orbit)
-        # f^n of pt's conjugates (a power of an irreducible form if f^n
-        # lowers the degree: only the comparison below reads it)
-        deg = field.degree if field else 1
-        image.append((BinaryForm(eta_tilde(orbit[n], deg * mult).coords), 1))
-    if point_of_factors(image) != p:
+    # F^n fixes P iff f^n permutes its Galois orbits and keeps their
+    # multiplicities; n record steps per entry
+    have = {_galois_orbit(f, pt): mult for _field, pt, mult in entries}
+    if {_galois_orbit(f, _image(f, pt, n)): mult
+            for _field, pt, mult in entries} != have:
         raise DomainError(f"point is not periodic of period {n}")
-    # f^n permutes the points of P, so each is periodic under f
-    base = []
-    groups = {}  # l -> product over the points whose f^n-cycles have length l
-    for (field, pt, mult), orbit in zip(entries, orbits):
-        while pt not in orbit[1:]:
-            orbit.append(f.apply_algebraic(orbit[-1]))
-        per = orbit.index(pt, 1)
-        lam = prod(_local_derivative(f, a, b)
-                   for a, b in zip(orbit[:per], orbit[1:per + 1]))
+    base, counts = [], {}
+    for field, pt, mult in entries:
+        per, lam = _cycle(f, pt)
         g = gcd(per, n)
-        l, mu = per // g, lam ** (n // g)
-        acc = groups.get(l, UniPoly.one())
-        for j in range(1, mult + 1):
-            chi = minimal_polynomial(mu ** j)
-            chi **= (field.degree if field else 1) // chi.degree
-            acc = acc * chi.compose(UniPoly((0,) * l + (1,)))
-        groups[l] = acc
+        l, step = per // g, n // g
+        size = field.degree if field else 1
+        for power in range(step, step * mult + 1, step):
+            chi = _recorded(f, ("power", pt, power),
+                            lambda: minimal_polynomial(lam ** power))
+            counts[l, chi] = counts.get((l, chi), 0) + size // chi.degree
         base.extend([(pt, per, lam)] * mult)
-    cp = UniPoly.one()
-    for l, acc in groups.items():
-        cp = cp * _exact_root(acc, l)
+    pieces = tuple(sorted(((chi, l, c // l) for (l, chi), c in counts.items()),
+                          key=lambda q: (q[1], q[0].degree, q[0].coeffs)))
+    cp = _recorded(f, ("charpoly", pieces), lambda: prod(
+        (_piece(f, chi, l) ** m for chi, l, m in pieces), start=UniPoly.one()))
     return MultiplierReport(point=p, period=n, base_multipliers=tuple(base),
-                            charpoly=cp)
+                            charpoly=cp, pieces=pieces, f=f)
 
 
 # ---------------------------------------------------------------------------

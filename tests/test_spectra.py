@@ -1,16 +1,17 @@
 import random
+import signal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from symprod import (AlgebraicPoint, DegenerateMapError, DomainError,
                      NumberField, PkPoint, RationalMap1, UniPoly,
-                     conjugate_points, critical_points, eta, is_pcf,
-                     is_strongly_pcf_symmetric, multiplier_F, multiplier_f,
-                     p1_point, parse_map, rational_periodic_points, symmetrize)
+                     conjugate_points, critical_points, eta, eta_tilde,
+                     is_pcf, is_strongly_pcf_symmetric, multiplier_F,
+                     multiplier_f, p1_point, parse_map,
+                     rational_periodic_points, symmetrize)
 from symprod.linalg import charpoly
-from symprod.spectra import _exact_root
+from symprod.polyfactor import factor_unipoly
 
 F = Fraction
 
@@ -52,6 +53,35 @@ def test_multiplier_at_infinity():
 def test_multiplier_rejects_nonperiodic():
     with pytest.raises(DomainError):
         multiplier_f(_map("x^2 - 2"), p1_point(3), 1)
+
+
+def _refused_within(seconds, fn, *args):
+    """fn(*args) raises DomainError before an alarm after seconds would
+    stop a walk that never ends."""
+    def stop(*_):
+        raise TimeoutError("the call walks on instead of refusing")
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(seconds)
+    try:
+        with pytest.raises(DomainError, match="not periodic of period"):
+            fn(*args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_preperiodic_base_point_is_refused_at_once():
+    # under x^2 - 2, 0 -> -2 -> 2 -> 2: a walk from 0 back to 0 never ends
+    f = _map("x^2 - 2")
+    p = eta([p1_point(0), p1_point(2)])
+    # the roots of x^2 - x - 1 map onto the 2-cycle of roots of x^2 + x - 1
+    K = NumberField.get(UniPoly((-1, -1, 1)))
+    phi = AlgebraicPoint(K, K.gen())
+    for n in (1, 2, 3):
+        _refused_within(5, multiplier_f, f, p1_point(0), n)
+        _refused_within(5, multiplier_F, f, 2, p, n)
+        _refused_within(5, multiplier_f, f, phi, n)
+        _refused_within(5, multiplier_F, f, 2, eta_tilde(phi, 2), n)
 
 
 def test_multiplier_algebraic_cycle():
@@ -152,6 +182,34 @@ def test_charpoly_matches_jacobian_oracle():
     assert cases > 500 and at_infinity > 0 and collapsed > 0
 
 
+def _factored_text(poly):
+    """The factored form of poly from one factorization of the whole."""
+    content, facs = factor_unipoly(poly)
+    parts = [] if content == 1 else [str(content)]
+    parts += [f"({g.to_text()})" + ("" if m == 1 else f"^{m}")
+              for g, m in facs]
+    return " * ".join(parts)
+
+
+def test_charpoly_factored_matches_full_factorization():
+    """charpoly_factored merges the factorizations of the pieces: contents
+    multiplied, multiplicities summed, factors in factor_unipoly's order."""
+    contents = set()
+    for text, ks in (("x^2 - 21/16", (2, 3, 4, 6)), ("x^2 - 29/16", (4, 5)),
+                     ("x^3 - x", (3,)), ("[z^2 + 2*t^2, z^2 - z*t]", (3,)),
+                     # the fixed point oo and the 2-cycle {0, -1} both give x
+                     ("x^2 - 1", (3, 4))):
+        f = _map(text)
+        for k in ks:
+            for p, per in rational_periodic_points(f, k, 3):
+                for n in (per, 2 * per):
+                    rep = multiplier_F(f, k, p, n)
+                    want = _factored_text(rep.charpoly)
+                    assert rep.charpoly_factored() == want, (text, k, p, n)
+                    contents.add(want.split(" * ")[0])
+    assert "1/4" in contents
+
+
 def test_charpoly_matches_oracle_through_infinity():
     # [t^2, z^2] swaps 0 and infinity: a collapsed 2-cycle through infinity
     f = _map("[t^2, z^2]")
@@ -179,27 +237,34 @@ def test_charpoly_requires_a_periodic_point():
         multiplier_F(f, 3, p, 3)
 
 
-_small_rationals = st.fractions(min_value=-9, max_value=9,
-                                max_denominator=6)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(_small_rationals, max_size=4), st.integers(1, 4))
-def test_exact_root_inverts_powers(tail, l):
-    B = UniPoly(tuple(tail) + (1,))
-    assert _exact_root(B ** l, l) == B
-    if B.degree >= 1 and l >= 2:
-        with pytest.raises(DomainError):
-            _exact_root(B ** l + UniPoly.one(), l)
-        with pytest.raises(DomainError):
-            _exact_root(B ** l * UniPoly((0, 1)), l)
-        with pytest.raises(DomainError):
-            _exact_root(B ** l * UniPoly.constant(2), l)
-
-
 # ---------------------------------------------------------------------------
 # symmetric-product multiplier spectra
 # ---------------------------------------------------------------------------
+
+
+def test_orbit_record_cannot_go_stale():
+    """multiplier_F reads f's orbit record: on one map object, the reports do
+    not depend on which points, periods or k were asked about before."""
+    rng = random.Random(22)
+    for text in ("x^2 - 29/16", "[z^2 - t^2, z*t]", "x^3 - x"):
+        g = _map(text)
+        cases = [(k, p, m * per) for k in (2, 3, 4)
+                 for p, per in rational_periodic_points(g, k, 3)
+                 for m in (1, 2)]
+
+        def fresh(k, p, n):
+            return multiplier_F(RationalMap1(g.num, g.den), k, p, n)
+
+        want = [(rep, rep.to_json()) for rep in (fresh(*c) for c in cases)]
+        shuffled = list(range(len(cases)))
+        rng.shuffle(shuffled)
+        for order in (range(len(cases) - 1, -1, -1), shuffled):
+            f = RationalMap1(g.num, g.den)
+            for p, per in rational_periodic_points(f, 5, 3)[:5]:
+                multiplier_F(f, 5, p, per).charpoly_factored()
+            for i in order:
+                rep = multiplier_F(f, *cases[i])
+                assert (rep, rep.to_json()) == want[i], (text, cases[i])
 
 
 def test_collapsed_two_cycle_charpoly():

@@ -3,12 +3,13 @@
 The search for rational periodic points of a symmetric product works on the
 base map: the points of period dividing n are the roots of the fixed-point
 form of f^n (degree d^n + 1); Galois-stable multisets of total degree k built
-from its irreducible factors give candidate points of P^k(Q), and every
-candidate is verified by exact iteration.  Preimages are not searched for:
-each irreducible factor of a pullback form pushes forward to a known power of
-the form it was pulled back from, so the preimages of a point are the
-solutions of one small knapsack per factor of its form, and each is checked
-once by applying the symmetric product.
+from its irreducible factors of degree <= k (often ruled out mod a few primes)
+give candidate points of P^k(Q), each verified by exact iteration.  Preimages
+are not searched for: each irreducible factor of a pullback form pushes
+forward to a power of the form it was pulled back from, so its degree is a
+multiple of that form's, the preimages of a point solve one small knapsack per
+factor of its form and are each checked once by applying the symmetric
+product, and a periodic pullback splits off its predecessor by exact division.
 """
 
 from __future__ import annotations
@@ -16,17 +17,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, dropwhile, product
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, DomainError
 from .gf import FiniteField, cycle_lengths, p1_points, reduce_map
 from .heights import bad_primes, bad_primes_sym, morphism_certificate
 from .intfactor import is_prime
+from .polyfactor import _ddf, _monic_squarefree_mod
 from .projective import (AlgebraicPoint, BinaryForm, MorphismPk, PkPoint,
                          RationalMap1, point_of_factors,
                          zero_form_to_point_form)
 from .symmetric import _check_k, conjugate_points, eta_tilde, symmetrize
-from .unipoly import _conv, _int_divide
+from .unipoly import _conv, _int_divide, _trim
 
 _ORBIT_CAP = 100000
 
@@ -248,8 +250,64 @@ def _candidate_points(pool, k: int):
         yield point_of_factors([(g, c) for g, c in zip(pool, cs) if c])
 
 
-def _dynatomic_part(f: RationalMap1, n: int):
-    """(Phi*_n, its distinct irreducible factors), memoized on f.
+def _divide_form(a, b):
+    """a / b for binary form coefficient lists if it is integral, else None."""
+    # divide as polynomials in Y, after taking equal powers of X off both
+    a, b = list(a), list(b)
+    while not b[-1] and not a[-1]:
+        a.pop()
+        b.pop()
+    return _int_divide(a, b) if b[-1] else None
+
+
+# a part's middle is split mod the first _PROOF_SPLITS of these that are usable
+_PROOF_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PROOF_SPLITS = 4
+
+
+class _Part:
+    """A dynatomic part phi and its distinct irreducible factors, once
+    factored.  Before that, splits[p] = ([v, h, i], degrees) holds the state
+    of _ddf on its middle u(T) = phi(T, 1) / T^j mod p and the degrees split
+    off, or None if p | lead(u) or u is not squarefree mod p (not usable)."""
+
+    def __init__(self, phi: BinaryForm):
+        self.phi, self.factors, self.splits = phi, None, {}
+
+    def small_factors(self, k: int):
+        """The factors of degree <= k, in the order of BinaryForm.factor.
+
+        A factor of u over Q is a product of factors of u mod p, so if no
+        degree in [1, k] is a sum of degrees of u's factors mod p at each
+        usable p tried (Musser, JACM 1978), only X and Y are small; else phi
+        is factored, once.  A split goes on from where a smaller k left it."""
+        cs = self.phi.coeffs
+        u = _trim(list(dropwhile(lambda c: not c, cs[::-1])))
+        sums, used = set(range(1, k + 1)), 0
+        for p in _PROOF_PRIMES if self.factors is None and len(u) - 1 > k else ():
+            if not sums or used == _PROOF_SPLITS:
+                break
+            if p not in self.splits:
+                fp = _monic_squarefree_mod(u, p)
+                self.splits[p] = fp and ([fp, [0, 1], 1], [])
+            if self.splits[p]:
+                state, degrees = self.splits[p]
+                degrees += [d for d, g in _ddf(None, p, k, state)
+                            for _ in range((len(g) - 1) // d)]
+                reach = {0}
+                for d in degrees:
+                    reach |= {s + d for s in reach if s + d <= k}
+                sums &= reach
+                used += 1
+        if self.factors is None and sums:
+            self.factors = [g for g, _m in self.phi.factor()]
+        if self.factors is not None:
+            return [g for g in self.factors if g.degree <= k]
+        return [BinaryForm(g) for g, c in (((1, 0), cs[-1]), ((0, 1), cs[0])) if not c]
+
+
+def _dynatomic_part(f: RationalMap1, n: int) -> _Part:
+    """Phi*_n with what is known of its factors, memoized on f.
 
     Phi*_n = prod_{m | n} W_m^mu(n/m) with W_m = fixed_point_form(f, m), so
     W_n = prod_{m | n} Phi*_m (Silverman, The Arithmetic of Dynamical
@@ -260,19 +318,12 @@ def _dynatomic_part(f: RationalMap1, n: int):
         below = [1]
         for m in range(1, n):
             if n % m == 0:
-                below = _conv(below, _dynatomic_part(f, m)[0].coeffs)
-        # coefficient j multiplies X^(deg - j) Y^j: divide as polynomials in
-        # Y, after taking equal powers of X off both
-        a = list(fixed_point_form(f, n).coeffs)
-        while not below[-1] and not a[-1]:
-            a.pop()
-            below.pop()
-        q = _int_divide(a, below) if below[-1] else None
+                below = _conv(below, _dynatomic_part(f, m).phi.coeffs)
+        q = _divide_form(fixed_point_form(f, n).coeffs, below)
         if q is None:
             raise DomainError("fixed-point form not divisible by its "
                               "dynatomic parts")  # unreachable
-        phi = BinaryForm(q)
-        got = f._dynatomic[n] = (phi, [g for g, _m in phi.factor()])
+        got = f._dynatomic[n] = _Part(BinaryForm(q))
     return got
 
 
@@ -282,10 +333,11 @@ def rational_periodic_points(f: RationalMap1, k: int, n_max: int,
     f-periodic points of period <= n_max, each with its exact period.
 
     The candidates of period dividing n are the Galois-stable multisets of
-    degree k built from the irreducible factors of the dynatomic parts
-    Phi*_m, m | n, which together are the factors of the fixed-point form
-    W_n; each part is factored once per map.  Every candidate is verified
-    by exact iteration of F, and carries its factorization.
+    degree k built from the irreducible factors of degree <= k of the
+    dynatomic parts Phi*_m, m | n, which together are the factors of the
+    fixed-point form W_n; a part is factored, once per map, only when such
+    factors are not ruled out (_Part.small_factors).  Every candidate is
+    verified by exact iteration of F, and carries its factorization.
 
     Returns a sorted list of (PkPoint, period)."""
     if n_max < 1:
@@ -301,7 +353,7 @@ def rational_periodic_points(f: RationalMap1, k: int, n_max: int,
         # multiplier -1 is a root of Phi*_1 and Phi*_2); a repeated form gives
         # candidates twice, with its multiplicity split between the copies
         pool = dict.fromkeys(g for m in range(1, n + 1) if n % m == 0
-                             for g in _dynatomic_part(f, m)[1])
+                             for g in _dynatomic_part(f, m).small_factors(k))
         for p in _candidate_points(pool, k):
             if p in found:
                 continue
@@ -342,15 +394,34 @@ def default_n_max(f: RationalMap1, k: int, user_cap: int | None = None,
 
 
 def _pullback_factors(f: RationalMap1, g: BinaryForm):
-    """The distinct irreducible factors of the pullback of the point form g
-    under f, memoized on f."""
+    """The distinct irreducible factors of the pullback g o f of the point
+    form g, in the order of BinaryForm.factor, memoized on f.
+
+    Each pushes forward to a power of g, so its degree is a multiple of deg
+    g.  If g is a factor of a factored dynatomic part, g o f is divisible by
+    the factor g' of that part with f_*(g') = g (twice if its cycle holds a
+    critical point), found by trial division; a cofactor of degree deg g is
+    then irreducible, and only a larger one (never for d = 2) is factored."""
     got = f._pullbacks.get(g)
     if got is None:
         # H(z, t) = g(Q(z,t), -P(z,t)) vanishes on the f-preimages of the
         # points that g encodes
-        H = _form_at(g.coeffs, f.den, [-c for c in f.num])
-        got = f._pullbacks[g] = [
-            h for h, _m in zero_form_to_point_form(BinaryForm(H)).factor()]
+        H = zero_form_to_point_form(
+            BinaryForm(_form_at(g.coeffs, f.den, [-c for c in f.num]))).coeffs
+        pred = next((h for part in f._dynatomic.values()
+                     if part.factors and g in part.factors
+                     for h in part.factors if h.degree == g.degree
+                     and _divide_form(H, h.coeffs) is not None), None)
+        got = [] if pred is None else [pred]
+        while pred and (q := _divide_form(H, pred.coeffs)) is not None:
+            H = q
+        if len(H) - 1 == g.degree:
+            got.append(BinaryForm(H))
+        elif len(H) > 1:
+            got += [h for h, _m in BinaryForm(H).factor()]
+        got.sort(key=lambda h: (h.coeffs != (1, 0), h.coeffs != (0, 1),
+                                h.degree, h.coeffs[::-1]))
+        f._pullbacks[g] = got
     return got
 
 

@@ -126,7 +126,7 @@ class NumberField:
 class NFElem:
     """An element of a NumberField in the power basis 1, a, ..., a^(k-1)."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "coords", "_hash")
 
     def __init__(self, field: NumberField, coords):
         object.__setattr__(self, "field", field)
@@ -164,7 +164,10 @@ class NFElem:
                 and self.coords == other.coords)
 
     def __hash__(self):
-        return hash((self.field.minpoly.coeffs, self.coords))
+        if not hasattr(self, "_hash"):
+            object.__setattr__(self, "_hash", hash((self.field.minpoly.coeffs,
+                                                    self.coords)))
+        return self._hash
 
     def __add__(self, other):
         o = self._coerce(other)

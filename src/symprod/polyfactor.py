@@ -112,13 +112,13 @@ def _ppowmod(a, e, mod, p):
 # ---------------------------------------------------------------------------
 
 
-def _ddf(f, p):
-    """Distinct-degree split of a monic squarefree f mod p: [(d, product)]."""
+def _ddf(f, p, cap=None, state=None):
+    """Distinct-degree split of a monic squarefree f mod p: [(d, product)];
+    with a cap, only d <= cap (and an irreducible rest).  A state [v, h, i],
+    [f, [0, 1], 1] at first, is continued from and updated in place."""
     out = []
-    v = list(f)
-    h = [0, 1]  # x
-    i = 1
-    while len(v) - 1 >= 2 * i:
+    v, h, i = state or (list(f), [0, 1], 1)
+    while len(v) - 1 >= 2 * i and (cap is None or i <= cap):
         h = _ppowmod(h, p, v, p)
         g = _pgcd(_psub(h, [0, 1], p), v, p)
         if len(g) > 1:
@@ -126,8 +126,11 @@ def _ddf(f, p):
             v = _pdivmod(v, g, p)[0]
             h = _pmod(h, v, p)
         i += 1
-    if len(v) > 1:
+    if 1 < len(v) <= 2 * i:  # every factor has degree >= i: v is irreducible
         out.append((len(v) - 1, v))
+        v = [1]
+    if state:
+        state[:] = v, h, i
     return out
 
 

@@ -198,7 +198,7 @@ def minpoly_of_factor(g: BinaryForm) -> UniPoly:
 class AlgebraicPoint:
     """A point of P^1 with coordinates in Q or in a number field."""
 
-    __slots__ = ("field", "value", "infinity")
+    __slots__ = ("field", "value", "infinity", "_hash")
 
     def __init__(self, field: NumberField | None, value, infinity: bool = False):
         object.__setattr__(self, "field", field)
@@ -250,9 +250,10 @@ class AlgebraicPoint:
         return self.value == other.value
 
     def __hash__(self):
-        if self.infinity:
-            return hash("oo")
-        return hash(self.value)
+        if not hasattr(self, "_hash"):
+            object.__setattr__(self, "_hash", hash("oo" if self.infinity
+                                                   else self.value))
+        return self._hash
 
     def to_text(self, var: str = "a") -> str:
         if self.infinity:

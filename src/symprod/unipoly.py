@@ -34,7 +34,7 @@ def _as_rat(x) -> Fraction:
 class UniPoly:
     """A univariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs=()):
         cs = [_as_rat(c) for c in coeffs]
@@ -90,7 +90,9 @@ class UniPoly:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        if not hasattr(self, "_hash"):
+            object.__setattr__(self, "_hash", hash(self.coeffs))
+        return self._hash
 
     # -- arithmetic ---------------------------------------------------------
 

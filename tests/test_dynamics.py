@@ -18,7 +18,7 @@ from symprod import (DEFAULT_BUDGET, P1_INFINITY, AlgebraicPoint, BinaryForm,
                      period_bound, periods_mod_p, point_of_form,
                      preperiodic_graph, rational_periodic_points,
                      rational_preimages, symmetrize, zero_form_to_point_form)
-from symprod.dynamics import _dynatomic_part, _form_at
+from symprod.dynamics import _dynatomic_part, _form_at, _Part, _pullback_factors
 from symprod.unipoly import _conv
 
 F = Fraction
@@ -480,7 +480,7 @@ def _form_product(forms):
 def _check_dynatomic_parts(f, n_max):
     for n in range(1, n_max + 1):
         W = fixed_point_form(f, n)
-        parts = [_dynatomic_part(f, m)[0] for m in range(1, n + 1) if n % m == 0]
+        parts = [_dynatomic_part(f, m).phi for m in range(1, n + 1) if n % m == 0]
         assert _form_product(parts) == W, (f, n)
         # Phi*_n = prod W_m^mu(n/m), cross-multiplied
         plus = [fixed_point_form(f, m) for m in range(1, n + 1)
@@ -492,15 +492,13 @@ def _check_dynatomic_parts(f, n_max):
 
 @pytest.mark.parametrize("text", _EDGE_MAPS)
 def test_dynatomic_parts_multiply_to_fixed_point_forms(text):
-    f = _map(text)
-    _check_dynatomic_parts(f, 5 if f.d == 2 else 4)
+    _check_dynatomic_parts(_map(text), 5)
 
 
 @given(_small_maps())
 @settings(max_examples=25, deadline=None)
 def test_dynatomic_parts_multiply_to_fixed_point_forms_random(f):
-    # Phi*_5 of a cubic has degree 240 and takes about 25 s to factor
-    _check_dynatomic_parts(f, 5 if f.d == 2 else 4)
+    _check_dynatomic_parts(f, 5)
 
 
 def _multiset_points(forms, k):
@@ -583,3 +581,80 @@ def test_pullbacks_are_kept_per_map():
         got = rational_preimages(f, F1, q)
         assert got == _preimages_by_full_pullback(f, F1, q)
         assert {F(*p.coords) for p in got} == want
+
+
+@st.composite
+def _forms_with_repeats(draw):
+    """A product of binary forms: X^a Y^b times irreducible Eisenstein
+    factors of degree 1..9 with non-monic leads and random forms, some
+    repeated."""
+    a, b = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    forms = [BinaryForm((1, 0))] * a + [BinaryForm((0, 1))] * b
+    for _ in range(draw(st.integers(1, 3))):
+        e, p = draw(st.integers(1, 9)), draw(st.sampled_from([2, 3]))
+        lead = draw(st.sampled_from([1, 2, 5, 7]).filter(lambda c: c % p))
+        # coefficient j multiplies X^(e - j) Y^j: lead X^e + ... + p Y^e
+        g = BinaryForm([lead] + [p * draw(st.integers(-2, 2))
+                                 for _ in range(e - 1)] + [p])
+        forms += [g] * draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        forms.append(BinaryForm([draw(st.integers(1, 4))] +
+                                [draw(st.integers(-5, 5)) for _ in range(4)]))
+    return _form_product(forms)
+
+
+@given(_forms_with_repeats(), st.permutations(range(1, 9)))
+@settings(max_examples=60, deadline=None)
+def test_small_factors_match_full_factorization(phi, ks):
+    # one record asked in a random order of k, as a map's parts are
+    full = [g for g, _m in phi.factor()]
+    part = _Part(phi)
+    for k in ks:
+        assert part.small_factors(k) == [g for g in full if g.degree <= k], k
+
+
+def test_small_factors_are_ruled_out_without_factoring():
+    # x (x^7 - x - 1)(x^5 - x - 1): the degrees mod 3 are 2, 5, 5 and mod 5
+    # 1, 5, 6, so no factor but x has degree <= 4; with a square the middle
+    # is squarefree at no prime, and the bounded prime loop gives up
+    u = BinaryForm([1, 0, 0, 0, -1, -1])
+    phi = _form_product([BinaryForm([1, 0, 0, 0, 0, 0, -1, -1]), u,
+                         BinaryForm((1, 0))])
+    part = _Part(phi)
+    assert part.small_factors(4) == [BinaryForm((1, 0))]
+    assert part.factors is None
+    assert part.small_factors(5) == [BinaryForm((1, 0)), u]
+    assert part.factors is not None
+    part = _Part(_form_product([phi, u]))
+    assert part.small_factors(4) == [BinaryForm((1, 0))]
+    assert part.factors is not None
+
+
+@pytest.mark.parametrize("text,n_max", [
+    ("x^2 - 29/16", 4), ("x^2 - 1", 4), ("x^3 - x", 3), ("[z^2 - t^2, z*t]", 4)])
+def test_periodic_pullbacks_by_division_match_full_factoring(text, n_max,
+                                                              monkeypatch):
+    # x^2 - 1 has the critical point 0 on a 2-cycle, so 0 divides the
+    # pullback of -1 twice; for x^3 - x the cofactor is factored
+    f = _map(text)
+    periodic = [g for n in range(1, n_max + 1)
+                for g in _dynatomic_part(f, n).small_factors(f.d ** n + 1)]
+    factored = []
+    factor = BinaryForm.factor
+    monkeypatch.setattr(BinaryForm, "factor",
+                        lambda self: factored.append(self) or factor(self))
+    got = {g: _pullback_factors(f, g) for g in periodic}
+    monkeypatch.undo()
+    assert not factored if f.d == 2 else factored
+    for g, hs in got.items():
+        H = _form_at(g.coeffs, f.den, [-c for c in f.num])
+        assert hs == [h for h, _m in zero_form_to_point_form(BinaryForm(H)).factor()]
+
+
+@pytest.mark.parametrize("text", ["x^2 - 29/16", "x^2 - 2", "x^2 - 64/9"])
+def test_dynatomic_record_cannot_go_stale(text):
+    f = _map(text)
+    for k in (5, 3, 7, 4):
+        got = rational_periodic_points(f, k, 5)
+        assert got == rational_periodic_points(_map(text), k, 5), k
+        _check_carried(p for p, _n in got)

@@ -308,3 +308,18 @@ def test_shift_into_field_matches_horner_through_conv(m, h, s):
     alpha = NumberField(m).gen()
     h = UniPoly(h)
     assert numberfield._shift_into_field(h, s, alpha) == _shift_by_conv(h, s, alpha)
+
+
+def test_kept_hashes_equal_the_hashes_of_the_values():
+    # UniPoly, NFElem and AlgebraicPoint keep their hash once computed; the
+    # values are those of the plain tuples they hash
+    from symprod import AlgebraicPoint
+
+    u = UniPoly((F(1, 2), -3, 1))
+    e = CUBIC.element((1, F(-2, 3), 5))
+    for _ in range(2):
+        assert hash(u) == hash(u.coeffs) == hash(UniPoly(u.coeffs))
+        assert hash(e) == hash((CUBIC.minpoly.coeffs, e.coords))
+        assert hash(AlgebraicPoint(CUBIC, e)) == hash(e)
+        assert hash(AlgebraicPoint.rational(F(3, 7))) == hash(F(3, 7))
+        assert hash(AlgebraicPoint.at_infinity()) == hash("oo")

@@ -64,16 +64,18 @@ def _cmd_preperiodic(args):
                      f"{fld.minpoly_int.to_text()}: {roots} points")
     lines.append(f"total points over fields of degree <= {args.k}"
                  f" (Galois-counted): {total}")
-    payload = graph.to_json()
-    payload["recovered"] = {
-        "rational": [pt.to_text() for pt in rat],
-        "orbits": orbit_rows,
-        "total_galois_counted": total,
-    }
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(graph.to_dot())
         lines.append(f"dot written to {args.dot}")
+    payload = {}
+    if args.json:  # the human output reads no node
+        payload = graph.to_json()
+        payload["recovered"] = {
+            "rational": [pt.to_text() for pt in rat],
+            "orbits": orbit_rows,
+            "total_galois_counted": total,
+        }
     _emit(args, payload, "\n".join(lines))
     return 0
 

@@ -7,9 +7,11 @@ from its irreducible factors of degree <= k (often ruled out mod a few primes)
 give candidate points of P^k(Q), each verified by exact iteration.  Preimages
 are not searched for: each irreducible factor of a pullback form pushes
 forward to a power of the form it was pulled back from, so its degree is a
-multiple of that form's, the preimages of a point solve one small knapsack per
-factor of its form and are each checked once by applying the symmetric
-product, and a periodic pullback splits off its predecessor by exact division.
+multiple of that form's, the preimages of a point are exactly the solutions
+of one small knapsack per factor of its form, with no evaluation of the
+symmetric product, and a periodic pullback splits off its predecessor by
+exact division.  The preperiodic graph decomposes each Galois orbit of f among
+its nodes' factors once, and prints each orbit's texts once.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .polyfactor import _ddf, _monic_squarefree_mod
 from .projective import (AlgebraicPoint, BinaryForm, MorphismPk, PkPoint,
                          RationalMap1, point_of_factors,
                          zero_form_to_point_form)
-from .symmetric import _check_k, conjugate_points, eta_tilde, symmetrize
+from .symmetric import (_check_k, _conjugate_sort_key, conjugate_points,
+                        eta_tilde, symmetrize)
 from .unipoly import _conv, _int_divide, _trim
 
 _ORBIT_CAP = 100000
@@ -365,10 +368,9 @@ def rational_periodic_points(f: RationalMap1, k: int, n_max: int,
     return sorted(found.items())
 
 
-def default_n_max(f: RationalMap1, k: int, user_cap: int | None = None,
-                  budget: int = DEFAULT_BUDGET) -> int:
-    """Smallest of the user cap, the good-reduction period bound at two good
-    primes, and the largest n whose fixed-point form fits the budget."""
+def default_n_max(f: RationalMap1, k: int, budget: int = DEFAULT_BUDGET) -> int:
+    """Smaller of the good-reduction period bound at two good primes and the
+    largest n whose fixed-point form fits the budget, and at least 1."""
     _check_k(k)
     good = []
     bad = bad_primes(f)
@@ -382,10 +384,7 @@ def default_n_max(f: RationalMap1, k: int, user_cap: int | None = None,
     by_budget = 0
     while f.d ** (by_budget + 1) <= budget:
         by_budget += 1
-    out = min(bound, max(1, by_budget))
-    if user_cap is not None:
-        out = min(out, user_cap)
-    return max(1, out)
+    return min(bound, max(1, by_budget))
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +434,8 @@ def rational_preimages(f: RationalMap1, F: MorphismPk, q: PkPoint):
     deg h / deg g times, so h pushes forward to g^(deg h / deg g), and no
     other g receives it.  With q's form prod g_j^e_j, the preimages are
     exactly the products of prod h^c_h over the factors h of each g_j o f
-    with sum c_h deg h / deg g_j = e_j for every j.  Each is checked once
-    by applying F."""
+    with sum c_h deg h / deg g_j = e_j for every j.  F is not applied: it
+    fixes the dimension only, and the tests check F(p) = q on graphs."""
     if q.k != F.k:
         raise DomainError("dimension mismatch")
     per_factor = []
@@ -445,14 +444,8 @@ def rational_preimages(f: RationalMap1, F: MorphismPk, q: PkPoint):
         weights = [h.degree // g.degree for h in hs]
         per_factor.append([[(h, c) for h, c in zip(hs, cs) if c]
                            for cs in _weighted_counts(weights, e)])
-    out = []
-    for parts in product(*per_factor):
-        p = point_of_factors([hc for part in parts for hc in part])
-        if F.apply(p) != q:
-            raise DomainError("a matched preimage does not map to its "
-                              "target")  # unreachable
-        out.append(p)
-    return sorted(out)
+    return sorted(point_of_factors([hc for part in parts for hc in part])
+                  for parts in product(*per_factor))
 
 
 @dataclass(frozen=True)
@@ -465,23 +458,35 @@ class GraphNode:
 
 class PreperiodicGraph:
     """The functional graph of all rational preperiodic points of F found by
-    backward closure from the periodic set, with conjugate decompositions."""
+    backward closure from the periodic set, with conjugate decompositions.
+
+    Each distinct irreducible form among the nodes' factors is one Galois
+    orbit of f, decomposed once into orbits[i] = (field, point); a node's
+    components are lookups into that table."""
 
     def __init__(self, f, k, images, tails, periods):
         self.f = f
         self.k = k
         points = sorted(tails)
-        self._index = {p: i for i, p in enumerate(points)}
-        self.nodes = []
-        fields = {}
+        index = {p: i for i, p in enumerate(points)}
+        table = {}
         for p in points:
-            comps = conjugate_points(p)
-            for fld, _pt, _m in comps:
-                if fld is not None:
-                    fields.setdefault(fld.minpoly.coeffs, fld)
+            for g, _m in p.factors():
+                if g not in table:
+                    table[g] = conjugate_points(point_of_factors([(g, 1)]))[0][:2]
+        # orbits in the order conjugate_points gives a node's components
+        forms = sorted(table, key=lambda g: _conjugate_sort_key((*table[g], 1)))
+        self.orbits = [table[g] for g in forms]
+        rank = {g: r for r, g in enumerate(forms)}
+        self.nodes = []
+        for p in points:
+            ranked = sorted([(rank[g], m) for g, m in p.factors()])
+            comps = tuple([(*self.orbits[r], m) for r, m in ranked])
             self.nodes.append(GraphNode(point=p, tail=tails[p], period=periods[p],
-                                        components=tuple(comps)))
-        self.edges = sorted((self._index[p], self._index[images[p]]) for p in points)
+                                        components=comps))
+        self.edges = sorted((index[p], index[images[p]]) for p in points)
+        fields = {fld.minpoly.coeffs: fld for fld, _pt in self.orbits
+                  if fld is not None}
         self.fields = [fields[key] for key in sorted(fields)]
 
     def __len__(self):
@@ -490,33 +495,22 @@ class PreperiodicGraph:
     def recovered_points(self):
         """Distinct base-map preperiodic data: rational points as a sorted
         list, and one (minpoly, field) per higher-degree conjugate orbit."""
-        rationals = set()
-        for node in self.nodes:
-            for fld, pt, _m in node.components:
-                if fld is None:
-                    rationals.add(pt)
-        rat = sorted(rationals, key=lambda p: (0, Fraction(0)) if p.infinity
+        rat = sorted((pt for fld, pt in self.orbits if fld is None),
+                     key=lambda p: (0, Fraction(0)) if p.infinity
                      else (1, p.value))
         return rat, [(fld.minpoly, fld) for fld in self.fields]
 
-    def _node_label(self, node: GraphNode) -> str:
-        parts = []
-        for fld, pt, mult in node.components:
-            if pt.infinity:
-                base = "oo"
-            elif fld is None:
-                base = f"(x - {pt.value})" if pt.value >= 0 \
-                    else f"(x + {-pt.value})"
-            else:
-                base = f"({fld.minpoly.to_text()})"
-            parts.append(base if mult == 1 else f"{base}^{mult}")
-        coords = ", ".join(str(c) for c in node.point.coords)
-        return f"minpoly={'*'.join(parts)}; coords=({coords})"
-
     def to_dot(self) -> str:
+        base = {pt: "oo" if pt.infinity else
+                f"(x - {pt.value})" if fld is None and pt.value >= 0 else
+                f"(x + {-pt.value})" if fld is None else
+                f"({fld.minpoly.to_text()})" for fld, pt in self.orbits}
         lines = ["digraph preperiodic {", "  node [shape=box];"]
         for i, node in enumerate(self.nodes):
-            lines.append(f'  n{i} [label="{self._node_label(node)}"];')
+            minpoly = "*".join(base[pt] if m == 1 else f"{base[pt]}^{m}"
+                               for _fld, pt, m in node.components)
+            coords = ", ".join(str(c) for c in node.point.coords)
+            lines.append(f'  n{i} [label="minpoly={minpoly}; coords=({coords})"];')
         cycle = {i for i, n in enumerate(self.nodes) if n.tail == 0}
         for a, b in self.edges:
             style = " [style=bold]" if a in cycle else ""
@@ -525,23 +519,19 @@ class PreperiodicGraph:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
-        nodes = []
-        for i, node in enumerate(self.nodes):
-            comps = []
-            for fld, pt, mult in node.components:
-                comps.append({
-                    "degree": 1 if fld is None else fld.degree,
-                    "minpoly": ("x" if pt.infinity else
-                                f"x - {pt.value}" if fld is None else
-                                fld.minpoly_int.to_text()),
-                    "infinity": pt.infinity,
-                    "point": pt.to_text("w"),
-                    "multiplicity": mult,
-                })
-            nodes.append({"id": i,
-                          "coords": [str(c) for c in node.point.coords],
-                          "tail": node.tail, "period": node.period,
-                          "components": comps})
+        comp = {pt: {"degree": 1 if fld is None else fld.degree,
+                     "minpoly": ("x" if pt.infinity else
+                                 f"x - {pt.value}" if fld is None else
+                                 fld.minpoly_int.to_text()),
+                     "infinity": pt.infinity,
+                     "point": pt.to_text("w")}
+                for fld, pt in self.orbits}
+        nodes = [{"id": i,
+                  "coords": [str(c) for c in node.point.coords],
+                  "tail": node.tail, "period": node.period,
+                  "components": [{**comp[pt], "multiplicity": m}
+                                 for _fld, pt, m in node.components]}
+                 for i, node in enumerate(self.nodes)]
         return {
             "schema_version": "1",
             "nodes": nodes,

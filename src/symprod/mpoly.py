@@ -184,17 +184,6 @@ class MPoly:
             return Fraction(0)
         return total
 
-    def eval_int(self, values):
-        """Fast path for integer coefficients at integer points."""
-        total = 0
-        for e, c in self.terms.items():
-            term = c.numerator
-            for v, a in zip(values, e):
-                if a:
-                    term *= v ** a
-            total += term
-        return total
-
     def substitute(self, polys) -> "MPoly":
         """Plug polynomials (all over a common variable set) into the variables."""
         if len(polys) != self.nvars:

@@ -278,22 +278,16 @@ class RationalMap1:
                  "_orbits")
 
     def __init__(self, num_coeffs, den_coeffs):
-        num = [Fraction(c) for c in num_coeffs]
-        den = [Fraction(c) for c in den_coeffs]
+        num, den = list(num_coeffs), list(den_coeffs)
         if len(num) != len(den):
             raise DomainError("numerator and denominator must have equal formal degree")
         d = len(num) - 1
         if d < 1:
             raise DomainError("map degree must be at least 1")
-        dens = math.lcm(*(c.denominator for c in num + den))
-        ints = [int(c * dens) for c in num + den]
-        g = math.gcd(*ints)
-        first = next((v for v in ints if v), 0)
-        if first < 0:
-            g = -g
-        if g == 0:
-            raise DegenerateMapError("zero map")
-        ints = [v // g for v in ints]
+        try:
+            ints = _normalize_int_vector(num + den)
+        except DomainError:
+            raise DegenerateMapError("zero map") from None
         object.__setattr__(self, "num", tuple(ints[: d + 1]))
         object.__setattr__(self, "den", tuple(ints[d + 1:]))
         object.__setattr__(self, "d", d)

@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from symprod import (DEFAULT_BUDGET, P1_INFINITY, AlgebraicPoint, BinaryForm,
@@ -284,7 +284,6 @@ def test_budget_error():
 def test_default_n_max():
     f = _map("x^2 - 2")
     assert default_n_max(f, 2, budget=64) == 6
-    assert default_n_max(f, 2, user_cap=3, budget=64) == 3
     assert default_n_max(f, 2) == default_n_max(f, 2, budget=64)
 
 
@@ -355,39 +354,66 @@ def test_power_map_graph():
                    (1, -1): (1, 1)}
 
 
-def test_graph_applies_F_once_per_preperiodic_node(monkeypatch):
-    # the preimage search checks each matched preimage once, and the graph
-    # takes its edges from those checks
+def test_graph_closure_without_F_decomposes_each_orbit_once(monkeypatch):
+    # the closure matches preimages by pushforward alone, so F is applied
+    # only by the periodic search; and each Galois orbit of f among the
+    # nodes' factors is decomposed once, however many nodes hold it
+    from symprod import dynamics
     from symprod.projective import MorphismPk
 
-    calls = []
-    real = MorphismPk.apply
+    applied, decomposed = [], []
+    real_apply, real_conjugate = MorphismPk.apply, dynamics.conjugate_points
     monkeypatch.setattr(MorphismPk, "apply",
-                        lambda F, p: calls.append(p) or real(F, p))
+                        lambda F, p: applied.append(p) or real_apply(F, p))
+    monkeypatch.setattr(dynamics, "conjugate_points",
+                        lambda p: decomposed.append(p) or real_conjugate(p))
     for text, k, n_max in (("x^2 - 29/16", 3, 3), ("[z^2 - t^2, z*t]", 2, 3)):
-        calls.clear()
+        applied.clear()
         rational_periodic_points(_map(text), k, n_max)
-        periodic_calls = len(calls)
-        calls.clear()
+        periodic_calls = len(applied)
+        applied.clear()
+        decomposed.clear()
         g = preperiodic_graph(_map(text), k, n_max)
-        assert len(calls) - periodic_calls == len(g)
-        assert set(calls[periodic_calls:]) == {n.point for n in g.nodes}
+        assert len(applied) == periodic_calls
+        orbits = {h for n in g.nodes for h, _m in n.point.factors()}
+        assert len(decomposed) == len(orbits) == len(g.orbits)
+        assert {p.coords for p in decomposed} == {h.coeffs for h in orbits}
+
+
+def _check_graph_by_F(f, g):
+    """F maps every node to a node, along the node's edge, one step down its
+    tail or around its cycle (the check the closure does not make)."""
+    F = symmetrize(f, g.k)
+    index = {n.point: i for i, n in enumerate(g.nodes)}
+    dst = dict(g.edges)
+    assert len(dst) == len(g.edges) == len(g.nodes)
+    for i, n in enumerate(g.nodes):
+        img = apply(F, n.point)
+        assert img in index, n.point
+        assert dst[i] == index[img]
+        target = g.nodes[index[img]]
+        assert (target.tail, target.period) == (max(n.tail - 1, 0), n.period)
+
+
+_SQUARE_DENOMINATOR_CS = sorted({F(a, b * b) for b in range(1, 10)
+                                 for a in range(-4 * b * b, b * b + 1)
+                                 if math.gcd(a, b) == 1})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_SQUARE_DENOMINATOR_CS), st.integers(1, 4),
+       st.integers(1, 3))
+@example(F(-29, 16), 6, 3)
+def test_graph_edges_agree_with_F(c, k, n_max):
+    f = RationalMap1((1, 0, c), (0, 0, 1))
+    _check_graph_by_F(f, preperiodic_graph(f, k, n_max))
 
 
 def test_graph_closure_and_recovery_soundness():
     f = _map("x^2 - 21/16")
     g = preperiodic_graph(f, 2, 2)
-    F2 = symmetrize(f, 2)
-    points = {n.point for n in g.nodes}
-    lookup = {n.point: n for n in g.nodes}
+    _check_graph_by_F(f, g)
     for n in g.nodes:
-        img = apply(F2, n.point)
-        assert img in points
-        target = lookup[img]
-        if n.tail == 0:
-            assert target.tail == 0 and target.period == n.period
-        else:
-            assert target.tail == n.tail - 1
         periods = []
         for fld, pt, _m in n.components:
             cls = orbit_classify(f, pt)

@@ -10,6 +10,15 @@ Every error bound is backed by a certificate: explicit integer polynomials
 g_ij and nonzero integers r_i with sum_j g_ij F_j = r_i x_i^M.  These give a
 two-sided comparison |h(F(p)) - d h(p)| <= C, the geometric tail bounds for
 the Green iterations, and the per-step valuation caps at finite places.
+
+The certificate of lowest degree is searched degree by degree on Macaulay
+matrices, with one exception.  The symmetric product F of x^d + c, c != 0,
+satisfies F_j[g] = lam T_j[g] c^((w(g) - d j)/d), where T is that of
+x^d + 1 and w(g) = sum_i i g_i.  So every Macaulay matrix of F is T's times
+diagonal matrices, with the same greedy pivot columns and the same minimal
+degrees, and F's certificate is T's rescaled.  T is searched once per
+(d, k), its refusal kept as well, and every rescaled certificate is
+verified exactly before it is used.
 """
 
 from __future__ import annotations
@@ -119,15 +128,17 @@ def _monomials(nvars: int, deg: int):
 
 
 def _search_certificate(F: MorphismPk):
-    """Exponents M_i, multipliers r_i and g-norms of the lowest-degree
-    certificate, searched degree by degree; the bad primes play no part."""
+    """Exponents M_i, multipliers r_i, g-norms and the integer g_ij of the
+    lowest-degree certificate, searched degree by degree; the bad primes
+    play no part."""
     k, d = F.k, F.d
     nvars = k + 1
     cap = (k + 1) * (d - 1) + 1
-    fterms = [[(e, int(c)) for e, c in comp.terms.items()] for comp in F.components]
+    fterms = _fterms(F)
     exps = [None] * nvars
     mults = [None] * nvars
     gnorms = [None] * nvars
+    gs = [None] * nvars
 
     for M in range(d, cap + 1):
         missing = [i for i in range(nvars) if exps[i] is None]
@@ -148,21 +159,112 @@ def _search_certificate(F: MorphismPk):
             sol = solve_int_system(system, rhs)
             if sol is None:
                 continue
-            den = math.lcm(*(x.denominator for x in sol)) if sol else 1
             polys = [dict() for _ in range(nvars)]
             for col, x in enumerate(sol):
                 if x:
                     j, a = divmod(col, len(gmons))
-                    polys[j][gmons[a]] = x.numerator * (den // x.denominator)
-            if not _certificate_identity_holds(fterms, polys, target, den):
-                raise CertificateError("certificate failed exact verification")
+                    polys[j][gmons[a]] = x
             exps[i] = M
-            mults[i] = den
-            gnorms[i] = sum(abs(c) for g in polys for c in g.values())
+            mults[i], gnorms[i], gs[i] = _integral_certificate(fterms, polys, target)
     if any(e is None for e in exps):
         raise CertificateError(
             f"no Nullstellensatz certificate up to degree {cap}")
-    return tuple(exps), tuple(mults), tuple(gnorms)
+    return tuple(exps), tuple(mults), tuple(gnorms), tuple(gs)
+
+
+def _fterms(F: MorphismPk):
+    return [[(e, int(c)) for e, c in comp.terms.items()] for comp in F.components]
+
+
+def _integral_certificate(fterms, polys, target):
+    """(r, g-norm, integer g_j) from rational g_j with sum_j g_j F_j =
+    x^target: r is the lcm of the denominators, and r x^target = sum_j
+    (r g_j) F_j is verified exactly."""
+    den = math.lcm(*(x.denominator for g in polys for x in g.values()))
+    ints = [{a: x.numerator * (den // x.denominator) for a, x in g.items()}
+            for g in polys]
+    if not _certificate_identity_holds(fterms, ints, target, den):
+        raise CertificateError("certificate failed exact verification")
+    return den, sum(abs(v) for g in ints for v in g.values()), ints
+
+
+# (d, k) -> [T, T's search or the CertificateError that refused it], with
+# T the symmetric product of x^d + 1; the search runs on the first family map
+_template_cache: dict = {}
+
+
+def _weight(e) -> int:
+    return sum(i * a for i, a in enumerate(e))
+
+
+def _family_scaling(F: MorphismPk):
+    """(template entry, lam, c) when F_j[g] = lam T_j[g] c^((w(g) - d j)/d)
+    for every term, with T = symmetrize(x^d + 1, k) and w(g) = sum_i i g_i,
+    as for the symmetric product of x^d + c, c != 0; else None.  The
+    weights are read from F before T is built."""
+    d, k = F.d, F.k
+    terms = []
+    for j, comp in enumerate(F.components):
+        for e, coef in comp.terms.items():
+            m, r = divmod(_weight(e) - d * j, d)
+            if r or m < 0:
+                return None
+            terms.append((j, e, m, coef))
+    if all(m != 1 for _j, _e, m, _c in terms):
+        return None  # c = 0, or not a symmetric product of x^d + c
+    entry = _template_cache.get((d, k))
+    if entry is None:
+        one = RationalMap1([1] + [0] * (d - 1) + [1], [0] * d + [1])
+        entry = _template_cache[d, k] = [symmetrize(one, k), None]
+    T = entry[0].components
+    if any(len(a.terms) != len(b.terms) for a, b in zip(F.components, T)) \
+            or any(e not in T[j].terms for j, e, _m, _c in terms):
+        return None
+    lam = next(coef / T[j].terms[e] for j, e, m, coef in terms if m == 0)
+    c = next(coef / (lam * T[j].terms[e]) for j, e, m, coef in terms if m == 1)
+    powers = [c ** m for m in range(k + 1)]
+    if any(coef != lam * T[j].terms[e] * powers[m] for j, e, m, coef in terms):
+        return None
+    return entry, lam, c
+
+
+def _rescaled_search(F: MorphismPk):
+    """The search result of F.  When F is T rescaled (see _family_scaling),
+    every Macaulay block of F is T's times diagonal matrices, with the same
+    greedy pivot columns and minimal degrees, so the solutions are T's
+    rescaled: g_ij[a] = g~_ij[a] c^((w(a) + d j - i M_i)/d) / (lam r~_i).
+    Each rescaled certificate is verified exactly.  Other maps are searched."""
+    got = _family_scaling(F)
+    if got is None:
+        return _search_certificate(F)
+    entry, lam, c = got
+    if entry[1] is None:
+        try:
+            entry[1] = _search_certificate(entry[0])
+        except CertificateError as err:
+            entry[1] = err
+    if isinstance(entry[1], CertificateError):
+        raise CertificateError(str(entry[1]))
+    exps, mults, _gnorms, gs = entry[1]
+    d, nvars = F.d, F.k + 1
+    fterms = _fterms(F)
+    powers = {}
+    out = []
+    for i, (M, den, polys) in enumerate(zip(exps, mults, gs)):
+        scaled = []
+        for j, g in enumerate(polys):
+            h = {}
+            for a, x in g.items():
+                s = (_weight(a) + d * j - i * M) // d
+                cs = powers.get(s)
+                if cs is None:
+                    cs = powers[s] = c ** s / lam
+                h[a] = x * cs / den
+            scaled.append(h)
+        target = tuple(M if t == i else 0 for t in range(nvars))
+        out.append(_integral_certificate(fterms, scaled, target))
+    mults, gnorms, gs = zip(*out)
+    return exps, mults, gnorms, gs
 
 
 def _macaulay_matrix(fterms, gmons, rows_mons, M):
@@ -208,7 +310,7 @@ def _certificate_identity_holds(fterms, polys, target, den) -> bool:
 def _summarize_certificate(F: MorphismPk, search, bad) -> HeightCertificate:
     """The certificate's constants for one set of bad primes."""
     import mpmath
-    exps, mults, gnorms = search
+    exps, mults, gnorms, _gs = search
     d = F.d
     U = max(sum(abs(int(c)) for c in comp.terms.values()) for comp in F.components)
     c_up = _ceil_log(U)
@@ -254,7 +356,7 @@ def morphism_certificate(F: MorphismPk, bad=None) -> HeightCertificate:
     key = (F.key(), tuple(sorted(bad)) if bad is not None else None)
     got = _cert_cache.get(key)
     if got is None:
-        search = _search_certificate(F)
+        search = _rescaled_search(F)
         if bad is None:
             # safe superset: any prime not dividing some r_i has good reduction
             bad = {q for r in search[1] for q in prime_divisors(r)}

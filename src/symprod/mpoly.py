@@ -167,22 +167,7 @@ class MPoly:
                 base = base * base
         return result
 
-    # -- evaluation / substitution --------------------------------------------
-
-    def eval(self, values):
-        """Evaluate at a point; works over any ring the coefficients embed in."""
-        if len(values) != self.nvars:
-            raise DomainError("wrong number of values")
-        total = None
-        for e, c in self.sorted_terms():
-            term = c
-            for v, a in zip(values, e):
-                if a:
-                    term = term * v ** a
-            total = term if total is None else total + term
-        if total is None:
-            return Fraction(0)
-        return total
+    # -- substitution --------------------------------------------------------
 
     def substitute(self, polys) -> "MPoly":
         """Plug polynomials (all over a common variable set) into the variables."""
@@ -197,15 +182,6 @@ class MPoly:
                     term = term * p ** a
             out = out + term
         return out
-
-    def derivative(self, var: int) -> "MPoly":
-        out = {}
-        for e, c in self.terms.items():
-            if e[var]:
-                ne = list(e)
-                ne[var] -= 1
-                out[tuple(ne)] = c * e[var]
-        return MPoly(self.nvars, out)
 
     # -- normalization ---------------------------------------------------------
 
@@ -264,7 +240,7 @@ def joint_primitive(polys):
     if not nums:
         return list(polys)
     scale = Fraction(math.lcm(*dens), math.gcd(*nums))
-    scaled = [p * scale for p in polys]
+    scaled = list(polys) if scale == 1 else [p * scale for p in polys]
     for p in reversed(scaled):
         if p.terms:
             if min(p.sorted_terms(), key=lambda t: t[0])[1] < 0:

@@ -13,6 +13,7 @@ from symprod import (AlgebraicPoint, NumberField, PkPoint, RationalMap1,
                      naive_height, p1_point, parse_map, preperiodicity_bound,
                      symmetrize)
 from symprod import heights
+from symprod.errors import CertificateError
 from symprod.gf import morphism_degenerate_over
 from symprod.heights import morphism_certificate
 from symprod.mpoly import MPoly
@@ -443,7 +444,87 @@ def test_certificate_without_bad_primes_searches_once(monkeypatch):
     counts = []
     for bad in ((), None):
         monkeypatch.setattr(heights, "_cert_cache", {})
+        monkeypatch.setattr(heights, "_template_cache", {})
         calls.clear()
         morphism_certificate(F, bad=bad)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def _family_maps(d, count, seed):
+    rng = random.Random(seed)
+    cs = [F(rng.randrange(-300, 60), rng.randrange(1, 12) ** 2) for _ in range(count)]
+    return [f"x^{d} + ({c})" for c in cs if c]
+
+
+@pytest.mark.parametrize("d,ks,texts", [
+    (2, (1, 2, 3, 4, 5), _family_maps(2, 6, 3) + ["x^2 - 64/9", "x^2 + 7",
+                                                  "x^2 - 1000003/1000"]),
+    (3, (1, 2, 3), _family_maps(3, 4, 5) + ["x^3 - 2", "x^3 + 5/8"]),
+])
+def test_rescaled_certificate_equals_search(monkeypatch, d, ks, texts):
+    monkeypatch.setattr(heights, "_template_cache", {})
+    for text in texts:
+        for k in ks:
+            Fk = symmetrize(_map(text), k)
+            assert heights._family_scaling(Fk) is not None, (text, k)
+            assert heights._rescaled_search(Fk) == heights._search_certificate(Fk)
+    assert set(heights._template_cache) == {(d, k) for k in ks}
+
+
+def test_maps_outside_the_family_are_searched(monkeypatch):
+    searched = []
+    search = heights._search_certificate
+
+    def recording(Fk):
+        searched.append(Fk)
+        return search(Fk)
+
+    monkeypatch.setattr(heights, "_search_certificate", recording)
+    monkeypatch.setattr(heights, "_cert_cache", {})
+    monkeypatch.setattr(heights, "_template_cache", {})
+    for text in ("x^2 + x - 3", "[z^3 - z^2*t + 2*t^3, z^2*t + 3*t^3]", "x^2",
+                 "x^3 - 2*x"):
+        for k in (1, 2, 3):
+            Fk = symmetrize(_map(text), k)
+            assert heights._family_scaling(Fk) is None
+            searched.clear()
+            morphism_certificate(Fk, bad=())
+            assert searched == [Fk]
+    assert heights._template_cache == {}
+
+
+def test_corrupted_template_never_yields_a_certificate(monkeypatch):
+    monkeypatch.setattr(heights, "_cert_cache", {})
+    monkeypatch.setattr(heights, "_template_cache", {})
+    morphism_certificate(symmetrize(_map("x^2 - 2"), 3), bad=())
+    entry = heights._template_cache[2, 3]
+    exps, mults, gnorms, gs = entry[1]
+    for i in range(len(gs)):
+        for j, g in enumerate(gs[i]):
+            for a in g:
+                bad_g = [dict(h) for h in gs[i]]
+                bad_g[j][a] += 1
+                entry[1] = (exps, mults, gnorms, gs[:i] + (bad_g,) + gs[i + 1:])
+                monkeypatch.setattr(heights, "_cert_cache", {})
+                with pytest.raises(CertificateError, match="exact verification"):
+                    morphism_certificate(symmetrize(_map("x^2 - 29/16"), 3))
+                break  # one coefficient per g_ij
+
+
+def test_refused_template_refuses_the_family_at_once(monkeypatch):
+    monkeypatch.setattr(heights, "_cert_cache", {})
+    monkeypatch.setattr(heights, "_template_cache", {})
+    monkeypatch.setattr(heights, "_CERT_DIM_CAP", 40)
+    with pytest.raises(CertificateError) as first:
+        morphism_certificate(symmetrize(_map("x^2 - 2"), 4))
+    assert isinstance(heights._template_cache[2, 4][1], CertificateError)
+
+    def no_search(Fk):
+        raise AssertionError("searched again")
+
+    monkeypatch.setattr(heights, "_search_certificate", no_search)
+    with pytest.raises(CertificateError) as second:
+        morphism_certificate(symmetrize(_map("x^2 - 29/16"), 4))
+    assert second.value.code == first.value.code == "E_CERTIFICATE"
+    assert str(second.value) == str(first.value)

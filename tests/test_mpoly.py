@@ -8,6 +8,8 @@ from symprod import DomainError, MPoly, elementary_symmetric
 from symprod.mpoly import joint_primitive
 from symprod.parser import parse_mpoly
 
+from mpoly_helpers import mpoly_derivative, mpoly_eval
+
 F = Fraction
 
 
@@ -32,16 +34,16 @@ def test_degree_and_homogeneity():
 def test_eval_and_substitute():
     x0, x1 = MPoly.variable(2, 0), MPoly.variable(2, 1)
     f = x0 ** 2 - 2 * x1 ** 2
-    assert f.eval([F(3), F(1)]) == 7
+    assert mpoly_eval(f, [F(3), F(1)]) == 7
     g = f.substitute([x0 + x1, x1])
-    assert g.eval([F(2), F(1)]) == f.eval([F(3), F(1)])
+    assert mpoly_eval(g, [F(2), F(1)]) == mpoly_eval(f, [F(3), F(1)])
 
 
 def test_derivative():
     x0, x1 = MPoly.variable(2, 0), MPoly.variable(2, 1)
     f = x0 ** 2 * x1 + 3 * x1
-    assert f.derivative(0) == 2 * x0 * x1
-    assert f.derivative(1) == x0 ** 2 + MPoly.constant(2, 3)
+    assert mpoly_derivative(f, 0) == 2 * x0 * x1
+    assert mpoly_derivative(f, 1) == x0 ** 2 + MPoly.constant(2, 3)
 
 
 def test_text_round_trip():
@@ -105,5 +107,5 @@ def test_joint_primitive():
 
 def test_elementary_symmetric():
     e2 = elementary_symmetric(3, 2)
-    assert e2.eval([F(1), F(2), F(3)]) == 11
+    assert mpoly_eval(e2, [F(1), F(2), F(3)]) == 11
     assert elementary_symmetric(3, 0) == MPoly.constant(3, 1)

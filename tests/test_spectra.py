@@ -13,6 +13,8 @@ from symprod import (AlgebraicPoint, DegenerateMapError, DomainError,
 from symprod.linalg import charpoly
 from symprod.polyfactor import factor_unipoly
 
+from mpoly_helpers import mpoly_derivative, mpoly_eval
+
 F = Fraction
 
 
@@ -115,8 +117,8 @@ def _jacobian_step(Fk, p: PkPoint, q: PkPoint):
     m = _pk_chart(p)
     mp = _pk_chart(q)
     x = [Fraction(c, p.coords[m]) for c in p.coords]
-    fvals = [comp.eval(x) for comp in Fk.components]
-    dvals = [[comp.derivative(j).eval(x) for j in range(k + 1)]
+    fvals = [mpoly_eval(comp, x) for comp in Fk.components]
+    dvals = [[mpoly_eval(mpoly_derivative(comp, j), x) for j in range(k + 1)]
              for comp in Fk.components]
     denom = fvals[mp]
     assert denom != 0

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, dropwhile, product
+from itertools import combinations, count, dropwhile, product, takewhile
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, DomainError
 from .gf import FiniteField, cycle_lengths, p1_points, reduce_map
@@ -228,29 +228,22 @@ def fixed_point_form(f: RationalMap1, n: int) -> BinaryForm:
     return zero_form_to_point_form(BinaryForm(zero_form))
 
 
-def _weighted_counts(weights, total):
-    """Every tuple c of nonnegative integers with sum c_i * weights[i] =
-    total, in a fixed order."""
-    n = len(weights)
+def _weighted_counts(forms, weights, total):
+    """Every list of pairs (forms[i], c_i), c_i > 0, with sum c_i *
+    weights[i] = total, in a fixed order: the factorizations of the points
+    whose forms are products of forms, repetition allowed."""
+    n = len(forms)
 
     def rec(i, remaining):
         if remaining == 0:
-            yield (0,) * (n - i)
+            yield []
         elif i < n:
             w = weights[i]
             for c in range(remaining // w + 1):
                 for tail in rec(i + 1, remaining - c * w):
-                    yield (c,) + tail
+                    yield [(forms[i], c), *tail] if c else tail
 
     return rec(0, total)
-
-
-def _candidate_points(pool, k: int):
-    """The points of P^k whose forms are products of the distinct
-    irreducible forms in pool, repetition allowed, of total degree exactly
-    k, each carrying its factorization; in a fixed order."""
-    for cs in _weighted_counts([g.degree for g in pool], k):
-        yield point_of_factors([(g, c) for g, c in zip(pool, cs) if c])
 
 
 def _divide_form(a, b):
@@ -309,15 +302,28 @@ class _Part:
         return [BinaryForm(g) for g, c in (((1, 0), cs[-1]), ((0, 1), cs[0])) if not c]
 
 
+def recorded(f: RationalMap1, key, compute=None):
+    """The entry under key of f's one store (RationalMap1._orbits), computed
+    once per map by compute(); with compute None, the entry or None.  Keys:
+    n, the _Part of Phi*_n; ("pullbacks", g), the factors of g o f;
+    ("preimages", g, e), the (h, c) lists pulling g^e back, never mutated;
+    ("orbit", g), (field, point) of g's roots; spectra's ("image" | "cycle"
+    | "minpoly", pt), ("power", pt, j), ("piece" | "factors", chi, l) and
+    ("charpoly", pieces)."""
+    got = f._orbits.get(key)
+    if got is None and compute is not None:
+        got = f._orbits[key] = compute()
+    return got
+
+
 def _dynatomic_part(f: RationalMap1, n: int) -> _Part:
-    """Phi*_n with what is known of its factors, memoized on f.
+    """Phi*_n with what is known of its factors, recorded on f.
 
     Phi*_n = prod_{m | n} W_m^mu(n/m) with W_m = fixed_point_form(f, m), so
     W_n = prod_{m | n} Phi*_m (Silverman, The Arithmetic of Dynamical
     Systems, 4.1): Phi*_n is W_n divided exactly by the parts of the proper
     divisors of n, and factoring it skips every factor of a W_m, m | n."""
-    got = f._dynatomic.get(n)
-    if got is None:
+    def compute():
         below = [1]
         for m in range(1, n):
             if n % m == 0:
@@ -326,8 +332,8 @@ def _dynatomic_part(f: RationalMap1, n: int) -> _Part:
         if q is None:
             raise DomainError("fixed-point form not divisible by its "
                               "dynatomic parts")  # unreachable
-        got = f._dynatomic[n] = _Part(BinaryForm(q))
-    return got
+        return _Part(BinaryForm(q))
+    return recorded(f, n, compute)
 
 
 def rational_periodic_points(f: RationalMap1, k: int, n_max: int,
@@ -355,9 +361,10 @@ def rational_periodic_points(f: RationalMap1, k: int, n_max: int,
         # m < n is a primitive (n/m)-th root of unity (a fixed point with
         # multiplier -1 is a root of Phi*_1 and Phi*_2); a repeated form gives
         # candidates twice, with its multiplicity split between the copies
-        pool = dict.fromkeys(g for m in range(1, n + 1) if n % m == 0
-                             for g in _dynatomic_part(f, m).small_factors(k))
-        for p in _candidate_points(pool, k):
+        pool = list(dict.fromkeys(g for m in range(1, n + 1) if n % m == 0
+                                  for g in _dynatomic_part(f, m).small_factors(k)))
+        for p in map(point_of_factors,
+                     _weighted_counts(pool, [g.degree for g in pool], k)):
             if p in found:
                 continue
             per = _return_time(p, F.apply, n)
@@ -394,21 +401,21 @@ def default_n_max(f: RationalMap1, k: int, budget: int = DEFAULT_BUDGET) -> int:
 
 def _pullback_factors(f: RationalMap1, g: BinaryForm):
     """The distinct irreducible factors of the pullback g o f of the point
-    form g, in the order of BinaryForm.factor, memoized on f.
+    form g, in the order of BinaryForm.factor, recorded on f.
 
     Each pushes forward to a power of g, so its degree is a multiple of deg
-    g.  If g is a factor of a factored dynatomic part, g o f is divisible by
-    the factor g' of that part with f_*(g') = g (twice if its cycle holds a
-    critical point), found by trial division; a cofactor of degree deg g is
-    then irreducible, and only a larger one (never for d = 2) is factored."""
-    got = f._pullbacks.get(g)
-    if got is None:
+    g.  If g is a factor of a factored dynatomic part (of those recorded for
+    n = 1, 2, ...), g o f is divisible by the factor g' of that part with
+    f_*(g') = g (twice if its cycle holds a critical point), found by trial
+    division; a cofactor of degree deg g is then irreducible, and only a
+    larger one (never for d = 2) is factored."""
+    def compute():
         # H(z, t) = g(Q(z,t), -P(z,t)) vanishes on the f-preimages of the
         # points that g encodes
         H = zero_form_to_point_form(
             BinaryForm(_form_at(g.coeffs, f.den, [-c for c in f.num]))).coeffs
-        pred = next((h for part in f._dynatomic.values()
-                     if part.factors and g in part.factors
+        parts = takewhile(bool, (recorded(f, n) for n in count(1)))
+        pred = next((h for part in parts if part.factors and g in part.factors
                      for h in part.factors if h.degree == g.degree
                      and _divide_form(H, h.coeffs) is not None), None)
         got = [] if pred is None else [pred]
@@ -420,8 +427,8 @@ def _pullback_factors(f: RationalMap1, g: BinaryForm):
             got += [h for h, _m in BinaryForm(H).factor()]
         got.sort(key=lambda h: (h.coeffs != (1, 0), h.coeffs != (0, 1),
                                 h.degree, h.coeffs[::-1]))
-        f._pullbacks[g] = got
-    return got
+        return got
+    return recorded(f, ("pullbacks", g), compute)
 
 
 def rational_preimages(f: RationalMap1, F: MorphismPk, q: PkPoint):
@@ -438,12 +445,11 @@ def rational_preimages(f: RationalMap1, F: MorphismPk, q: PkPoint):
     fixes the dimension only, and the tests check F(p) = q on graphs."""
     if q.k != F.k:
         raise DomainError("dimension mismatch")
-    per_factor = []
-    for g, e in q.factors():
+    def solutions(g, e):
         hs = _pullback_factors(f, g)
-        weights = [h.degree // g.degree for h in hs]
-        per_factor.append([[(h, c) for h, c in zip(hs, cs) if c]
-                           for cs in _weighted_counts(weights, e)])
+        return list(_weighted_counts(hs, [h.degree // g.degree for h in hs], e))
+    per_factor = [recorded(f, ("preimages", g, e), lambda: solutions(g, e))
+                  for g, e in q.factors()]
     return sorted(point_of_factors([hc for part in parts for hc in part])
                   for parts in product(*per_factor))
 
@@ -461,19 +467,18 @@ class PreperiodicGraph:
     backward closure from the periodic set, with conjugate decompositions.
 
     Each distinct irreducible form among the nodes' factors is one Galois
-    orbit of f, decomposed once into orbits[i] = (field, point); a node's
-    components are lookups into that table."""
+    orbit of f, decomposed once per map into (field, point) (recorded);
+    orbits lists them, and a node's components are lookups into it."""
 
     def __init__(self, f, k, images, tails, periods):
         self.f = f
         self.k = k
         points = sorted(tails)
         index = {p: i for i, p in enumerate(points)}
-        table = {}
-        for p in points:
-            for g, _m in p.factors():
-                if g not in table:
-                    table[g] = conjugate_points(point_of_factors([(g, 1)]))[0][:2]
+        table = dict.fromkeys(g for p in points for g, _m in p.factors())
+        for g in table:
+            table[g] = recorded(f, ("orbit", g), lambda: conjugate_points(
+                point_of_factors([(g, 1)]))[0][:2])
         # orbits in the order conjugate_points gives a node's components
         forms = sorted(table, key=lambda g: _conjugate_sort_key((*table[g], 1)))
         self.orbits = [table[g] for g in forms]

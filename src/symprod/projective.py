@@ -269,13 +269,12 @@ class AlgebraicPoint:
 class RationalMap1:
     """A self-map of P^1 given by a coprime pair of degree-d binary forms.
 
-    _dynatomic and _pullbacks hold the factorizations that the periodic and
-    preimage searches of dynamics derive from the map, and _orbits the orbit
-    record of spectra (images, cycles, multipliers), so that each is
-    computed once per map and freed with it."""
+    _orbits is the map's one store of what dynamics and spectra derive from
+    it (dynatomic parts, pullbacks, orbit decompositions, multipliers), so
+    that each is computed once per map and freed with it; it is read and
+    written only through dynamics.recorded, whose docstring lists its keys."""
 
-    __slots__ = ("num", "den", "d", "res", "_dynatomic", "_pullbacks",
-                 "_orbits")
+    __slots__ = ("num", "den", "d", "res", "_orbits")
 
     def __init__(self, num_coeffs, den_coeffs):
         num, den = list(num_coeffs), list(den_coeffs)
@@ -300,8 +299,6 @@ class RationalMap1:
             raise DegenerateMapError(
                 "resultant vanishes: the pair does not define a morphism")
         object.__setattr__(self, "res", res)
-        object.__setattr__(self, "_dynatomic", {})
-        object.__setattr__(self, "_pullbacks", {})
         object.__setattr__(self, "_orbits", {})
 
     def __setattr__(self, *a):

@@ -5,7 +5,7 @@ the coordinate flip when a cycle passes through infinity).  The spectrum of
 a symmetric-product cycle comes from its base points, never from F: Galois
 conjugation commutes with f and fixes the point, so the charpoly is a
 product of pieces chi(x^l)^m counted per f^n-cycle (see multiplier_F), and
-each base orbit's data is computed once per map, in its orbit record.
+each base orbit's data is computed once, in f's store (dynamics.recorded).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .projective import (AlgebraicPoint, PkPoint, RationalMap1,
                          zero_form_to_point_form)
 from .symmetric import conjugate_points, decompose_form
 from .unipoly import UniPoly
-from .dynamics import orbit_classify
+from .dynamics import orbit_classify, recorded
 
 
 def _local_derivative(f: RationalMap1, src: AlgebraicPoint, dst: AlgebraicPoint):
@@ -40,17 +40,9 @@ def _local_derivative(f: RationalMap1, src: AlgebraicPoint, dst: AlgebraicPoint)
     return (npv * dv - nv * dpv) / (dv * dv)
 
 
-def _recorded(f: RationalMap1, key, compute):
-    """The entry of f's orbit record under key, computed once per map."""
-    got = f._orbits.get(key)
-    if got is None:
-        got = f._orbits[key] = compute()
-    return got
-
-
 def _image(f: RationalMap1, pt: AlgebraicPoint, n: int = 1) -> AlgebraicPoint:
     for _ in range(n):
-        pt = _recorded(f, ("image", pt), lambda: f.apply_algebraic(pt))
+        pt = recorded(f, ("image", pt), lambda: f.apply_algebraic(pt))
     return pt
 
 
@@ -63,7 +55,7 @@ def _cycle(f: RationalMap1, pt: AlgebraicPoint):
             orbit.append(nxt)
         return len(orbit), prod(_local_derivative(f, a, _image(f, a))
                                 for a in orbit)
-    return _recorded(f, ("cycle", pt), walk)
+    return recorded(f, ("cycle", pt), walk)
 
 
 def _galois_orbit(f: RationalMap1, pt: AlgebraicPoint):
@@ -71,7 +63,7 @@ def _galois_orbit(f: RationalMap1, pt: AlgebraicPoint):
     polynomial."""
     if pt.field is None:
         return pt
-    return _recorded(f, ("minpoly", pt), pt.minimal_polynomial)
+    return recorded(f, ("minpoly", pt), pt.minimal_polynomial)
 
 
 def multiplier_f(f: RationalMap1, point, n: int):
@@ -90,8 +82,8 @@ def multiplier_f(f: RationalMap1, point, n: int):
 
 
 def _piece(f: RationalMap1, chi: UniPoly, l: int) -> UniPoly:
-    """chi(x^l), from f's orbit record."""
-    return _recorded(f, ("piece", chi, l),
+    """chi(x^l), recorded on f."""
+    return recorded(f, ("piece", chi, l),
                      lambda: chi.compose(UniPoly((0,) * l + (1,))))
 
 
@@ -109,7 +101,7 @@ class MultiplierReport:
         pieces (each factored once per map)."""
         content, facs = Fraction(1), {}
         for chi, l, m in self.pieces:
-            c, gs = _recorded(self.f, ("factors", chi, l),
+            c, gs = recorded(self.f, ("factors", chi, l),
                               lambda: factor_unipoly(_piece(self.f, chi, l)))
             content *= c ** m
             for g, a in gs:
@@ -139,7 +131,7 @@ def multiplier_F(f: RationalMap1, k: int, p: PkPoint, n: int) -> MultiplierRepor
     F^n(P) = P: the characteristic polynomial of DF^n at P, and the
     multipliers of the base points in the conjugate decomposition.
 
-    All of it comes from f, once per base orbit (f's orbit record).  A base
+    All of it comes from f, once per base orbit (recorded on f).  A base
     point of P with period r and multiplier lam lies on an f^n-cycle of
     length l = r / gcd(r, n) with multiplier mu = lam^(n / gcd(r, n)); held
     e times in P (Sym^e in local coordinates), that cycle gives DF^n the
@@ -166,13 +158,13 @@ def multiplier_F(f: RationalMap1, k: int, p: PkPoint, n: int) -> MultiplierRepor
         l, step = per // g, n // g
         size = field.degree if field else 1
         for power in range(step, step * mult + 1, step):
-            chi = _recorded(f, ("power", pt, power),
+            chi = recorded(f, ("power", pt, power),
                             lambda: minimal_polynomial(lam ** power))
             counts[l, chi] = counts.get((l, chi), 0) + size // chi.degree
         base.extend([(pt, per, lam)] * mult)
     pieces = tuple(sorted(((chi, l, c // l) for (l, chi), c in counts.items()),
                           key=lambda q: (q[1], q[0].degree, q[0].coeffs)))
-    cp = _recorded(f, ("charpoly", pieces), lambda: prod(
+    cp = recorded(f, ("charpoly", pieces), lambda: prod(
         (_piece(f, chi, l) ** m for chi, l, m in pieces), start=UniPoly.one()))
     return MultiplierReport(point=p, period=n, base_multipliers=tuple(base),
                             charpoly=cp, pieces=pieces, f=f)

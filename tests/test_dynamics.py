@@ -14,9 +14,9 @@ from symprod import (DEFAULT_BUDGET, P1_INFINITY, AlgebraicPoint, BinaryForm,
                      NumberField, OrbitClassification, PeriodBoundInput, PkPoint,
                      RationalMap1, UniPoly, apply, bad_primes, default_n_max, eta,
                      exponent_bound, fixed_point_form, form_of_point,
-                     morphism_certificate, orbit_classify, p1_point, parse_map,
-                     period_bound, periods_mod_p, point_of_form,
-                     preperiodic_graph, rational_periodic_points,
+                     morphism_certificate, multiplier_F, orbit_classify,
+                     p1_point, parse_map, period_bound, periods_mod_p,
+                     point_of_form, preperiodic_graph, rational_periodic_points,
                      rational_preimages, symmetrize, zero_form_to_point_form)
 from symprod.dynamics import _dynatomic_part, _form_at, _Part, _pullback_factors
 from symprod.unipoly import _conv
@@ -378,6 +378,14 @@ def test_graph_closure_without_F_decomposes_each_orbit_once(monkeypatch):
         orbits = {h for n in g.nodes for h, _m in n.point.factors()}
         assert len(decomposed) == len(orbits) == len(g.orbits)
         assert {p.coords for p in decomposed} == {h.coeffs for h in orbits}
+        # a second graph of the same map object, at k + 1, decomposes only
+        # the orbits the first did not hold (6 of 27, and 0 of 8)
+        decomposed.clear()
+        g2 = preperiodic_graph(g.f, k + 1, n_max)
+        orbits2 = {h for n in g2.nodes for h, _m in n.point.factors()}
+        new = orbits2 - orbits
+        assert orbits <= orbits2 and len(decomposed) == len(new)
+        assert {p.coords for p in decomposed} == {h.coeffs for h in new}
 
 
 def _check_graph_by_F(f, g):
@@ -679,8 +687,19 @@ def test_periodic_pullbacks_by_division_match_full_factoring(text, n_max,
 
 @pytest.mark.parametrize("text", ["x^2 - 29/16", "x^2 - 2", "x^2 - 64/9"])
 def test_dynatomic_record_cannot_go_stale(text):
+    # dynamics and spectra keep their entries in one store per map: on one
+    # map object, asked in any order, every answer is a fresh map's
     f = _map(text)
     for k in (5, 3, 7, 4):
         got = rational_periodic_points(f, k, 5)
         assert got == rational_periodic_points(_map(text), k, 5), k
         _check_carried(p for p, _n in got)
+    ks = [2, 3, 4]
+    random.Random(text).shuffle(ks)
+    for k in ks:
+        got, want = preperiodic_graph(f, k, 3), preperiodic_graph(_map(text), k, 3)
+        assert (got.nodes, got.edges, got.to_json()) == \
+            (want.nodes, want.edges, want.to_json()), k
+        for p, per in rational_periodic_points(f, k, 3):
+            got, want = multiplier_F(f, k, p, per), multiplier_F(_map(text), k, p, per)
+            assert (got, got.to_json()) == (want, want.to_json()), (k, p)

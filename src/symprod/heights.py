@@ -4,7 +4,13 @@ The canonical height of a rational point is the sum of local Green's
 functions of a fixed primitive-integer lift: the archimedean one by
 norm-renormalized floating iteration, the finite ones (bad primes only; good
 primes contribute exactly zero for coprime coordinates) by exact valuation
-bookkeeping modulo a prime power.
+bookkeeping modulo a prime power.  Both iterate F on its evaluation plan
+(MorphismPk.plan).  The archimedean one runs on mpmath's raw libmp tuples,
+with the operations, order and rounding of mpf arithmetic term by term
+(the tests keep that loop as the reference): a component's terms are
+summed in the insertion order of F's terms, and a float sum depends on
+that order, so the plan keeps it pinned until the iteration carries a
+certified ball enclosure instead.
 
 Every error bound is backed by a certificate: explicit integer polynomials
 g_ij and nonzero integers r_i with sum_j g_ij F_j = r_i x_i^M.  These give a
@@ -27,6 +33,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations_with_replacement
 from operator import add
 
@@ -34,7 +41,6 @@ from .errors import CertificateError, DomainError
 from .gf import degenerates_mod_p
 from .intfactor import prime_divisors
 from .linalg import IntSystem, solve_int_system
-from .mpoly import MPoly
 from .projective import MorphismPk, PkPoint, RationalMap1, morphism_of_map
 from .symmetric import eta_tilde, symmetrize
 
@@ -433,40 +439,49 @@ def green_local(F: MorphismPk, p: PkPoint, place, tol: float = 1e-6,
 
 
 def _green_arch(F: MorphismPk, p: PkPoint, tol, prec, cert):
+    """The archimedean Green function by N steps of u -> F(u)/||F(u)||_inf
+    on F's evaluation plan, in mpmath's raw libmp tuples at the working
+    precision: each power u_i^a once per step, then each component's terms
+    c * u^e multiplied left to right and summed in plan order, with the
+    rounding of the same mpf operations."""
     import mpmath
+    from mpmath.libmp import (from_int, fzero, mpf_abs, mpf_add, mpf_cmp,
+                              mpf_div, mpf_mul, mpf_pos, mpf_pow_int)
     d = F.d
     C = cert.green_constant()
     N = max(1, int(mpmath.ceil(mpmath.log(C / (tol * (d - 1))) / mpmath.log(d))) + 1)
+    powers, monomials, terms = F.plan
+    by_value = cmp_to_key(mpf_cmp)
     with _mp_lock:
         old = mpmath.mp.prec
         mpmath.mp.prec = max(53, prec)
         try:
-            u = [mpmath.mpf(c) for c in p.coords]
-            scale = max(abs(x) for x in u)
-            acc = mpmath.log(scale)
-            u = [x / scale for x in u]
+            wp, rnd = mpmath.mp._prec_rounding
+            as_mpf = mpmath.mp.make_mpf
+            comps = [[(mpf_pos(from_int(c), wp, rnd), monomials[m]) for c, m in comp]
+                     for comp in terms]
+            u = [mpf_pos(from_int(c), wp, rnd) for c in p.coords]
+            scale = max([mpf_abs(x, wp, rnd) for x in u], key=by_value)
+            acc = mpmath.log(as_mpf(scale))
+            u = [mpf_div(x, scale, wp, rnd) for x in u]
             for n in range(N):
-                w = [_eval_mp(comp, u) for comp in F.components]
-                s = max(abs(x) for x in w)
-                acc += mpmath.log(s) / mpmath.mpf(d) ** (n + 1)
-                u = [x / s for x in w]
+                pw = [mpf_pow_int(u[v], a, wp, rnd) for v, a in powers]
+                w = []
+                for comp in comps:
+                    total = fzero
+                    for t, mono in comp:
+                        for i in mono:
+                            t = mpf_mul(t, pw[i], wp, rnd)
+                        total = mpf_add(total, t, wp, rnd)
+                    w.append(total)
+                s = max([mpf_abs(x, wp, rnd) for x in w], key=by_value)
+                acc += mpmath.log(as_mpf(s)) / mpmath.mpf(d) ** (n + 1)
+                u = [mpf_div(x, s, wp, rnd) for x in w]
             tail = C * float(mpmath.mpf(d) ** (-N)) / (d - 1)
             slack = N * (C + 2) * 2.0 ** (10 - mpmath.mp.prec)
             return float(acc), tail + slack
         finally:
             mpmath.mp.prec = old
-
-
-def _eval_mp(comp: MPoly, vals):
-    import mpmath
-    total = mpmath.mpf(0)
-    for e, c in comp.terms.items():
-        term = mpmath.mpf(c.numerator)
-        for v, a in zip(vals, e):
-            if a:
-                term *= v ** a
-        total += term
-    return total
 
 
 def _green_finite(F: MorphismPk, p: PkPoint, q: int, tol, cert):

@@ -24,8 +24,11 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from fractions import Fraction
 from itertools import combinations, zip_longest
+from operator import mul
+from sys import byteorder
 
 from .errors import DomainError
 from .intfactor import is_prime
@@ -53,13 +56,14 @@ def _pdivmod(a, b, m):
         raise ZeroDivisionError
     inv = pow(b[-1], -1, m)
     r = [c % m for c in a]
-    q = [0] * max(0, len(a) - len(b) + 1)
-    for i in range(len(r) - 1, len(b) - 2, -1):
+    nb = len(b)
+    q = [0] * max(0, len(a) - nb + 1)
+    for i in range(len(r) - 1, nb - 2, -1):
         if r[i]:
             f = r[i] * inv % m
-            q[i - len(b) + 1] = f
-            for j, c in enumerate(b):
-                r[i - len(b) + 1 + j] = (r[i - len(b) + 1 + j] - f * c) % m
+            s = i - nb + 1
+            q[s] = f
+            r[s:i + 1] = [(x - f * c) % m for x, c in zip(r[s:i + 1], b)]
     return _trim(q), _trim(r)
 
 
@@ -112,19 +116,83 @@ def _ppowmod(a, e, mod, p):
 # ---------------------------------------------------------------------------
 
 
+class _PackedMod:
+    """Multiplication modulo a monic v of degree n in Z/p[x] by Kronecker
+    substitution (Harvey, JSC 2009, the plain variant).  A polynomial of
+    degree < n with coefficients in [0, p) packs as sum c_i 2^(w i), w the
+    bits of an array slot of typecode code; rows[j] packs x^(n + j) mod v."""
+
+    def __init__(self, v, p, code):
+        n = len(v) - 1
+        self.n, self.p, self.code = n, p, code
+        self.width = array(code).itemsize
+        self.mask = (1 << (8 * self.width * n)) - 1
+        row = [-c % p for c in v[:-1]]
+        self.rows = []
+        for _ in range(n - 1):
+            self.rows.append(self._pack(row))
+            top = row[-1]
+            row = [(a - top * c) % p for a, c in zip([0] + row[:-1], v)]
+
+    def _pack(self, coeffs):
+        return int.from_bytes(array(self.code, coeffs), byteorder)
+
+    def _slots(self, x, count):
+        return array(self.code, x.to_bytes(count * self.width, byteorder))
+
+    def _mulmod(self, a, b):
+        """(packed a b mod v, its coefficient list) for packed reduced a, b."""
+        n, prod = self.n, a * b
+        high = self._slots(prod, 2 * n - 1)[n:]
+        red = (prod & self.mask) + sum(map(mul, high, self.rows))
+        coeffs = [c % self.p for c in self._slots(red, n)]
+        return self._pack(coeffs), coeffs
+
+    def powmod(self, h, e):
+        """h^e mod v (e >= 1) for h reduced mod v, as a trimmed list."""
+        base, result = (self._pack(h), h), None
+        while True:
+            if e & 1:
+                result = base if result is None else self._mulmod(result[0], base[0])
+            e >>= 1
+            if not e:
+                return _trim(list(result[1]))
+            base = self._mulmod(base[0], base[0])
+
+
+def _packed_mod(v, p):
+    """A _PackedMod for v, or False when no 32- or 64-bit slot holds its
+    sums: a product of two packed polynomials has slots of at most
+    m = n (p - 1)^2, and its reduction, the low n slots plus
+    sum_j (slot n + j) rows[j], slots of at most m (1 + (n - 1)(p - 1))."""
+    n = len(v) - 1
+    bound = n * (p - 1) ** 2 * (1 + (n - 1) * (p - 1))
+    for code in "IQ":
+        if bound >> (8 * array(code).itemsize) == 0:
+            return _PackedMod(v, p, code)
+    return False
+
+
 def _ddf(f, p, cap=None, state=None):
     """Distinct-degree split of a monic squarefree f mod p: [(d, product)];
     with a cap, only d <= cap (and an irreducible rest).  A state [v, h, i],
-    [f, [0, 1], 1] at first, is continued from and updated in place."""
+    [f, [0, 1], 1] at first, is continued from and updated in place.  h^p
+    mod v is taken on packed integers, with the rows of v built once per v:
+    on a 2-core Xeon that is faster than lists from degree 2 on, the
+    preperiodic graph's degree-4 to degree-12 splits included."""
     out = []
     v, h, i = state or (list(f), [0, 1], 1)
+    packed = None
     while len(v) - 1 >= 2 * i and (cap is None or i <= cap):
-        h = _ppowmod(h, p, v, p)
+        if packed is None:
+            packed = _packed_mod(v, p)
+        h = packed.powmod(h, p) if packed else _ppowmod(h, p, v, p)
         g = _pgcd(_psub(h, [0, 1], p), v, p)
         if len(g) > 1:
             out.append((i, g))
             v = _pdivmod(v, g, p)[0]
             h = _pmod(h, v, p)
+            packed = None
         i += 1
     if 1 < len(v) <= 2 * i:  # every factor has degree >= i: v is irreducible
         out.append((len(v) - 1, v))

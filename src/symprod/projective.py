@@ -386,10 +386,36 @@ class RationalMap1:
         return f"RationalMap1({self.to_text()})"
 
 
-class MorphismPk:
-    """A self-map of P^k as k+1 integer-coefficient forms of common degree d."""
+def _eval_plan(comps):
+    """How every evaluation of a MorphismPk runs, built once per map:
+    (powers, monomials, terms).  powers are the distinct (variable,
+    exponent) pairs of its monomials; monomials the distinct monomials of
+    all components, each as indices into powers in ascending variable
+    order; terms, per component, its (integer coefficient, monomial index)
+    pairs in the insertion order of components[j].terms.
+    heights._green_arch sums a component's rounded terms in that order, so
+    the order is part of every height's value."""
+    powers, monomials = {}, {}
+    terms = []
+    for comp in comps:
+        row = []
+        for e, c in comp.terms.items():
+            m = monomials.get(e)
+            if m is None:
+                m = monomials[e] = len(monomials)
+            row.append((c.numerator, m))
+        terms.append(tuple(row))
+    mono = tuple(tuple(powers.setdefault((v, a), len(powers))
+                       for v, a in enumerate(e) if a) for e in monomials)
+    return tuple(powers), mono, tuple(terms)
 
-    __slots__ = ("k", "d", "components", "_fast")
+
+class MorphismPk:
+    """A self-map of P^k as k+1 integer-coefficient forms of common degree d,
+    with the evaluation plan that apply, eval_int and the Green iterations
+    share."""
+
+    __slots__ = ("k", "d", "components", "plan")
 
     def __init__(self, components, expected_degree=None):
         comps = list(components)
@@ -413,9 +439,7 @@ class MorphismPk:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "components", tuple(comps))
-        fast = tuple(tuple((c.numerator, e) for e, c in comp.sorted_terms())
-                     for comp in comps)
-        object.__setattr__(self, "_fast", fast)
+        object.__setattr__(self, "plan", _eval_plan(comps))
 
     def __setattr__(self, *a):
         raise AttributeError("MorphismPk is immutable")
@@ -430,17 +454,12 @@ class MorphismPk:
         return tuple(tuple(sorted(c.terms.items())) for c in self.components)
 
     def eval_int(self, coords) -> list[int]:
-        out = []
-        for comp in self._fast:
-            total = 0
-            for c, e in comp:
-                term = c
-                for v, a in zip(coords, e):
-                    if a:
-                        term *= v ** a
-                total += term
-            out.append(total)
-        return out
+        """F at integer coordinates: each power and monomial once, then
+        each component as one sum."""
+        powers, monomials, terms = self.plan
+        pw = [coords[v] ** a for v, a in powers]
+        mono = [math.prod([pw[i] for i in m]) for m in monomials]
+        return [sum([c * mono[m] for c, m in comp]) for comp in terms]
 
     def apply(self, p: PkPoint) -> PkPoint:
         if p.k != self.k:

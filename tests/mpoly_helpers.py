@@ -1,6 +1,10 @@
-"""Evaluation and differentiation of MPoly, which only the tests need."""
+"""Evaluation and differentiation of MPoly, which only the tests need, and
+the term-by-term evaluations of a MorphismPk that its evaluation plan
+replaced, kept as references."""
 
 from fractions import Fraction
+
+import mpmath
 
 from symprod.mpoly import MPoly
 
@@ -26,3 +30,31 @@ def mpoly_derivative(p: MPoly, var: int) -> MPoly:
             ne[var] -= 1
             out[tuple(ne)] = c * e[var]
     return MPoly(p.nvars, out)
+
+
+def eval_int_termwise(F, coords) -> list[int]:
+    """F at integer coordinates, every term's powers taken anew."""
+    out = []
+    for comp in F.components:
+        total = 0
+        for e, c in comp.sorted_terms():
+            term = c.numerator
+            for v, a in zip(coords, e):
+                if a:
+                    term *= v ** a
+            total += term
+        out.append(total)
+    return out
+
+
+def eval_mp_termwise(comp: MPoly, vals):
+    """One component at mpf values, on mpf objects at mpmath's working
+    precision, its terms summed in insertion order."""
+    total = mpmath.mpf(0)
+    for e, c in comp.terms.items():
+        term = mpmath.mpf(c.numerator)
+        for v, a in zip(vals, e):
+            if a:
+                term *= v ** a
+        total += term
+    return total

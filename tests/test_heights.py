@@ -18,6 +18,8 @@ from symprod.gf import morphism_degenerate_over
 from symprod.heights import morphism_certificate
 from symprod.mpoly import MPoly
 
+from mpoly_helpers import eval_mp_termwise
+
 F = Fraction
 
 
@@ -528,3 +530,78 @@ def test_refused_template_refuses_the_family_at_once(monkeypatch):
         morphism_certificate(symmetrize(_map("x^2 - 29/16"), 4))
     assert second.value.code == first.value.code == "E_CERTIFICATE"
     assert str(second.value) == str(first.value)
+
+
+# ---------------------------------------------------------------------------
+# the Green iteration on F's evaluation plan against mpf objects
+# ---------------------------------------------------------------------------
+
+
+def _green_arch_termwise(Fk, p, tol, prec, cert):
+    """heights._green_arch with each component evaluated term by term on
+    mpf objects: the loop the plan iteration must match bit for bit."""
+    d = Fk.d
+    C = cert.green_constant()
+    N = max(1, int(mpmath.ceil(mpmath.log(C / (tol * (d - 1))) / mpmath.log(d))) + 1)
+    with mpmath.workprec(max(53, prec)):
+        u = [mpmath.mpf(c) for c in p.coords]
+        scale = max(abs(x) for x in u)
+        acc = mpmath.log(scale)
+        u = [x / scale for x in u]
+        for n in range(N):
+            w = [eval_mp_termwise(comp, u) for comp in Fk.components]
+            s = max(abs(x) for x in w)
+            acc += mpmath.log(s) / mpmath.mpf(d) ** (n + 1)
+            u = [x / s for x in w]
+        tail = C * float(mpmath.mpf(d) ** (-N)) / (d - 1)
+        slack = N * (C + 2) * 2.0 ** (10 - mpmath.mp.prec)
+        return float(acc), tail + slack
+
+
+class _Constant:
+    """A stand-in certificate: only its Green constant enters the iteration."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def green_constant(self):
+        return self.c
+
+
+# the degree-5 cycle of x^2 - 64/9, as eta~ of one of its points on P^5
+CYCLE_64_9 = (34099, 8985, -11655, -3375, 810, 243)
+
+
+def test_green_arch_plan_is_bit_identical_to_termwise():
+    rng = random.Random(28)
+    cases = []
+    for text, k in (("x^2 - 64/9", 5), ("x^2 - 16/9", 4), ("x^2 - 16/9", 5)):
+        f = _map(text)
+        Fk = symmetrize(f, k)
+        cases.append((Fk, morphism_certificate(Fk, bad=bad_primes(f))))
+    for text, k in (("x^3 - 2*x", 4), ("x^2 + x - 3", 5),
+                    ("[z^3 - z^2*t + 2*t^3, z^2*t + 3*t^3]", 4)):
+        cases.append((symmetrize(_map(text), k), _Constant(9.5)))
+    for Fk, cert in cases:
+        n = Fk.k + 1
+        points = [[1] + [0] * (n - 1), [(-1) ** i * (i + 2) for i in range(n)],
+                  [rng.randint(-50, 50) for _ in range(n)],
+                  [rng.choice((0, 1, -1)) * rng.randrange(10 ** 59, 10 ** 60)
+                   for _ in range(n)]]
+        if Fk.k == 5:
+            points.append(list(CYCLE_64_9))
+        for coords in points:
+            p = PkPoint(coords)
+            for prec, tol in ((53, 1e-6), (53, 1e-10), (120, 1e-6)):
+                assert heights._green_arch(Fk, p, tol, prec, cert) \
+                    == _green_arch_termwise(Fk, p, tol, prec, cert)
+
+
+def test_cycle_height_is_pinned():
+    """The height that moved when F's terms were summed in another order
+    (3.07e-6 against 2.30e-6): the plan keeps the insertion order."""
+    f = _map("x^2 - 64/9")
+    hv = canonical_height(symmetrize(f, 5), PkPoint(CYCLE_64_9), 1e-6 * 5,
+                          bad=bad_primes_sym(f, 5))
+    assert (hv.value / 5, hv.error_bound / 5) == (3.0734385568109703e-06,
+                                                  3.050520552390177e-07)

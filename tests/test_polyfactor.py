@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 from itertools import product
@@ -329,3 +330,82 @@ def test_quadratic_closed_form_matches_rational_root_oracle(a, b, c):
     assert (len(facs) == 1) is irreducible
     assert [g.degree for g, m in facs] == ([2] if irreducible else [1, 1])
     assert reconstruct(content, facs) == UniPoly((c, b, a))
+
+
+# ---------------------------------------------------------------------------
+# distinct-degree split on packed integers against the list path
+# ---------------------------------------------------------------------------
+
+
+def _ddf_reference(f, p, cap=None, state=None):
+    """_ddf with every Frobenius power taken by _ppowmod on lists, as it
+    was before the packed products."""
+    out = []
+    v, h, i = state or (list(f), [0, 1], 1)
+    while len(v) - 1 >= 2 * i and (cap is None or i <= cap):
+        h = polyfactor._ppowmod(h, p, v, p)
+        g = polyfactor._pgcd(polyfactor._psub(h, [0, 1], p), v, p)
+        if len(g) > 1:
+            out.append((i, g))
+            v = polyfactor._pdivmod(v, g, p)[0]
+            h = polyfactor._pmod(h, v, p)
+        i += 1
+    if 1 < len(v) <= 2 * i:
+        out.append((len(v) - 1, v))
+        v = [1]
+    if state:
+        state[:] = v, h, i
+    return out
+
+
+_DDF_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _monic_squarefree(rng, n, p):
+    """A seeded monic squarefree polynomial of degree n mod p, most of them
+    with factors of several small degrees."""
+    while True:
+        f = [1]
+        while len(f) - 1 < n:
+            d = min(n - len(f) + 1, rng.choice((1, 1, 2, 3, 4, n)))
+            f = polyfactor._pmul(f, [rng.randrange(p) for _ in range(d)] + [1], p)
+        df = polyfactor._trim([i * f[i] % p for i in range(1, len(f))])
+        if len(polyfactor._pgcd(f, df, p)) == 1:
+            return f
+
+
+def test_packed_ddf_equals_list_path_at_every_cap():
+    rng = random.Random(28)
+    for p in _DDF_PRIMES:
+        for n in (2, rng.randrange(3, 10), rng.randrange(10, 25), rng.randrange(25, 41)):
+            f = _monic_squarefree(rng, n, p)
+            want = _ddf_reference(f, p)
+            assert polyfactor._ddf(f, p) == want
+            assert sorted(d * ((len(g) - 1) // d) for d, g in want) \
+                == sorted(len(g) - 1 for d, g in want)
+            for cap in range(1, n // 2 + 1):  # the loop stops by i > n / 2
+                assert polyfactor._ddf(f, p, cap) == _ddf_reference(f, p, cap)
+
+
+def test_packed_ddf_continues_its_state_across_caps():
+    rng = random.Random(2028)
+    for p in _DDF_PRIMES:
+        for n in (12, 20, 30, 40):
+            f = _monic_squarefree(rng, n, p)
+            state, ref_state = [f, [0, 1], 1], [f, [0, 1], 1]
+            for cap in (1, 3, 7):
+                got = polyfactor._ddf(None, p, cap, state)
+                assert got == _ddf_reference(None, p, cap, ref_state)
+                assert state == ref_state
+
+
+def test_packed_ddf_slot_widths_and_list_fallback():
+    """32-bit slots for small p, 64-bit ones for p = 1009 at degree 20,
+    and the list path when 64 bits cannot hold a slot's sums."""
+    rng = random.Random(3)
+    for p, code in ((41, "I"), (1009, "Q"), (1000003, None)):
+        f = _monic_squarefree(rng, 20, p)
+        packed = polyfactor._packed_mod(f, p)
+        assert (packed.code if packed else None) == code
+        for cap in (2, 4, None):
+            assert polyfactor._ddf(f, p, cap) == _ddf_reference(f, p, cap)

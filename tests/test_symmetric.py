@@ -17,6 +17,8 @@ from symprod.linalg import det_bareiss
 from symprod.parser import parse_mpoly
 from symprod.projective import BinaryForm, minpoly_of_factor
 
+from mpoly_helpers import eval_int_termwise
+
 F = Fraction
 
 
@@ -305,3 +307,20 @@ def test_packed_division_refuses_a_remainder():
     assert ((x2_plus_1 * x_minus_1) // x_minus_1).terms == x2_plus_1.terms
     with pytest.raises(DomainError):
         x2_plus_1 // x_minus_1  # x^2 + 1 = (x + 1)(x - 1) + 2
+
+
+def test_eval_plan_equals_termwise_evaluation():
+    rng = random.Random(28)
+    for text in ("x^2 - 29/16", "x^3 - 2*x", "x^2 + x - 3",
+                 "[z^3 - z^2*t + 2*t^3, z^2*t + 3*t^3]"):
+        f = _map(text)
+        for k in range(1, 8):
+            Fk = symmetrize(f, k)
+            n = k + 1
+            points = [[0] * n, [0] * k + [1], [1] + [0] * k,
+                      [-1] * n, [(-1) ** i * (i + 1) for i in range(n)]]
+            points += [[rng.randint(-9, 9) for _ in range(n)] for _ in range(4)]
+            points += [[rng.choice((0, 1, -1)) * rng.randrange(10 ** 59, 10 ** 60)
+                        for _ in range(n)] for _ in range(4)]
+            for coords in points:
+                assert Fk.eval_int(coords) == eval_int_termwise(Fk, coords)

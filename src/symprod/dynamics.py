@@ -92,20 +92,16 @@ def _return_time(start, step, cap: int) -> int | None:
 
 
 def orbit_classify(f, point) -> OrbitClassification:
-    """Exact repeat-or-escape dichotomy.
+    """Exact repeat-or-escape dichotomy for a map f of P^1.
 
-    Accepts (MorphismPk, PkPoint), (RationalMap1, PkPoint of P^1), or
-    (RationalMap1, AlgebraicPoint).  Every point of P^1 is iterated under f
-    itself; its height is measured over Q through its shadow eta~(., k_f) on
-    the k_f-symmetric product, k_f the degree of the point's field (1 for
+    Accepts a RationalMap1 with a PkPoint of P^1 or an AlgebraicPoint; a
+    MorphismPk is refused.  Every point of P^1 is iterated under f itself;
+    its height is measured over Q through its shadow eta~(., k_f) on the
+    k_f-symmetric product, k_f the degree of the point's field (1 for
     rational points and infinity, where eta~ is the point itself).
     """
-    if isinstance(f, MorphismPk):
-        if not isinstance(point, PkPoint):
-            raise DomainError("expected a PkPoint for a MorphismPk")
-        return _walk(point, f.apply, lambda p: p, morphism_certificate(f))
     if not isinstance(f, RationalMap1):
-        raise DomainError("expected a RationalMap1 or MorphismPk")
+        raise DomainError("expected a RationalMap1")
     if isinstance(point, PkPoint):
         point = AlgebraicPoint.from_p1(point)
     if not isinstance(point, AlgebraicPoint):

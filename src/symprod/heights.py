@@ -10,7 +10,12 @@ with the operations, order and rounding of mpf arithmetic term by term
 (the tests keep that loop as the reference): a component's terms are
 summed in the insertion order of F's terms, and a float sum depends on
 that order, so the plan keeps it pinned until the iteration carries a
-certified ball enclosure instead.
+certified ball enclosure instead.  canonical_height and green_local share
+one per-place routine.  Precision is an argument, never a setting: every
+mpmath operation is a libmp call at an explicit precision (53 bits, or
+max(53, prec) in the archimedean loop), rounding to nearest, so no value
+depends on mpmath's global context.  mpmath is imported by the functions
+that use it, so that only a height loads it.
 
 Every error bound is backed by a certificate: explicit integer polynomials
 g_ij and nonzero integers r_i with sum_j g_ij F_j = r_i x_i^M.  These give a
@@ -30,7 +35,6 @@ verified exactly before it is used.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -39,15 +43,10 @@ from operator import add
 
 from .errors import CertificateError, DomainError
 from .gf import degenerates_mod_p
-from .intfactor import prime_divisors
+from .intfactor import is_prime, prime_divisors
 from .linalg import IntSystem, solve_int_system
 from .projective import MorphismPk, PkPoint, RationalMap1, morphism_of_map
 from .symmetric import eta_tilde, symmetrize
-
-# mpmath is imported inside the functions that take logs or iterate Green
-# functions, so that only a height loads it.  Its working precision is
-# process-global; callers may use threads.
-_mp_lock = threading.Lock()
 
 
 # ---------------------------------------------------------------------------
@@ -61,9 +60,20 @@ def naive_height(p: PkPoint) -> float:
     return _log_int(m)
 
 
+def _log(x):
+    """log of an int or a float, rounded to nearest at 53 bits, as a libmp
+    value: what mpmath.log gives under mpmath's default context."""
+    from mpmath.libmp import from_float, from_int, mpf_log
+    return mpf_log(from_int(x) if isinstance(x, int) else from_float(x), 53, "n")
+
+
+def _to_float(v) -> float:
+    from mpmath.libmp import to_float
+    return to_float(v, rnd="n")
+
+
 def _log_int(n: int) -> float:
-    import mpmath
-    return float(mpmath.log(n)) if n > 1 else 0.0
+    return _to_float(_log(n)) if n > 1 else 0.0
 
 
 class BadPrimeSet(tuple):
@@ -315,7 +325,7 @@ def _certificate_identity_holds(fterms, polys, target, den) -> bool:
 
 def _summarize_certificate(F: MorphismPk, search, bad) -> HeightCertificate:
     """The certificate's constants for one set of bad primes."""
-    import mpmath
+    from mpmath.libmp import from_float, mpf_ceil, mpf_e, mpf_pow, to_int
     exps, mults, gnorms, _gs = search
     d = F.d
     U = max(sum(abs(int(c)) for c in comp.terms.values()) for comp in F.components)
@@ -327,11 +337,12 @@ def _summarize_certificate(F: MorphismPk, search, bad) -> HeightCertificate:
     for q in bad:
         a = max(_valuation(abs(r), q) for r in mults)
         caps[q] = a
-        content_loss += a * float(mpmath.log(q))
+        content_loss += a * _log_int(q)
     c_low = _ceil_log_fraction(worst) + content_loss
     constant = max(c_up, c_low) + 1e-9
     bound = constant / (d - 1) + 1e-9
-    threshold = int(mpmath.ceil(mpmath.e ** (bound + 1e-9))) + 1
+    e_bound = mpf_pow(mpf_e(53, "n"), from_float(bound + 1e-9), 53, "n")
+    threshold = int(to_int(mpf_ceil(e_bound, 53, "n"))) + 1
     return HeightCertificate(
         morphism_key=F.key(), exponents=exps, multipliers=mults,
         g_norms=gnorms, coeff_norm=U, bad=bad,
@@ -344,10 +355,10 @@ def _ceil_log(n: int) -> float:
 
 
 def _ceil_log_fraction(x: Fraction) -> float:
-    import mpmath
+    from mpmath.libmp import mpf_sub
     if x <= 1:
         return 0.0
-    return float(mpmath.log(x.numerator) - mpmath.log(x.denominator)) + 1e-12
+    return _to_float(mpf_sub(_log(x.numerator), _log(x.denominator), 53, "n")) + 1e-12
 
 
 def _valuation(n: int, p: int) -> int:
@@ -376,19 +387,12 @@ def height_comparison_constant(F: MorphismPk, bad=None) -> float:
     return morphism_certificate(F, bad).constant
 
 
-def preperiodicity_bound(f) -> float:
-    """B = C/(d-1): any point with an iterate of naive height > B is
-    certified non-preperiodic."""
-    cert = _certificate_for(f)
-    return cert.bound
-
-
-def _certificate_for(f) -> HeightCertificate:
-    if isinstance(f, RationalMap1):
-        return morphism_certificate(morphism_of_map(f), bad=bad_primes(f))
-    if isinstance(f, MorphismPk):
-        return morphism_certificate(f)
-    raise DomainError("expected a RationalMap1 or MorphismPk")
+def preperiodicity_bound(f: RationalMap1) -> float:
+    """B = C/(d-1) for a map of P^1: any point with an iterate of naive
+    height > B is certified non-preperiodic."""
+    if not isinstance(f, RationalMap1):
+        raise DomainError("expected a RationalMap1")
+    return morphism_certificate(morphism_of_map(f), bad=bad_primes(f)).bound
 
 
 # ---------------------------------------------------------------------------
@@ -413,87 +417,108 @@ class HeightValue:
         }
 
 
-def _check_tol(tol):
+def _checked_certificate(F: MorphismPk, p: PkPoint, tol, bad) -> HeightCertificate:
+    """F's certificate, once the tolerance and p's dimension are checked."""
     if not 0 < tol < math.inf:
         raise DomainError(f"tolerance must be a positive finite number, not {tol}")
+    if p.k != F.k:
+        raise DomainError(f"a point of P^{p.k} under a map of P^{F.k}")
+    return morphism_certificate(F, bad)
+
+
+def _place(place):
+    """None for the archimedean place, else the prime the place names."""
+    if place in ("arch", "inf", "infinity"):
+        return None
+    if type(place) is int or (isinstance(place, str) and place.isdecimal()):
+        if is_prime(int(place)):
+            return int(place)
+    raise DomainError(f"place must be 'arch' or a prime, not {place!r}")
 
 
 def green_local(F: MorphismPk, p: PkPoint, place, tol: float = 1e-6,
                 prec: int = 53, bad=None):
     """Local Green's function of the primitive lift at one place.
 
-    place is "arch" (or "inf") for the archimedean place, else a prime.
-    Good primes return the local naive term (0 for coprime coordinates)
-    exactly.  Returns (value, error_bound).
+    place is "arch" ("inf", "infinity") for the archimedean place, else a
+    prime, as an int or a decimal string; anything else is refused.  Good
+    primes return the local naive term (0 for coprime coordinates) exactly.
+    Returns (value, error_bound).
     """
-    _check_tol(tol)
-    cert = morphism_certificate(F, bad)
-    if p.k != F.k:
-        raise DomainError("dimension mismatch")
-    if place in ("arch", "inf", "infinity"):
+    q = _place(place)
+    return _green(F, p, q, tol, prec, _checked_certificate(F, p, tol, bad))
+
+
+def _green(F: MorphismPk, p: PkPoint, q, tol, prec, cert):
+    """(value, error_bound) of the Green function at the prime q, or at the
+    archimedean place when q is None; (0.0, 0.0) at a good prime."""
+    if q is None:
         return _green_arch(F, p, tol, prec, cert)
-    q = int(place)
-    if q not in cert.bad:
-        return 0.0, 0.0
     return _green_finite(F, p, q, tol, cert)
+
+
+def _steps(x: float, d: int) -> int:
+    """max(1, ceil(log x / log d) + 1), in 53-bit arithmetic: enough Green
+    steps N that x * d^-N <= 1."""
+    from mpmath.libmp import mpf_ceil, mpf_div, to_int
+    return max(1, int(to_int(mpf_ceil(mpf_div(_log(x), _log(d), 53, "n"), 53, "n"))) + 1)
 
 
 def _green_arch(F: MorphismPk, p: PkPoint, tol, prec, cert):
     """The archimedean Green function by N steps of u -> F(u)/||F(u)||_inf
     on F's evaluation plan, in mpmath's raw libmp tuples at the working
-    precision: each power u_i^a once per step, then each component's terms
-    c * u^e multiplied left to right and summed in plan order, with the
-    rounding of the same mpf operations."""
-    import mpmath
+    precision max(53, prec): each power u_i^a once per step, then each
+    component's terms c * u^e multiplied left to right and summed in plan
+    order, with the rounding of the same mpf operations."""
     from mpmath.libmp import (from_int, fzero, mpf_abs, mpf_add, mpf_cmp,
-                              mpf_div, mpf_mul, mpf_pos, mpf_pow_int)
+                              mpf_div, mpf_log, mpf_mul, mpf_pos, mpf_pow_int)
     d = F.d
     C = cert.green_constant()
-    N = max(1, int(mpmath.ceil(mpmath.log(C / (tol * (d - 1))) / mpmath.log(d))) + 1)
+    N = _steps(C / (tol * (d - 1)), d)
     powers, monomials, terms = F.plan
     by_value = cmp_to_key(mpf_cmp)
-    with _mp_lock:
-        old = mpmath.mp.prec
-        mpmath.mp.prec = max(53, prec)
-        try:
-            wp, rnd = mpmath.mp._prec_rounding
-            as_mpf = mpmath.mp.make_mpf
-            comps = [[(mpf_pos(from_int(c), wp, rnd), monomials[m]) for c, m in comp]
-                     for comp in terms]
-            u = [mpf_pos(from_int(c), wp, rnd) for c in p.coords]
-            scale = max([mpf_abs(x, wp, rnd) for x in u], key=by_value)
-            acc = mpmath.log(as_mpf(scale))
-            u = [mpf_div(x, scale, wp, rnd) for x in u]
-            for n in range(N):
-                pw = [mpf_pow_int(u[v], a, wp, rnd) for v, a in powers]
-                w = []
-                for comp in comps:
-                    total = fzero
-                    for t, mono in comp:
-                        for i in mono:
-                            t = mpf_mul(t, pw[i], wp, rnd)
-                        total = mpf_add(total, t, wp, rnd)
-                    w.append(total)
-                s = max([mpf_abs(x, wp, rnd) for x in w], key=by_value)
-                acc += mpmath.log(as_mpf(s)) / mpmath.mpf(d) ** (n + 1)
-                u = [mpf_div(x, s, wp, rnd) for x in w]
-            tail = C * float(mpmath.mpf(d) ** (-N)) / (d - 1)
-            slack = N * (C + 2) * 2.0 ** (10 - mpmath.mp.prec)
-            return float(acc), tail + slack
-        finally:
-            mpmath.mp.prec = old
+    wp, rnd = max(53, int(prec)), "n"
+    comps = [[(mpf_pos(from_int(c), wp, rnd), monomials[m]) for c, m in comp]
+             for comp in terms]
+    u = [mpf_pos(from_int(c), wp, rnd) for c in p.coords]
+    scale = max([mpf_abs(x, wp, rnd) for x in u], key=by_value)
+    acc = mpf_log(scale, wp, rnd)
+    u = [mpf_div(x, scale, wp, rnd) for x in u]
+    dd = from_int(d)
+    for n in range(N):
+        pw = [mpf_pow_int(u[v], a, wp, rnd) for v, a in powers]
+        w = []
+        for comp in comps:
+            total = fzero
+            for t, mono in comp:
+                for i in mono:
+                    t = mpf_mul(t, pw[i], wp, rnd)
+                total = mpf_add(total, t, wp, rnd)
+            w.append(total)
+        s = max([mpf_abs(x, wp, rnd) for x in w], key=by_value)
+        step = mpf_div(mpf_log(s, wp, rnd), mpf_pow_int(dd, n + 1, wp, rnd), wp, rnd)
+        acc = mpf_add(acc, step, wp, rnd)
+        u = [mpf_div(x, s, wp, rnd) for x in w]
+    tail = C * _to_float(mpf_pow_int(dd, -N, wp, rnd)) / (d - 1)
+    slack = N * (C + 2) * 2.0 ** (10 - wp)
+    return _to_float(acc), tail + slack
 
 
 def _green_finite(F: MorphismPk, p: PkPoint, q: int, tol, cert):
-    import mpmath
+    """The Green function at q by exact valuation bookkeeping, zero when the
+    certificate puts no cap A on q (a good prime).  Each step's least
+    valuation m is that of gcd(q^(A+1), y_0, ..., y_k), so m > A exactly
+    when the gcd is q^(A+1)."""
+    from mpmath.libmp import from_int, mpf_div, mpf_mul
     d = F.d
     A = cert.valuation_caps.get(q, 0)
     if A == 0:
         return 0.0, 0.0
-    logq = float(mpmath.log(q))
-    N = max(1, int(mpmath.ceil(
-        mpmath.log(A * logq / (tol * (d - 1))) / mpmath.log(d))) + 1)
+    log_q_mpf = _log(q)
+    logq = _to_float(log_q_mpf)
+    N = _steps(A * logq / (tol * (d - 1)), d)
     mtotal = A * N + A + 4
+    qpow = [q ** i for i in range(A + 2)]
     modulus = q ** mtotal
     x = [c % modulus for c in p.coords]
     mrem = mtotal
@@ -501,22 +526,19 @@ def _green_finite(F: MorphismPk, p: PkPoint, q: int, tol, cert):
     for n in range(1, N + 1):
         mod_n = q ** mrem
         y = [v % mod_n for v in F.eval_int(x)]
-        m = min((_valuation_mod(v, q, mrem) for v in y), default=mrem)
+        m = qpow.index(math.gcd(qpow[-1], *y))
         if m > A:
             raise DomainError("valuation cap violated; certificate inconsistent")
-        qm = q ** m
+        qm = qpow[m]
         mrem -= m
         mod_next = q ** mrem
         x = [(v // qm) % mod_next for v in y]
         total += Fraction(m, d ** n)
-    val = -float(mpmath.mpf(total.numerator) / total.denominator * mpmath.log(q)) \
-        if total else 0.0
+    val = -_to_float(mpf_mul(mpf_div(from_int(total.numerator, 53, "n"),
+                                     from_int(total.denominator), 53, "n"),
+                             log_q_mpf, 53, "n")) if total else 0.0
     tail = A * logq * d ** (-float(N)) / (d - 1)
     return val, tail + 1e-12
-
-
-def _valuation_mod(v: int, q: int, cap: int) -> int:
-    return cap if v == 0 else _valuation(v, q)
 
 
 # ---------------------------------------------------------------------------
@@ -528,19 +550,15 @@ def canonical_height(F: MorphismPk, p: PkPoint, tol: float = 1e-6,
                      prec: int = 53, bad=None) -> HeightValue:
     """Canonical height of a rational point as a certified sum of local
     Green's functions over the archimedean place and the bad primes."""
-    _check_tol(tol)
-    cert = morphism_certificate(F, bad)
-    places = [("arch", None)] + [(str(q), q) for q in cert.bad]
+    cert = _checked_certificate(F, p, tol, bad)
+    places = (None,) + cert.bad
     share = tol / len(places)
     contributions = []
     total = 0.0
     err = 0.0
-    for name, q in places:
-        if q is None:
-            v, e = _green_arch(F, p, share, prec, cert)
-        else:
-            v, e = _green_finite(F, p, q, share, cert)
-        contributions.append((name, v))
+    for q in places:
+        v, e = _green(F, p, q, share, prec, cert)
+        contributions.append(("arch" if q is None else str(q), v))
         total += v
         err += e
     if total < 0 and total > -err:

@@ -128,32 +128,6 @@ class MPoly:
 
     __rmul__ = __mul__
 
-    def __floordiv__(self, other):
-        """The exact quotient by a polynomial or a nonzero rational constant;
-        raises DomainError when the division leaves a remainder."""
-        o = self._coerce(other)
-        if not o.terms:
-            raise DomainError("division by the zero polynomial")
-        lead = max(o.terms)
-        lc = o.terms[lead]
-        rest = dict(self.terms)
-        out = {}
-        while rest:
-            e = max(rest)
-            q = tuple(a - b for a, b in zip(e, lead))
-            if min(q) < 0:
-                raise DomainError("polynomial division is not exact")
-            c = rest[e] / lc
-            out[q] = c
-            for e2, c2 in o.terms.items():
-                t = tuple(a + b for a, b in zip(q, e2))
-                s = rest.get(t, 0) - c * c2
-                if s:
-                    rest[t] = s
-                else:
-                    del rest[t]
-        return MPoly(self.nvars, out)
-
     def __pow__(self, n: int):
         if n < 0:
             raise DomainError("negative power of a polynomial")

@@ -69,6 +69,11 @@ def test_orbit_classify_rational():
     assert w.escape_index is not None and w.bound is not None
 
 
+def test_orbit_classify_refuses_a_morphism_of_pk():
+    with pytest.raises(DomainError):
+        orbit_classify(symmetrize(_map("x^2 - 2"), 2), PkPoint((1, 0, -2)))
+
+
 def test_orbit_classify_tail():
     # 3/4 -> -5/4 -> -1/4 enters the 3-cycle of x^2 - 29/16
     cls = orbit_classify(_map("x^2 - 29/16"), p1_point(F(3, 4)))

@@ -13,7 +13,7 @@ from symprod import (AlgebraicPoint, NumberField, PkPoint, RationalMap1,
                      naive_height, p1_point, parse_map, preperiodicity_bound,
                      symmetrize)
 from symprod import heights
-from symprod.errors import CertificateError
+from symprod.errors import CertificateError, DomainError
 from symprod.gf import morphism_degenerate_over
 from symprod.heights import morphism_certificate
 from symprod.mpoly import MPoly
@@ -117,6 +117,28 @@ def test_green_good_prime_is_zero():
     f = _map("x^2 - 29/16")
     M = morphism_of_map(f)
     assert green_local(M, p1_point(3), 7, bad=bad_primes(f)) == (0.0, 0.0)
+
+
+def test_green_local_takes_only_the_archimedean_place_or_a_prime():
+    f = _map("x^2 - 16/9")
+    M, bad, p = morphism_of_map(f), bad_primes(f), p1_point(F(5, 3))
+    assert bad == (3,)
+    term = green_local(M, p, 3, bad=bad)
+    assert term[0] < 0 and green_local(M, p, "3", bad=bad) == term
+    assert green_local(M, p, 2, bad=bad) == (0.0, 0.0)  # a good prime
+    for place in (4, 6, -3, 0, 1, "abc"):
+        with pytest.raises(DomainError, match=repr(place)) as err:
+            green_local(M, p, place, bad=bad)
+        assert err.value.code == "E_DOMAIN"
+
+
+def test_points_of_another_dimension_are_refused():
+    F2 = symmetrize(_map("x^2 - 2"), 2)
+    for p in (PkPoint((1, 2, 3, 4)), PkPoint((3, 1))):
+        with pytest.raises(DomainError):
+            canonical_height(F2, p)
+        with pytest.raises(DomainError):
+            green_local(F2, p, "arch")
 
 
 def test_green_power_map_archimedean():
@@ -302,6 +324,11 @@ def test_green_decomposition():
         lhs = hv.value
         rhs = naive_height(p) + (garch - naive_height(p)) + (g2 - 0.0)
         assert abs(lhs - rhs) <= hv.error_bound + e1 + e2 + 1e-10
+
+
+def test_preperiodicity_bound_refuses_a_morphism_of_pk():
+    with pytest.raises(DomainError):
+        preperiodicity_bound(symmetrize(_map("x^2 - 2"), 2))
 
 
 def test_certificate_escape_threshold_is_sound():
@@ -605,3 +632,37 @@ def test_cycle_height_is_pinned():
                           bad=bad_primes_sym(f, 5))
     assert (hv.value / 5, hv.error_bound / 5) == (3.0734385568109703e-06,
                                                   3.050520552390177e-07)
+
+
+# ---------------------------------------------------------------------------
+# heights ignore mpmath's global context
+# ---------------------------------------------------------------------------
+
+
+def _heights_and_constants(f, monkeypatch):
+    """Seeded canonical heights under the symmetric products of f at k <= 3,
+    and every constant of their certificates, searched afresh."""
+    monkeypatch.setattr(heights, "_cert_cache", {})
+    rng = random.Random(29)
+    bad = bad_primes(f)
+    out = []
+    for k in (1, 2, 3):
+        Fk = symmetrize(f, k)
+        c = morphism_certificate(Fk, bad=bad)
+        out.append((c.c_upper, c.c_lower, c.constant, c.bound, c.escape_threshold))
+        for _ in range(10):
+            p = PkPoint([rng.randint(-10 ** 6, 10 ** 6) for _ in range(k + 1)])
+            out.append(canonical_height(Fk, p, bad=bad))
+    return out
+
+
+def test_heights_do_not_depend_on_the_callers_mpmath_context(monkeypatch):
+    f = _map("x^2 - 16/9")
+    default = _heights_and_constants(f, monkeypatch)
+    old = mpmath.mp.prec
+    try:
+        mpmath.mp.prec = 200
+        assert _heights_and_constants(f, monkeypatch) == default
+        assert mpmath.mp.prec == 200
+    finally:
+        mpmath.mp.prec = old

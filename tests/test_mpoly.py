@@ -69,22 +69,6 @@ def test_ring_laws(t1, t2):
     assert p * (q + q) == 2 * (p * q)
 
 
-@given(terms, terms)
-@settings(max_examples=50, deadline=None)
-def test_exact_division(t1, t2):
-    a = MPoly(2, t1)
-    b = MPoly(2, t2)
-    if b.is_zero():
-        with pytest.raises(DomainError):
-            a // b
-        return
-    assert (a * b) // b == a
-    if b.total_degree() > 0:
-        with pytest.raises(DomainError):
-            (a * b + 1) // b
-    assert a // F(-3, 2) == a * F(-2, 3)
-
-
 @given(terms)
 @settings(max_examples=50, deadline=None)
 def test_text_idempotent(t):

@@ -1,3 +1,4 @@
+import functools
 import random
 import time
 from fractions import Fraction
@@ -13,7 +14,6 @@ from symprod import (AlgebraicPoint, DegenerateMapError, DomainError, MorphismPk
                      form_of_point, morphism_of_map, p1_point, parse_map,
                      point_of_form, symmetrize, verify_commutation)
 from symprod import symmetric
-from symprod.linalg import det_bareiss
 from symprod.parser import parse_mpoly
 from symprod.projective import BinaryForm, minpoly_of_factor
 
@@ -248,6 +248,25 @@ def test_minpoly_of_factor_sign_convention():
     assert minpoly_of_factor(g) == UniPoly((1, 1, 1, 1, 1))
 
 
+def _det_laplace(rows, one):
+    """The determinant by Laplace expansion along the rows, each minor on
+    the remaining columns computed once: no division of MPoly entries."""
+    n = len(rows)
+
+    @functools.cache
+    def minor(cols):  # rows n - len(cols) .. n - 1 on the columns cols
+        if not cols:
+            return one
+        row = rows[n - len(cols)]
+        total = MPoly.zero(one.nvars)
+        for pos, j in enumerate(cols):
+            if row[j]:
+                term = row[j] * minor(cols[:pos] + cols[pos + 1:])
+                total = total - term if pos % 2 else total + term
+        return total
+    return minor(tuple(range(n)))
+
+
 def _sylvester_components(f, k):
     """F's components from the Sylvester determinant with MPoly entries over
     Q[x_0..x_k, Y], terms inserted by ascending reversed exponent: the
@@ -260,7 +279,7 @@ def _sylvester_components(f, k):
     h = [(-1) ** i * (y * f.den[d - i] + f.num[d - i]) for i in range(d, -1, -1)]
     rows = ([[zero] * r + h + [zero] * (k - 1 - r) for r in range(k)]
             + [[zero] * r + g + [zero] * (d - 1 - r) for r in range(d)])
-    res = det_bareiss(rows)
+    res = _det_laplace(rows, MPoly.constant(nv, 1))
     parts = [{} for _ in range(k + 1)]
     for e, c in sorted(res.terms.items(), key=lambda ec: ec[0][::-1]):
         parts[e[k + 1]][e[:k + 1]] = c

@@ -22,8 +22,9 @@ from fractions import Fraction
 from itertools import combinations, count, dropwhile, product, takewhile
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, DomainError
-from .gf import FiniteField, cycle_lengths, p1_points, reduce_map
-from .heights import bad_primes, bad_primes_sym, morphism_certificate
+from .gf import (FiniteField, cycle_lengths, degenerates_mod_p, p1_points,
+                 reduce_map)
+from .heights import bad_primes_sym, morphism_certificate
 from .intfactor import is_prime
 from .polyfactor import _ddf, _monic_squarefree_mod
 from .projective import (AlgebraicPoint, BinaryForm, MorphismPk, PkPoint,
@@ -118,9 +119,8 @@ def orbit_classify(f, point) -> OrbitClassification:
 
 def periods_mod_p(f: RationalMap1, p: int, k: int) -> set[int]:
     """Cycle lengths of f on P^1(F_{p^j}) for j <= k, closed under lcm of
-    subsets of size <= k (candidate period patterns of conjugate k-tuples)."""
-    if p in bad_primes(f):
-        raise DomainError(f"{p} is a prime of bad reduction")
+    subsets of size <= k (candidate period patterns of conjugate k-tuples);
+    a prime of bad reduction is refused by reduce_map."""
     base: set[int] = set()
     for j in range(1, k + 1):
         gf = FiniteField(p, j)
@@ -372,15 +372,16 @@ def rational_periodic_points(f: RationalMap1, k: int, n_max: int,
 
 
 def default_n_max(f: RationalMap1, k: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Smaller of the good-reduction period bound at two good primes and the
-    largest n whose fixed-point form fits the budget, and at least 1."""
+    """Smaller of the good-reduction period bound at the two least good
+    primes and the largest n whose fixed-point form fits the budget, and at
+    least 1.  A prime is good when f mod p is still a morphism of degree d,
+    which is when it does not divide Res(f); the resultant is not factored."""
     _check_k(k)
     good = []
-    bad = bad_primes(f)
     p = 1
     while len(good) < 2:
         p += 1
-        if is_prime(p) and p not in bad:
+        if is_prime(p) and not degenerates_mod_p(f, p):
             good.append(p)
     bound = min(period_bound(PeriodBoundInput(Np=p, k=k, p=p, vp=1))
                 for p in good)

@@ -165,7 +165,7 @@ def _search_certificate(F: MorphismPk):
         if len(gmons) * nvars > _CERT_DIM_CAP:
             raise CertificateError(
                 f"certificate system too large at degree {M} (k={k}, d={d})")
-        system = IntSystem(_macaulay_matrix(fterms, gmons, rows_mons, M))
+        system = IntSystem(_macaulay_matrix(fterms, gmons, rows_mons))
         for i in missing:
             target = [0] * nvars
             target[i] = M
@@ -283,31 +283,22 @@ def _rescaled_search(F: MorphismPk):
     return exps, mults, gnorms, gs
 
 
-def _macaulay_matrix(fterms, gmons, rows_mons, M):
+def _macaulay_matrix(fterms, gmons, rows_mons):
     """The integer matrix of (g_0, ..., g_k) -> sum_j g_j F_j on forms of
-    degree M: column j * len(gmons) + a holds x^gmons[a] * F_j, row t the
-    coefficient of x^rows_mons[t].  Exponent vectors are encoded as base
-    M + 1 integers, so a product of monomials encodes as the sum of their
-    codes, and rows are found by searchsorted.  The array is int64 when
-    every coefficient fits, else it holds Python integers."""
+    the degree of rows_mons: column j * len(gmons) + a holds
+    x^gmons[a] * F_j, row t the coefficient of x^rows_mons[t], as an array
+    of Python integers."""
     import numpy as np
-    nvars = len(rows_mons[0])
-    base = M + 1
-    code_type = np.int64 if base ** nvars < 2 ** 63 else object
-    weights = np.array([base ** t for t in reversed(range(nvars))], dtype=code_type)
-    # rows_mons is lexicographically decreasing, so its codes decrease
-    row_codes = -(np.array(rows_mons, dtype=code_type) @ weights)
-    g_codes = np.array(gmons, dtype=code_type) @ weights
-    terms = [(j, e, c) for j, ts in enumerate(fterms) for e, c in ts]
-    coeff_type = np.int64 if max(abs(c) for _j, _e, c in terms) < 2 ** 63 else object
-    term_comp = np.array([j for j, _e, _c in terms])
-    term_codes = np.array([e for _j, e, _c in terms], dtype=code_type) @ weights
-    coeffs = np.array([c for _j, _e, c in terms], dtype=coeff_type)
+    row_of = {e: t for t, e in enumerate(rows_mons)}
     G = len(gmons)
-    rows = np.searchsorted(row_codes, -(g_codes[:, None] + term_codes[None, :]))
-    cols = term_comp[None, :] * G + np.arange(G)[:, None]
-    A = np.zeros((len(rows_mons), len(fterms) * G), dtype=coeff_type)
-    A[rows, cols] = coeffs[None, :]  # a column's products are distinct monomials
+    rows, cols, coeffs = [], [], []
+    for j, terms in enumerate(fterms):
+        for e, c in terms:
+            rows += [row_of[tuple(map(add, g, e))] for g in gmons]
+            cols += range(j * G, (j + 1) * G)
+            coeffs += [c] * G
+    A = np.zeros((len(rows_mons), len(fterms) * G), dtype=object)
+    A[rows, cols] = coeffs  # a column's products are distinct monomials
     return A
 
 
@@ -457,10 +448,15 @@ def _green(F: MorphismPk, p: PkPoint, q, tol, prec, cert):
     return _green_finite(F, p, q, tol, cert)
 
 
-def _steps(x: float, d: int) -> int:
-    """max(1, ceil(log x / log d) + 1), in 53-bit arithmetic: enough Green
-    steps N that x * d^-N <= 1."""
+def _steps(bound: float, tol: float, d: int) -> int:
+    """max(1, ceil(log x / log d) + 1) for x = bound / (tol (d - 1)), in
+    53-bit arithmetic: enough Green steps N that x * d^-N <= 1.  A tolerance
+    so small that x is not a finite float is refused."""
     from mpmath.libmp import mpf_ceil, mpf_div, to_int
+    x = bound / (tol * (d - 1)) if tol * (d - 1) else math.inf
+    if not math.isfinite(x):
+        raise DomainError(f"tolerance {tol} per place is too small to bound "
+                          "the Green iteration")
     return max(1, int(to_int(mpf_ceil(mpf_div(_log(x), _log(d), 53, "n"), 53, "n"))) + 1)
 
 
@@ -474,7 +470,7 @@ def _green_arch(F: MorphismPk, p: PkPoint, tol, prec, cert):
                               mpf_div, mpf_log, mpf_mul, mpf_pos, mpf_pow_int)
     d = F.d
     C = cert.green_constant()
-    N = _steps(C / (tol * (d - 1)), d)
+    N = _steps(C, tol, d)
     powers, monomials, terms = F.plan
     by_value = cmp_to_key(mpf_cmp)
     wp, rnd = max(53, int(prec)), "n"
@@ -516,7 +512,7 @@ def _green_finite(F: MorphismPk, p: PkPoint, q: int, tol, cert):
         return 0.0, 0.0
     log_q_mpf = _log(q)
     logq = _to_float(log_q_mpf)
-    N = _steps(A * logq / (tol * (d - 1)), d)
+    N = _steps(A * logq, tol, d)
     mtotal = A * N + A + 4
     qpow = [q ** i for i in range(A + 2)]
     modulus = q ** mtotal

@@ -6,23 +6,14 @@ numberfield, and packed integer polynomials for the symmetric product.
 Characteristic polynomials come from a Hessenberg form over Q.  Small
 systems go through plain fraction Gaussian elimination.  The large sparse
 integer systems that arise in certificate searches are solved by a p-adic
-(Dixon) lift on machine integers.  All k+1 right-hand sides of one
-certificate degree share a matrix.  An IntSystem splits it once into the
-connected blocks of its nonzero pattern (for x^2 + c the symmetry x -> -x
-splits every certificate matrix in two) and eliminates a block mod
-p = 2^20 + 7, in one Gauss-Jordan pass that gives its pivots, left null
-space and pivot-block inverse (see _Block), only when a right-hand side
-first reaches it; later right-hand sides reuse that work.  Two bounds keep the numpy arithmetic in int64:
-
-* the elimination keeps A's part reduced mod p and reduces the identity
-  part once at the end; each of at most min(m, n) updates adds less than
-  p^2 < 2^41 to an entry, below 2^52 for the 2000 columns a certificate
-  block may have (asserted against 2^63 for any size);
-* a Dixon step runs in int64 when the pivot block's row |A|-sums and |b|
-  are below 2^40, so residuals stay below 2^41 and products below 2^61;
-  larger inputs take the same steps on Python integers.  An IntSystem
-  holds A in int64 only when its row |A|-sums are below 2^63, so that
-  test cannot overflow; callers may pass any integer matrix.
+(Dixon) lift.  All k+1 right-hand sides of one certificate degree share a
+matrix.  An IntSystem splits it once into the connected blocks of its
+nonzero pattern (for x^2 + c the symmetry x -> -x splits every certificate
+matrix in two) and eliminates a block mod p = 2^20 + 7, in one Gauss-Jordan
+pass that gives its pivots, left null space and pivot-block inverse (see
+_Block), only when a right-hand side first reaches it; later right-hand
+sides reuse that work.  A, b, the Dixon residuals and the lifted digits are
+Python integers; only the elimination and the products mod p run in int64.
 
 A solve touches only the blocks holding the right-hand side's nonzero rows,
 and its answer is the one a single elimination of the whole matrix gives
@@ -40,7 +31,6 @@ from .unipoly import UniPoly
 
 _DIXON_PRIME = 2 ** 20 + 7  # products of two reduced entries stay well inside int64
 _DIXON_MAX_STEPS = 13333  # p-adic digits lifted before the exact fallback
-_DIXON_INT64_BOUND = 2 ** 40  # row |A|-sums and |b| below this lift in int64
 
 
 def det_bareiss(rows):
@@ -189,27 +179,18 @@ class IntSystem:
     """
 
     def __init__(self, rows):
-        """rows: the rows of A, or A as an int64 or object array."""
+        """rows: the rows of A, or A as an integer array."""
         self.rows = rows
         self._blocks = {}
 
     @cached_property
     def _split(self):
-        """A as an integer array and the block label of every row and column
-        (-1 for an all-zero row or column).
-
-        A is int64 when its row |A|-sums, summed exactly over the nonzero
-        entries, are below 2^63, so that no sum over part of a row overflows
-        (see _Block._pivot_block); otherwise it holds Python integers."""
+        """A as an array of Python integers and the block label of every row
+        and column (-1 for an all-zero row or column)."""
         import numpy as np
-        A = self.rows if isinstance(self.rows, np.ndarray) else \
-            np.array(self.rows, dtype=object)
+        A = np.asarray(self.rows, dtype=object)
         m, n = A.shape
         rr, cc = np.nonzero(A)
-        row_sums = np.zeros(m, dtype=object)
-        np.add.at(row_sums, rr, np.abs(A[rr, cc].astype(object)))
-        A = A.astype(np.int64 if row_sums.max(initial=0) < 2 ** 63 else object,
-                     copy=False)
         row_label = np.full(m, -1)
         row_label[rr] = _row_components(m, n, rr, cc)[rr]
         col_label = np.full(n, -1)
@@ -280,18 +261,12 @@ class _Block:
     def _echelon(self):
         """(pivot rows, pivot columns, left null space, pivot-block inverse)
 
-        The A part stays reduced mod p, so that the row rule can count its
-        nonzeros.  Reduction of the identity part is delayed (Dumas, Giorgi
-        and Pernet): a row cleared by a pivot receives M[i, c] * M[r, j]
-        with both factors in [0, p), less than p^2 < 2^41, at most once per
-        pivot, so after at most min(m, n) pivots (2000 for a certificate
-        block) an entry stays below min(m, n) * p^2 < 2^52, and one
-        reduction at the end gives the step-by-step reduced matrix."""
+        [A | I] is kept reduced mod p: each pivot reduces the entries it
+        updates, so the row rule counts the nonzeros of A mod p."""
         import numpy as np
         p = _DIXON_PRIME
         A = self.A
         m, n = A.shape
-        assert p + min(m, n) * (p - 1) ** 2 < 2 ** 63
         M = np.concatenate([np.mod(A, p).astype(np.int64),
                             np.eye(m, dtype=np.int64)], axis=1)
         free = np.ones(m, dtype=bool)  # rows not pivoted on yet
@@ -306,36 +281,25 @@ class _Block:
                     cand[(M[cand, c:n] != 0).sum(axis=1).argmin()])
             prow = M[r]
             js = prow.nonzero()[0]
-            vals = prow[js] % p * pow(int(prow[c]), p - 2, p) % p
+            vals = prow[js] * pow(int(prow[c]), p - 2, p) % p
             prow[js] = vals
             others = hit[hit != r]
             if others.size:
                 at = (others[:, None], js)
-                seg = M[at]
-                seg -= M[others, c][:, None] * vals
-                seg[:, :js.searchsorted(n)] %= p
-                M[at] = seg
+                M[at] = (M[at] - M[others, c][:, None] * vals) % p
             free[r] = False
             piv_rows.append(r)
             piv_cols.append(c)
             if len(piv_rows) == m:
                 break
-        M[:, n:] %= p
         return (piv_rows, piv_cols, M[free, n:],
                 M[np.ix_(piv_rows, n + np.array(piv_rows, dtype=int))])
 
     @cached_property
     def _pivot_block(self):
-        """The pivot block: int64 when its row |A|-sums are below
-        _DIXON_INT64_BOUND, else Python integers (see lift).  The sums do
-        not overflow: A is int64 only when its full row sums fit (see
-        IntSystem._split)."""
         import numpy as np
         piv_rows, piv_cols, _null, _inv = self._echelon
-        Asub = self.A[np.ix_(piv_rows, piv_cols)]
-        if np.abs(Asub).sum(axis=1).max() < _DIXON_INT64_BOUND:
-            return Asub.astype(np.int64)
-        return Asub.astype(object)
+        return self.A[np.ix_(piv_rows, piv_cols)]
 
     def consistent_mod_p(self, b):
         import numpy as np
@@ -351,10 +315,8 @@ class _Block:
         not A x = b is that block's unique solution, so lifting further
         cannot help.
 
-        A step is x = inv * residual mod p, residual <- (residual - A x) / p.
-        With row |A|-sums and |b| below 2^40 the residual stays below 2^41
-        and |A x| below 2^40 * p < 2^61, so steps run in int64; otherwise
-        they run on Python integers (an object pivot block makes A x one)."""
+        A step is x = inv * residual mod p, residual <- (residual - A x) / p:
+        the digit x is found in int64, the residual kept in Python integers."""
         import numpy as np
         sub_rows, sub_cols, _null, inv = self._echelon
         if not sub_cols:
@@ -362,10 +324,13 @@ class _Block:
         p = _DIXON_PRIME
         Asub = self._pivot_block
         r = len(sub_rows)
+        # A x as row sums over the pivot block's nonzeros, which are sparse
+        # and found row by row; every row of the nonsingular block has one
+        nz_rows, nz_cols = Asub.nonzero()
+        nz_vals = Asub[nz_rows, nz_cols]
+        starts = np.flatnonzero(np.diff(nz_rows, prepend=-1))
         b_sub = [b[i] for i in sub_rows]
-        small = (Asub.dtype == np.int64
-                 and max(map(abs, b_sub)) < _DIXON_INT64_BOUND)
-        residual = np.array(b_sub, dtype=np.int64 if small else object)
+        residual = np.array(b_sub, dtype=object)
         acc = np.zeros(r, dtype=object)  # the p-adic digits so far, summed
         weight = 1
         step = 0
@@ -374,7 +339,7 @@ class _Block:
             x_i = (inv @ (residual % p).astype(np.int64)) % p
             acc += x_i.astype(object) * weight
             weight *= p
-            residual = (residual - Asub @ x_i) // p
+            residual = (residual - np.add.reduceat(nz_vals * x_i[nz_cols], starts)) // p
             step += 1
             if step == check_at or step == _DIXON_MAX_STEPS:
                 check_at *= 2
@@ -465,9 +430,8 @@ def solve_int_system(system, rhs):
 
 
 def _verify_solution(A, rhs, x):
-    """A x = b exactly, for an int64 or object array A of integers: with x
-    scaled by the lcm of its denominators, only the nonzero columns take
-    part, and the product is taken on Python integers."""
+    """A x = b exactly, for an array A of Python integers: with x scaled by
+    the lcm of its denominators, only the nonzero columns take part."""
     import numpy as np
     cols = [j for j, xj in enumerate(x) if xj]
     if not cols:
@@ -476,4 +440,4 @@ def _verify_solution(A, rhs, x):
     nums = np.array([x[j].numerator * (den // x[j].denominator) for j in cols],
                     dtype=object)
     return all(v == den * b
-               for v, b in zip(A[:, cols].astype(object).dot(nums), rhs))
+               for v, b in zip(A[:, cols].dot(nums), rhs))

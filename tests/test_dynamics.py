@@ -164,9 +164,15 @@ def test_periods_mod_p_contains_global_period():
     assert any(m in (1, 3) and 3 % m == 0 for m in s1)
 
 
+# q is a product of two 20-digit primes, so factoring the resultant of
+# x^2 + 1/q^2 is over budget: good primes are told by reduction alone
+Q_MAP = "x^2 + 1/100000000000000001380000000000000004437^2"
+
+
 def test_periods_mod_p_rejects_bad_prime():
     with pytest.raises(DomainError):
         periods_mod_p(_map("x^2 - 29/16"), 2, 1)
+    assert periods_mod_p(_map(Q_MAP), 3, 1) == {1}
 
 
 def test_exponent_bound():
@@ -290,6 +296,7 @@ def test_default_n_max():
     f = _map("x^2 - 2")
     assert default_n_max(f, 2, budget=64) == 6
     assert default_n_max(f, 2) == default_n_max(f, 2, budget=64)
+    assert default_n_max(_map(Q_MAP), 2) == 6
 
 
 # ---------------------------------------------------------------------------

@@ -408,16 +408,18 @@ def test_macaulay_matrix_matches_termwise_build(text, k, dtype):
     F = symmetrize(_map(text), k)
     nvars = k + 1
     fterms = [[(e, int(c)) for e, c in comp.terms.items()] for comp in F.components]
+    # dtype: whether F's coefficients fit in int64 (object: some are past 2^63)
+    fits = max(abs(c) for ts in fterms for _e, c in ts) < 2 ** 63
+    assert fits == (dtype is np.int64)
     for M in range(F.d, F.d + 3):
         A = heights._macaulay_matrix(fterms, heights._monomials(nvars, M - F.d),
-                                     heights._monomials(nvars, M), M)
-        assert A.dtype == dtype
+                                     heights._monomials(nvars, M))
         assert A.tolist() == _macaulay_rows_reference(fterms, nvars, F.d, M)
 
 
 def test_macaulay_matrix_encodes_many_variables_on_python_integers():
-    # 2 * 3^40 > 2^63: the code of x_0^2 in base 3 over 41 variables
-    # leaves int64
+    # 41 variables: no base-3 code of an exponent vector fits in int64
+    # (2 * 3^40 > 2^63), so rows are found by the monomials themselves
     nvars, d, M = 41, 1, 2
     rng = random.Random(11)
     fterms = []
@@ -429,8 +431,7 @@ def test_macaulay_matrix_encodes_many_variables_on_python_integers():
             terms[tuple(e)] = rng.choice([-7, -1, 2, 5])
         fterms.append(list(terms.items()))
     A = heights._macaulay_matrix(fterms, heights._monomials(nvars, M - d),
-                                 heights._monomials(nvars, M), M)
-    assert A.dtype == np.int64
+                                 heights._monomials(nvars, M))
     assert A.tolist() == _macaulay_rows_reference(fterms, nvars, d, M)
 
 

@@ -255,20 +255,19 @@ def _only_block(system):
     return blk
 
 
-@pytest.mark.parametrize("rows,rhs,path", [
-    # inside the int64 gate: row |A|-sums and |b| below 2^40
+@pytest.mark.parametrize("rows,rhs,dtype", [
+    # A may arrive as an int64 array ...
     ([[3, -1, 4], [1, 5, -9], [2, 6, 5]], [7, -2, 11], np.int64),
     ([[2 ** 39, 1], [-1, 2 ** 39 - 5]], [2 ** 39, -3], np.int64),
-    # a row |A|-sum above 2^40
+    # ... or as an object array, with entries and b past 2^40
     ([[2 ** 40, 3], [-7, 2 ** 41 + 5]], [1, 2 ** 45 + 1], object),
     ([[2 ** 39, 2 ** 39, 1], [1, -1, 0], [5, 0, 7]], [1, 2, 3], object),
     ([[3, 1], [2 ** 70, 1]], [2, 5], object),
 ])
-def test_both_lift_paths_agree_with_fraction_elimination(rows, rhs, path):
-    system = IntSystem(rows)
+def test_both_lift_paths_agree_with_fraction_elimination(rows, rhs, dtype):
+    system = IntSystem(np.array(rows, dtype=dtype))
     x = solve_int_system(system, rhs)
     assert x is not None and x == solve_fraction(rows, rhs)
-    assert _only_block(system)._pivot_block.dtype == path
 
 
 def test_int64_matrix_with_overflowing_row_sums_is_held_exactly():
@@ -277,12 +276,10 @@ def test_int64_matrix_with_overflowing_row_sums_is_held_exactly():
     system = IntSystem(np.array(rows, dtype=np.int64))
     x = solve_int_system(system, [1, 2, 3])
     assert x is not None and x == solve_fraction(rows, [1, 2, 3])
-    assert system._split[0].dtype == object
-    assert _only_block(system)._pivot_block.dtype == object
 
 
 def test_large_right_hand_side_lifts_on_python_integers():
-    # small A, but |b| above 2^40 keeps the steps off int64
+    # small A, but |b| past 2^40 and 2^63
     rows = [[2, 1], [1, 3]]
     for rhs in ([2 ** 40, 1], [-2 ** 62, 2 ** 80 + 1]):
         assert solve_int_system(rows, rhs) == solve_fraction(rows, rhs)
@@ -292,19 +289,17 @@ def test_large_right_hand_side_lifts_on_python_integers():
 @given(block_systems())
 def test_lift_paths_give_the_same_answers(case):
     # the same solutions, and the same right-hand sides without one, whether
-    # Dixon steps run in int64 or on Python integers
+    # A arrives as rows, an int64 array or an object array
     rows, rhss = case
-    fast, slow = IntSystem(rows), IntSystem(rows)
-    answers = [solve_int_system(fast, rhs) for rhs, _ok in rhss]
-    gate = linalg._DIXON_INT64_BOUND
-    try:
-        linalg._DIXON_INT64_BOUND = 0
-        assert [solve_int_system(slow, rhs) for rhs, _ok in rhss] == answers
-    finally:
-        linalg._DIXON_INT64_BOUND = gate
+    systems = [IntSystem(rows), IntSystem(np.array(rows, dtype=np.int64)),
+               IntSystem(np.array(rows, dtype=object))]
+    answers = [[solve_int_system(system, rhs) for rhs, _ok in rhss]
+               for system in systems]
+    assert answers[0] == answers[1] == answers[2]
+    assert answers[0] == [solve_fraction(rows, rhs) for rhs, _ok in rhss]
 
 
-def test_fixed_cases_solve_the_same_on_both_lift_paths(monkeypatch):
+def test_fixed_cases_solve_the_same_on_both_lift_paths():
     cases = [(RANK_DEFICIENT, rhs) for rhs in (
         [1, 0, 1, 2], [7, -3, 4, 14], [0, 0, 0, 0], [3, 5, 8, 6],
         [1, 0, 0, 0], [0, 0, 1, 0], [1, 1, 2, 3])]
@@ -312,8 +307,7 @@ def test_fixed_cases_solve_the_same_on_both_lift_paths(monkeypatch):
               ([[0, 0, 0], [0, 0, 0]], [0, 1]),
               ([[P, 0], [0, 1]], [P, 1])]
     answers = [solve_int_system(rows, rhs) for rows, rhs in cases]
-    monkeypatch.setattr(linalg, "_DIXON_INT64_BOUND", 0)
-    assert [solve_int_system(rows, rhs) for rows, rhs in cases] == answers
+    assert answers == [solve_fraction(rows, rhs) for rows, rhs in cases]
     assert [x is None for x in answers] == [solve_fraction(rows, rhs) is None
                                             for rows, rhs in cases]
 

@@ -114,6 +114,16 @@ def test_cli_period_bound(capsys):
     assert capsys.readouterr().out.strip() == "234"
 
 
+def test_cli_default_n_max_without_factoring_the_resultant(capsys):
+    # the resultant of this map has a 127-bit factor that is over budget
+    m = "x^2 + 1/100000000000000001380000000000000004437^2"
+    for command in ("preperiodic", "multipliers"):
+        assert cli.main([command, "--map", m, "--k", "2"]) == 0
+        default = capsys.readouterr().out
+        assert cli.main([command, "--map", m, "--k", "2", "--n-max", "6"]) == 0
+        assert capsys.readouterr().out == default
+
+
 def test_cli_symmetrize_deterministic(capsys):
     rc = cli.main(["symmetrize", "--map", "x^2 - 2", "--k", "4", "--json"])
     assert rc == 0
@@ -506,7 +516,7 @@ def _cli_cases():
         yield ["period-bound", "--Np", "3", "--p", "3", "--v", "1", "--k", k]
     for p in ("-1", "0", "1", "4"):
         yield ["period-bound", "--Np", "4", "--p", p, "--v", "1", "--k", "2"]
-    for tol in ("0", "-1", "nan", "inf"):
+    for tol in ("0", "-1", "nan", "inf", "1e-320"):
         yield ["canonical-height", "--map", "x^2 - 2", "--point", "3",
                "--tol", tol]
     yield ["canonical-height", "--map", "x^2 - 2", "--point", "3",

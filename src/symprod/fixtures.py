@@ -76,7 +76,7 @@ X29_PERM = {0: 2, 1: 1, 2: 0, 3: 3}  # displayed index -> eta index
 
 @fixture("eta-diagonal", "PAPER",
          "eta of four copies of (3:1) is (81, 108, 54, 12, 1)")
-def _fx_eta(detail):
+def _fx_eta():
     p = api.eta([api.p1_point(3)] * 4)
     assert p.coords == (81, 108, 54, 12, 1), p
     q = api.eta([api.p1_point(F(1, 2))])
@@ -86,7 +86,7 @@ def _fx_eta(detail):
 
 @fixture("eta-tilde-zeta5", "PAPER",
          "eta~ of a primitive fifth root of unity is (1, -1, 1, -1, 1)")
-def _fx_eta_tilde(detail):
+def _fx_eta_tilde():
     K = api.NumberField.get(api.UniPoly((1, 1, 1, 1, 1)))
     pt = api.AlgebraicPoint(K, K.gen())
     assert api.eta_tilde(pt, 4).coords == (1, -1, 1, -1, 1)
@@ -96,7 +96,7 @@ def _fx_eta_tilde(detail):
 
 @fixture("symmetrize-cheb-k4", "PAPER",
          "the 4-symmetric product of x^2 - 2 equals the displayed quadrics")
-def _fx_sym4(detail):
+def _fx_sym4():
     Fm = api.symmetrize(_map("x^2 - 2"), 4)
     for comp, text in zip(Fm.components, CHEB4_EXPECTED):
         assert comp == parse_mpoly(text, VNAMES), text
@@ -106,7 +106,7 @@ def _fx_sym4(detail):
 @fixture("symmetrize-x29-k3", "PAPER",
          "the 3-symmetric product of x^2 - 29/16 matches the displayed map "
          "up to the documented coordinate reversal")
-def _fx_sym3(detail):
+def _fx_sym3():
     Fm = api.symmetrize(_map("x^2 - 29/16"), 3)
     for disp_idx, text in enumerate(X29_EXPECTED):
         want = parse_mpoly(text, ["x0", "x1", "x2", "x3"])
@@ -123,7 +123,7 @@ def _fx_sym3(detail):
 
 @fixture("symmetrize-identity-k1", "TRIVIAL",
          "the 1-symmetric product is the map itself")
-def _fx_sym1(detail):
+def _fx_sym1():
     f = _map("x^2 - 2")
     F1 = api.symmetrize(f, 1)
     assert F1.components[0].terms == {(2, 0): F(1), (0, 2): F(-2)}
@@ -134,7 +134,7 @@ def _fx_sym1(detail):
 @fixture("apply-transfer", "DERIVED",
          "images under the 4-symmetric product of x^2 - 2, recomputed from "
          "eta of the image multisets")
-def _fx_apply(detail):
+def _fx_apply():
     Fm = api.symmetrize(_map("x^2 - 2"), 4)
     img = api.apply(Fm, api.PkPoint((81, 108, 54, 12, 1)))
     assert img == api.eta([api.p1_point(7)] * 4)          # f(3) = 7, diagonal
@@ -147,7 +147,7 @@ def _fx_apply(detail):
 
 @fixture("forms-points", "PAPER",
          "form/point round trips and conjugate recovery")
-def _fx_forms(detail):
+def _fx_forms():
     p = api.PkPoint((81, 108, 54, 12, 1))
     g = api.form_of_point(p)
     assert api.point_of_form(g) == p
@@ -167,7 +167,7 @@ def _fx_forms(detail):
 @fixture("eta-tilde-cubic", "DERIVED",
          "eta~ of the cubic generator recovers its own minimal polynomial "
          "through the conjugate decomposition")
-def _fx_eta_cubic(detail):
+def _fx_eta_cubic():
     ref = api.NumberField.get(api.UniPoly((23, -164, 16, 64)))
     pt = api.AlgebraicPoint(ref, ref.gen())
     q = api.eta_tilde(pt, 3)
@@ -182,7 +182,7 @@ def _fx_eta_cubic(detail):
 @fixture("canonical-height-cheb", "PAPER",
          "canonical heights for x^2 - 2: 0.9624 at 3; transferred values "
          "3.84969 and 4x agree; closed-form oracle log((3+sqrt5)/2)")
-def _fx_heights(detail):
+def _fx_heights():
     import mpmath
 
     f = _map("x^2 - 2")
@@ -201,7 +201,7 @@ def _fx_heights(detail):
 
 @fixture("canonical-height-zeta5", "PAPER",
          "h_F(1,-1,1,-1,1) is 1.5536 and the fifth-root point has height 0.3884")
-def _fx_height_zeta(detail):
+def _fx_height_zeta():
     f = _map("x^2 - 2")
     F4 = api.symmetrize(f, 4)
     hv = api.canonical_height(F4, api.PkPoint((1, -1, 1, -1, 1)),
@@ -217,7 +217,7 @@ def _fx_height_zeta(detail):
 @fixture("preperiodic-21", "PAPER",
          "x^2 - 29/16 at k = 3 yields 9 rational preperiodic points and 12 "
          "over the cubic field of 64x^3 + 16x^2 - 164x + 23")
-def _fx_21(detail):
+def _fx_21():
     f = _map("x^2 - 29/16")
     g = api.preperiodic_graph(f, 3, 3)
     rat, orbits = g.recovered_points()
@@ -237,7 +237,7 @@ def _fx_21(detail):
 @fixture("five-cycles", "PAPER",
          "c in {-2, -16/9, -64/9}: the period-5 search finds a verified "
          "rational 5-cycle over a degree-5 field")
-def _fx_5cycles(detail):
+def _fx_5cycles():
     found = []
     for c in (F(-2), F(-16, 9), F(-64, 9)):
         f = api.RationalMap1.from_affine_polynomial(api.UniPoly((c, 0, 1)))
@@ -259,7 +259,7 @@ def _fx_5cycles(detail):
 @fixture("milnor-lattes-commutation", "PAPER",
          "the degree-2 isolated family [z^2+a^2*z*t, t^2+a^2*z*t] satisfies "
          "the defining identity symbolically at 12 rational a, for k = 2, 3")
-def _fx_milnor(detail):
+def _fx_milnor():
     # a^4 = 1 degenerates the pair, so skip +-1
     values = [F(n) for n in (2, 3, 4, -2, -3, 5)] + [F(1, 2), F(3, 2), F(2, 3),
                                                      F(5, 2), F(-1, 3), F(7, 3)]
@@ -275,7 +275,7 @@ def _fx_milnor(detail):
 @fixture("flexible-lattes-commutation", "PAPER",
          "the degree-4 flexible family [(z^2-L*t^2)^2, 4*z*t*(z-t)*(z-L*t)] "
          "satisfies the defining identity symbolically at 12 rational L, k = 2")
-def _fx_flexible(detail):
+def _fx_flexible():
     values = [F(2), F(3), F(-1), F(-2), F(5), F(1, 2), F(3, 2), F(-1, 2),
               F(2, 3), F(5, 3), F(-3), F(7, 2)]
     for lam in values:
@@ -290,7 +290,7 @@ def _fx_flexible(detail):
 @fixture("multiplier-x21", "DERIVED",
          "multipliers for x^2 - 21/16: fixed 7/4 has 7/2, the 2-cycle has "
          "-5/4; at k = 3 the collapsed 2-cycle charpoly is (x+3/2)(x^2+5/4)")
-def _fx_mult21(detail):
+def _fx_mult21():
     f = _map("x^2 - 21/16")
     assert api.multiplier_f(f, F(7, 4), 1) == F(7, 2)
     assert api.multiplier_f(f, F(-5, 4), 2) == F(-5, 4)
@@ -311,7 +311,7 @@ def _fx_mult21(detail):
 @fixture("multiplier-x29", "DERIVED",
          "the collapsed rational 3-cycle of x^2 - 29/16 has charpoly "
          "x^3 - 35/8 (the cycle multiplier is 8*(5/4)(-1/4)(-7/4) = 35/8)")
-def _fx_mult29(detail):
+def _fx_mult29():
     f = _map("x^2 - 29/16")
     assert api.multiplier_f(f, F(5, 4), 3) == F(35, 8)
     p = api.eta([api.p1_point(F(5, 4)), api.p1_point(F(-1, 4)),
@@ -325,7 +325,7 @@ def _fx_mult29(detail):
 @fixture("bad-primes", "DERIVED",
          "bad primes by resultant + reduction check: {2} for x^2 - 29/16 "
          "(Res = 2^16); empty for x^2 - 2 (Res = 1) and the power map")
-def _fx_bad(detail):
+def _fx_bad():
     f29 = _map("x^2 - 29/16")
     assert tuple(api.bad_primes(f29)) == (2,)
     assert api.factor_integer(int(f29.res)) == {2: 16}
@@ -342,7 +342,7 @@ def _fx_bad(detail):
 @fixture("period-bound", "DERIVED",
          "good-reduction period bound: (1+3+9)*2*3*3 = 234; the p = 2 "
          "exponent bound at v = 1 is 3 since (sqrt5+3)/2 is phi^2")
-def _fx_bound(detail):
+def _fx_bound():
     got = api.period_bound(api.PeriodBoundInput(Np=3, k=2, p=3, vp=1))
     assert got == 234, got
     assert api.exponent_bound(2, 1) == 3
@@ -359,7 +359,7 @@ def _fx_bound(detail):
 @fixture("orbit-classify", "DERIVED",
          "orbits: 2 fixed under x^2 - 2; 5/4 -> -1/4 -> -7/4 -> 5/4 has "
          "period 3; 0 escapes under x^2 + 1")
-def _fx_orbits(detail):
+def _fx_orbits():
     assert api.orbit_classify(_map("x^2 - 2"), api.p1_point(2)) == \
         api.OrbitClassification("preperiodic", tail=0, period=1)
     cls = api.orbit_classify(_map("x^2 - 29/16"), api.p1_point(F(5, 4)))
@@ -372,7 +372,7 @@ def _fx_orbits(detail):
 @fixture("periods-mod-p", "DERIVED",
          "cycle lengths by enumeration: x^2 on P^1(F_3) gives {1}; "
          "x^2 - 29/16 mod 5 at k = 3 contains the global period 3")
-def _fx_modp(detail):
+def _fx_modp():
     fsq = api.parse_map("[z^2, t^2]").map
     assert api.periods_mod_p(fsq, 3, 1) == {1}
     s = api.periods_mod_p(_map("x^2 - 29/16"), 5, 3)
@@ -388,7 +388,7 @@ def _fx_modp(detail):
 @fixture("periodic-points-x21", "DERIVED",
          "x^2 - 21/16 at k = 2: the 2-cycle {-5/4, 1/4} collapses to a fixed "
          "point and the fixed pair (7/4, -3/4) appears")
-def _fx_periodic21(detail):
+def _fx_periodic21():
     f = _map("x^2 - 21/16")
     pts = dict(api.rational_periodic_points(f, 2, 2))
     collapsed = api.eta([api.p1_point(F(-5, 4)), api.p1_point(F(1, 4))])
@@ -402,7 +402,7 @@ def _fx_periodic21(detail):
 
 @fixture("preimages", "DERIVED",
          "preimage sets: full, Galois-paired, and empty cases")
-def _fx_preimages(detail):
+def _fx_preimages():
     f2 = _map("x^2 - 2")
     F1 = api.symmetrize(f2, 1)
     got = api.rational_preimages(f2, F1, api.p1_point(2))
@@ -423,7 +423,7 @@ def _fx_preimages(detail):
 @fixture("pcf-suite", "DERIVED",
          "postcritical finiteness: x^2-1 and x^2-2 are PCF, x^2+1 is not; "
          "the conjugated family z^2 - 1/a^2 is PCF at a=1, not at a=2")
-def _fx_pcf(detail):
+def _fx_pcf():
     crit = api.critical_points(_map("x^2 + 1"))
     assert {(pt.to_text(), m) for _f, pt, m in crit} == {("oo", 1), ("0", 1)}
     fa = api.parse_map("[-4*z^2, (z + t)^2]").map   # a = 2
@@ -446,7 +446,7 @@ def _fx_pcf(detail):
 
 @fixture("exact-arithmetic", "PAPER",
          "kernel checks: factorizations, field arithmetic, minimal polynomials")
-def _fx_exact(detail):
+def _fx_exact():
     assert api.factor_integer(4096) == {2: 12}
     assert api.factor_integer(1) == {}
     content, facs = api.factor_unipoly(api.UniPoly((-1, 0, 1)))
@@ -471,7 +471,7 @@ def _fx_exact(detail):
 
 
 @fixture("naive-height", "TRIVIAL", "log of the largest coordinate")
-def _fx_naive(detail):
+def _fx_naive():
     import math
 
     assert abs(api.naive_height(api.p1_point(3)) - math.log(3)) < 1e-12
@@ -484,7 +484,7 @@ def _fx_naive(detail):
 @fixture("green-local", "DERIVED",
          "good primes contribute zero; the power map has Green value log 2 "
          "at (2:1); comparison constants dominate sampled height jumps")
-def _fx_green(detail):
+def _fx_green():
     import math
 
     f2 = _map("x^2 - 2")
@@ -507,7 +507,7 @@ def _fx_green(detail):
 @fixture("parser", "PAPER",
          "map expressions parse to the exact primitive lifts; degree < 2 and "
          "degenerate pairs are refused")
-def _fx_parser(detail):
+def _fx_parser():
     m = api.parse_map("x^2 - 29/16")
     assert m.map.num == (16, 0, -29) and m.map.den == (0, 0, 16)
     assert api.parse_map(m.to_text()).map == m.map
@@ -528,13 +528,13 @@ def _fx_parser(detail):
     return "grammar round trips"
 
 
-def run_fixtures(names=None) -> list[FixtureResult]:
-    """Run the corpus (optionally a subset) and report in declaration order."""
+def run_fixtures() -> list[FixtureResult]:
+    """Run the corpus and report in declaration order."""
 
     def run_one(fx: Fixture) -> FixtureResult:
         t0 = time.time()
         try:
-            detail = fx.run(None) or ""
+            detail = fx.run() or ""
             return FixtureResult(fx.name, fx.provenance, True, detail,
                                  time.time() - t0)
         except AssertionError as exc:
@@ -544,4 +544,4 @@ def run_fixtures(names=None) -> list[FixtureResult]:
             return FixtureResult(fx.name, fx.provenance, False,
                                  f"{type(exc).__name__}: {exc}", time.time() - t0)
 
-    return [run_one(fx) for fx in FIXTURES if names is None or fx.name in names]
+    return [run_one(fx) for fx in FIXTURES]

@@ -11,6 +11,7 @@ from itertools import product
 
 from .errors import DomainError
 from .polyfactor import _ddf, _pgcd, _pmod, _pmul, _trim
+from .unipoly import _power
 
 
 def find_irreducible(p: int, e: int):
@@ -56,15 +57,7 @@ class FiniteField:
         return tuple(red) + (0,) * (self.e - len(red))
 
     def pow(self, a, n: int):
-        result = self.one
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            n >>= 1
-            if n:
-                base = self.mul(base, base)
-        return result
+        return _power(a, n, self.one, self.mul)
 
     def inv(self, a):
         if a == self.zero:

@@ -41,10 +41,11 @@ from functools import cmp_to_key
 from itertools import combinations_with_replacement
 from operator import add
 
-from .errors import CertificateError, DomainError
+from .errors import BudgetExceededError, CertificateError, DomainError
 from .gf import degenerates_mod_p
 from .intfactor import is_prime, prime_divisors
 from .linalg import IntSystem, solve_int_system
+from .parser import _MAX_BITS
 from .projective import MorphismPk, PkPoint, RationalMap1, morphism_of_map
 from .symmetric import eta_tilde, symmetrize
 
@@ -408,10 +409,16 @@ class HeightValue:
         }
 
 
-def _checked_certificate(F: MorphismPk, p: PkPoint, tol, bad) -> HeightCertificate:
-    """F's certificate, once the tolerance and p's dimension are checked."""
+def _checked_certificate(F: MorphismPk, p: PkPoint, tol, prec,
+                         bad) -> HeightCertificate:
+    """F's certificate, once the tolerance, the precision and p's dimension
+    are checked.  A working precision above _MAX_BITS, the length of the
+    longest numeral an input may type, is refused before any work."""
     if not 0 < tol < math.inf:
         raise DomainError(f"tolerance must be a positive finite number, not {tol}")
+    if prec > _MAX_BITS:
+        raise BudgetExceededError(
+            f"working precision of {prec} bits is above {_MAX_BITS}")
     if p.k != F.k:
         raise DomainError(f"a point of P^{p.k} under a map of P^{F.k}")
     return morphism_certificate(F, bad)
@@ -437,7 +444,7 @@ def green_local(F: MorphismPk, p: PkPoint, place, tol: float = 1e-6,
     Returns (value, error_bound).
     """
     q = _place(place)
-    return _green(F, p, q, tol, prec, _checked_certificate(F, p, tol, bad))
+    return _green(F, p, q, tol, prec, _checked_certificate(F, p, tol, prec, bad))
 
 
 def _green(F: MorphismPk, p: PkPoint, q, tol, prec, cert):
@@ -546,7 +553,7 @@ def canonical_height(F: MorphismPk, p: PkPoint, tol: float = 1e-6,
                      prec: int = 53, bad=None) -> HeightValue:
     """Canonical height of a rational point as a certified sum of local
     Green's functions over the archimedean place and the bad primes."""
-    cert = _checked_certificate(F, p, tol, bad)
+    cert = _checked_certificate(F, p, tol, prec, bad)
     places = (None,) + cert.bad
     share = tol / len(places)
     contributions = []

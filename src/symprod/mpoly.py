@@ -11,6 +11,7 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError
+from .unipoly import _power
 
 _rat = Fraction
 
@@ -131,15 +132,7 @@ class MPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise DomainError("negative power of a polynomial")
-        result = MPoly.constant(self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, MPoly.constant(self.nvars, 1))
 
     # -- substitution --------------------------------------------------------
 

@@ -14,10 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError, FieldMismatchError
-from .intfactor import is_prime
 from .linalg import charpoly, det_bareiss
-from .polyfactor import factor_unipoly, frobenius_degrees
-from .unipoly import UniPoly, _field_gcd
+from .polyfactor import _squarefree_splits, factor_unipoly
+from .unipoly import UniPoly, _conv, _field_gcd, _power
 
 _field_cache: dict[tuple, "NumberField"] = {}
 
@@ -196,12 +195,7 @@ class NFElem:
         if o is NotImplemented:
             return NotImplemented
         k = self.field.degree
-        prod = [Fraction(0)] * (2 * k - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(o.coords):
-                    if b:
-                        prod[i + j] += a * b
+        prod = _conv(self.coords, o.coords)
         if k == 1:
             return NFElem(self.field, (prod[0],))
         rows = self.field._reduction_rows()
@@ -246,15 +240,7 @@ class NFElem:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, self.field.one())
 
     def to_text(self, var: str = "a") -> str:
         return UniPoly(self.coords).to_text(var) if not self.is_zero() else "0"
@@ -276,18 +262,16 @@ def _frobenius_bound(m: UniPoly, n: int) -> int:
     the degree-d primes above p match the degree-d factors of m mod p: so
     |Aut(K/Q)| <= sum_(d_j | d) d_j over the factor degrees d_j, for every
     factor degree d.  The count also divides n."""
-    coeffs = m.primitive_int_coeffs()
-    bound, tried, p = n, 0, 1
-    while tried < _FROBENIUS_PRIMES and bound > 1:
-        p += 2
-        degrees = frobenius_degrees(coeffs, p) if is_prime(p) else None
-        if degrees is None:
-            continue
-        tried += 1
+    bound = n
+    splits = _squarefree_splits(m.primitive_int_coeffs())
+    for tried, (_, ddf) in enumerate(splits, 1):
+        degrees = {d: (len(g) - 1) // d for d, g in ddf}
         for d in degrees:
             bound = min(bound, sum(e * c for e, c in degrees.items() if d % e == 0))
         while n % bound:
             bound -= 1
+        if tried == _FROBENIUS_PRIMES or bound == 1:
+            break
     return bound
 
 

@@ -32,7 +32,8 @@ from sys import byteorder
 
 from .errors import DomainError
 from .intfactor import is_prime
-from .unipoly import UniPoly, _conv, _int_divide, _int_gcd, _primitive, _trim
+from .unipoly import (UniPoly, _conv, _int_divide, _int_gcd, _power, _primitive,
+                      _trim)
 
 # ---------------------------------------------------------------------------
 # Z/p[x] arithmetic on low-to-high int lists
@@ -100,15 +101,8 @@ def _pext_gcd(a, b, p):
 
 
 def _ppowmod(a, e, mod, p):
-    result = [1]
-    base = _pmod(a, mod, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), mod, p)
-        e >>= 1
-        if e:
-            base = _pmod(_pmul(base, base, p), mod, p)
-    return result
+    return _power(_pmod(a, mod, p), e, [1],
+                  lambda x, y: _pmod(_pmul(x, y, p), mod, p))
 
 
 # ---------------------------------------------------------------------------
@@ -308,30 +302,24 @@ def _monic_squarefree_mod(f, p):
     return None if len(_pgcd(fp, dfp, p)) > 1 else fp
 
 
-def frobenius_degrees(f, p):
-    """{d: number of degree-d irreducible factors of f mod p} for an integer
-    polynomial f (low to high) and an odd prime p, or None when p divides
-    lc(f) or f is not squarefree mod p."""
-    fp = _monic_squarefree_mod(f, p)
-    if fp is None:
-        return None
-    return {d: (len(g) - 1) // d for d, g in _ddf(fp, p)}
+def _squarefree_splits(f):
+    """(p, distinct-degree split of f/lc mod p) for each odd prime p below
+    _PRIME_LIMIT at which f/lc is squarefree (p not dividing lc), ascending."""
+    for p in range(3, _PRIME_LIMIT, 2):
+        fp = _monic_squarefree_mod(f, p) if is_prime(p) else None
+        if fp is not None:
+            yield p, _ddf(fp, p)
 
 
 def _choose_prime(f):
     """(count, p, distinct-degree split of f/lc mod p) for the first usable
     odd prime whose split shows at most _CHEAP_RECOMBINATION factors, else for
     the one showing the fewest among the first four usable primes."""
-    best, tried = None, 0
-    for p in range(3, _PRIME_LIMIT, 2):
-        fp = _monic_squarefree_mod(f, p) if is_prime(p) else None
-        if fp is None:
-            continue
-        ddf = _ddf(fp, p)
+    best = None
+    for tried, (p, ddf) in enumerate(_squarefree_splits(f), 1):
         count = sum((len(g) - 1) // d for d, g in ddf)
         if best is None or count < best[0]:
             best = (count, p, ddf)
-        tried += 1
         if tried == 4 or count <= _CHEAP_RECOMBINATION:
             return best
     if best is None:

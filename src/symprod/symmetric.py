@@ -15,6 +15,7 @@ int each: a monomial product is one integer addition.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import comb
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, DomainError
@@ -23,32 +24,20 @@ from .mpoly import MPoly
 from .numberfield import NumberField
 from .projective import (AlgebraicPoint, BinaryForm, MorphismPk, PkPoint,
                          RationalMap1, minpoly_of_factor, point_of_form)
+from .unipoly import _conv
 
 
 def eta_coords(pairs):
     """Coefficients of prod_l (a_l X + b_l Y), lowest Y-power first.
 
-    Works over any commutative ring: pairs is a list of (a, b).  The j-th
-    output is eta_{k,j} of the inputs.
+    Works over any commutative ring: pairs is a list of (a, b), folded into
+    the product one factor [a, b] at a time by _conv.  The j-th output is
+    eta_{k,j} of the inputs; one that no nonzero product reaches is int 0,
+    == to a Fraction or mpf zero (not to a zero MPoly).
     """
     if not pairs:
         raise DomainError("eta needs at least one point")
-    cur = None
-    for a, b in pairs:
-        if cur is None:
-            cur = [a, b]
-        else:
-            nxt = []
-            for j in range(len(cur) + 1):
-                term = None
-                if j < len(cur):
-                    term = a * cur[j]
-                if j > 0:
-                    t2 = b * cur[j - 1]
-                    term = t2 if term is None else term + t2
-                nxt.append(term)
-            cur = nxt
-    return cur
+    return reduce(lambda cur, ab: _conv(ab, cur), pairs[1:], list(pairs[0]))
 
 
 def eta(points) -> PkPoint:

@@ -3,17 +3,28 @@
 Coefficients are `fractions.Fraction` throughout; a polynomial is an immutable
 coefficient tuple indexed by degree.  The zero polynomial has degree -1.
 
-The gcd works on integer coefficient lists (low to high): `_conv` multiplies
-them, `_int_divide` divides exactly over Z, and `_int_gcd` is the primitive
-polynomial remainder sequence.  By Gauss's lemma a primitive divisor of an
-integer polynomial leaves an integer quotient, so the factoring code in
-`polyfactor` never needs fractions.  Over a field, Q or a number field,
-`_field_divmod` is the long division and `_field_gcd` the monic Euclid.
+The gcd works on integer coefficient lists (low to high): `_int_divide`
+divides exactly over Z, and `_int_gcd` is the primitive polynomial remainder
+sequence.  By Gauss's lemma a primitive divisor of an integer polynomial
+leaves an integer quotient, so the factoring code in `polyfactor` never
+needs fractions.
+
+Four kernels here serve every coefficient ring of the package:
+* `_conv`, the coefficient-list product: `UniPoly.__mul__`, `NFElem.__mul__`,
+  `symmetric.eta_coords`, the Z/p[x] and Z[x] products of `polyfactor`, and
+  the form products of `projective` and `dynamics`;
+* `_power`, binary powering: `UniPoly`, `NFElem` and `MPoly` powers,
+  `gf.FiniteField.pow` and `polyfactor._ppowmod`;
+* `_field_divmod`, the long division over a field (Q or a number field):
+  `UniPoly.divmod` and `_field_gcd`;
+* `_field_gcd`, the monic Euclid over a field:
+  `numberfield.roots_in_number_field`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import DomainError
@@ -119,29 +130,14 @@ class UniPoly:
         if not isinstance(other, UniPoly):
             c = _as_rat(other)
             return UniPoly(tuple(c * a for a in self.coeffs))
-        if not self.coeffs or not other.coeffs:
-            return UniPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return UniPoly(tuple(out))
+        return UniPoly(_conv(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise DomainError("negative polynomial power")
-        result = UniPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, UniPoly.one())
 
     def divmod(self, other: "UniPoly"):
         """Exact polynomial division with remainder over Q."""
@@ -171,10 +167,8 @@ class UniPoly:
         return acc
 
     def compose(self, other: "UniPoly") -> "UniPoly":
-        acc = UniPoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * other + UniPoly.constant(c)
-        return acc
+        """self(other), by Horner; a constant self gives a constant UniPoly."""
+        return UniPoly.zero() + self(other)
 
     # -- normalization ------------------------------------------------------
 
@@ -260,6 +254,20 @@ def _conv(a, b):
                 if bj:
                     out[i + j] += ai * bj
     return out
+
+
+def _power(x, n, one, mul=operator.mul):
+    """x^n for n >= 0 by binary powering (Knuth, TAOCP vol. 2, 4.6.3): the
+    bits of n from the lowest, result = mul(result, x) at a set bit and
+    x = mul(x, x) between bits.  mul defaults to the `*` of x's ring."""
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return result
 
 
 def _int_divide(a, b):

@@ -13,7 +13,7 @@ from symprod import (AlgebraicPoint, NumberField, PkPoint, RationalMap1,
                      naive_height, p1_point, parse_map, preperiodicity_bound,
                      symmetrize)
 from symprod import heights
-from symprod.errors import CertificateError, DomainError
+from symprod.errors import BudgetExceededError, CertificateError, DomainError
 from symprod.gf import morphism_degenerate_over
 from symprod.heights import morphism_certificate
 from symprod.mpoly import MPoly
@@ -139,6 +139,25 @@ def test_points_of_another_dimension_are_refused():
             canonical_height(F2, p)
         with pytest.raises(DomainError):
             green_local(F2, p, "arch")
+
+
+def test_precision_above_the_numeral_cap_is_refused_before_any_work(monkeypatch):
+    from symprod.parser import _MAX_BITS
+
+    def search(*_):
+        raise AssertionError("certificate searched")
+
+    monkeypatch.setattr(heights, "morphism_certificate", search)
+    f = _map("x^2 - 2")
+    M, p = morphism_of_map(f), p1_point(3)
+    for run in (lambda prec: canonical_height(M, p, prec=prec),
+                lambda prec: green_local(M, p, "arch", prec=prec),
+                lambda prec: canonical_height_nf(f, AlgebraicPoint.rational(3),
+                                                 prec=prec)):
+        for prec in (_MAX_BITS + 1, 10 ** 7):
+            with pytest.raises(BudgetExceededError) as err:
+                run(prec)
+            assert err.value.code == "E_BUDGET"
 
 
 def test_green_power_map_archimedean():

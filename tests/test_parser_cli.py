@@ -371,7 +371,9 @@ def _refuse_huge_inputs():
                  ["symmetrize", "--map", "x^2 + ((10^64)^64)^64", "--k", "2"],
                  ["symmetrize", "--map", "x^2 + (x + (10^64)^64)^8", "--k", "2"],
                  ["bad-primes", "--map", f"x^2 + (x + {'9' * 4296})^64"],
-                 ["bad-primes", "--map", f"x^2 + 1/{semiprime}"]):
+                 ["bad-primes", "--map", f"x^2 + 1/{semiprime}"],
+                 ["canonical-height", "--map", "x^2 - 2", "--point", "3",
+                  "--precision", "10000000"]):
         err = io.StringIO()
         start = time.perf_counter()
         with contextlib.redirect_stderr(err):
@@ -519,8 +521,9 @@ def _cli_cases():
     for tol in ("0", "-1", "nan", "inf", "1e-320"):
         yield ["canonical-height", "--map", "x^2 - 2", "--point", "3",
                "--tol", tol]
-    yield ["canonical-height", "--map", "x^2 - 2", "--point", "3",
-           "--precision", "0"]
+    for prec in ("0", "10000000", "14286"):
+        yield ["canonical-height", "--map", "x^2 - 2", "--point", "3",
+               "--precision", prec]
     # a result longer than the interpreter's default int/str limit
     yield ["period-bound", "--Np", "3", "--p", "3", "--v", "1", "--k", "10000"]
 

@@ -38,6 +38,9 @@ def test_eval_and_compose():
     assert p(F(5, 4)) == F(-1, 4)
     assert p(F(-1, 4)) == F(-7, 4)
     assert p.compose(p)(F(5, 4)) == F(-7, 4)
+    assert p.compose(p) == p * p - F(29, 16)
+    assert UniPoly((3,)).compose(p) == UniPoly((3,))
+    assert UniPoly.zero().compose(p) == UniPoly.zero()
     assert p.derivative().coeffs == (0, 2)
 
 

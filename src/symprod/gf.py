@@ -48,9 +48,6 @@ class FiniteField:
     def add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
     def mul(self, a, b):
         prod_ = _pmul(list(a), list(b), self.p)
         red = _pmod(prod_, self.modulus, self.p)

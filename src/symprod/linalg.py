@@ -1,19 +1,19 @@
 """Exact linear algebra over Q.
 
-Determinants are fraction-free (Bareiss) eliminations over an exact domain:
-the integers for resultants, Q[x] for the number-field norms built in
-numberfield, and packed integer polynomials for the symmetric product.
-Characteristic polynomials come from a Hessenberg form over Q.  Small
-systems go through plain fraction Gaussian elimination.  The large sparse
-integer systems that arise in certificate searches are solved by a p-adic
-(Dixon) lift.  All k+1 right-hand sides of one certificate degree share a
-matrix.  An IntSystem splits it once into the connected blocks of its
-nonzero pattern (for x^2 + c the symmetry x -> -x splits every certificate
-matrix in two) and eliminates a block mod p = 2^20 + 7, in one Gauss-Jordan
-pass that gives its pivots, left null space and pivot-block inverse (see
-_Block), only when a right-hand side first reaches it; later right-hand
-sides reuse that work.  A, b, the Dixon residuals and the lifted digits are
-Python integers; only the elimination and the products mod p run in int64.
+Determinants are fraction-free (Bareiss) eliminations, over the integers
+for resultants and over Z[x_0..x_n] (det_poly, on _Packed entries) for the
+number-field norms and minimal polynomials of numberfield and the symmetric
+product.  Small systems go through plain fraction Gaussian elimination.
+The large sparse integer systems that arise in certificate searches are
+solved by a p-adic (Dixon) lift.  All k+1 right-hand sides of one
+certificate degree share a matrix.  An IntSystem splits it once into the
+connected blocks of its nonzero pattern (for x^2 + c the symmetry
+x -> -x splits every certificate matrix in two) and eliminates a block
+mod p = 2^20 + 7, in one Gauss-Jordan pass that gives its pivots, left
+null space and pivot-block inverse (see _Block), only when a right-hand
+side first reaches it; later right-hand sides reuse that work.  A, b, the
+Dixon residuals and the lifted digits are Python integers; only the
+elimination and the products mod p run in int64.
 
 A solve touches only the blocks holding the right-hand side's nonzero rows,
 and its answer is the one a single elimination of the whole matrix gives
@@ -24,10 +24,11 @@ before it is returned, so the numerics are only a search accelerator.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import cached_property
 
-from .unipoly import UniPoly
+from .errors import DomainError
 
 _DIXON_PRIME = 2 ** 20 + 7  # products of two reduced entries stay well inside int64
 _DIXON_MAX_STEPS = 13333  # p-adic digits lifted before the exact fallback
@@ -35,10 +36,8 @@ _DIXON_MAX_STEPS = 13333  # p-adic digits lifted before the exact fallback
 
 def det_bareiss(rows):
     """Determinant by fraction-free (Bareiss) elimination over an exact
-    domain: integers (resultants), UniPoly entries (number-field norms over
-    Q[x]) or symmetric._Packed entries (the symmetric product over
-    Z[x_0..x_k, Y]).  Entries need *, -, truth testing and an exact //;
-    every division is exact."""
+    domain: integers (resultants) or _Packed entries (det_poly).  Entries
+    need *, -, truth testing and an exact //; every division is exact."""
     a = [list(r) for r in rows]
     n = len(a)
     if n == 0:
@@ -64,6 +63,133 @@ def det_bareiss(rows):
                 row_i[j] = v // prev if k else v
         prev = pk
     return sign * a[n - 1][n - 1]
+
+
+class _Packed:
+    """An integer polynomial: a dict from packed exponent vectors to nonzero
+    int coefficients, with the operations det_bareiss uses.
+
+    Variable i takes bits [i w, (i+1) w) of the packed exponent.  Exponents
+    stay below 2^(w-1), so the top bit of every slot (the guard mask) is
+    clear: adding packed exponents multiplies monomials without carries,
+    and the integer order of packed exponents is a monomial order, the lex
+    order with the last variable most significant."""
+
+    __slots__ = ("terms", "guard")
+
+    def __init__(self, terms, guard):
+        self.terms, self.guard = terms, guard
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            terms = {e: c * other for e, c in self.terms.items()} if other else {}
+            return _Packed(terms, self.guard)
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            [(e1, c1)] = a.items()
+            return _Packed({e1 + e: c1 * c for e, c in b.items()}, self.guard)
+        out = {}
+        get = out.get
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+        return _Packed({e: c for e, c in out.items() if c}, self.guard)
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = out.get(e, 0) - c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return _Packed(out, self.guard)
+
+    def __floordiv__(self, other):
+        """The exact quotient, by long division from the largest term down;
+        raises DomainError when the division leaves a remainder.  Setting
+        the guard bits before subtracting a divisor exponent keeps borrows
+        inside each slot: a slot whose guard bit is then clear went
+        negative, so the monomial does not divide."""
+        div = other.terms
+        if not div:
+            raise DomainError("division by the zero polynomial")
+        guard = self.guard
+        lead = max(div)
+        lc = div[lead]
+        if len(div) == 1:
+            out = {}
+            for e, c in self.terms.items():
+                q = (e | guard) - lead
+                cq, r = divmod(c, lc)
+                if q & guard != guard or r:
+                    raise DomainError("polynomial division is not exact")
+                out[q ^ guard] = cq
+            return _Packed(out, guard)
+        import heapq  # here, so that import symprod loads no new module
+        tail = [(e, c) for e, c in div.items() if e != lead]
+        rest = dict(self.terms)
+        heap = [-e for e in rest]
+        heapq.heapify(heap)
+        out = {}
+        while heap:
+            e = -heapq.heappop(heap)
+            c = rest.pop(e, 0)
+            if not c:
+                continue  # cancelled; keys are taken in decreasing order
+            q = (e | guard) - lead
+            cq, r = divmod(c, lc)
+            if q & guard != guard or r:
+                raise DomainError("polynomial division is not exact")
+            q ^= guard
+            out[q] = cq
+            for e2, c2 in tail:
+                t = q + e2
+                s = rest.get(t, 0) - cq * c2
+                if t not in rest:
+                    heapq.heappush(heap, -t)
+                rest[t] = s
+        return _Packed(out, guard)
+
+
+def det_poly(rows, nvars):
+    """The determinant of a square matrix over Z[x_0..x_(nvars-1)], as an
+    {exponent tuple: int} dict of nonzero coefficients in no fixed order
+    ({} for a singular matrix).  Entries are ints or such dicts.
+
+    One det_bareiss on _Packed entries.  A Bareiss entry is a minor, so its
+    degree in each variable is at most D, the sum over the rows of the
+    largest exponent in the row's dicts; a product of two entries, and every term
+    met while dividing it exactly (a quotient term times a divisor term),
+    has degree at most 2D in each variable.  Slots of w bits with
+    2^(w-1) > 2D hold every exponent below the guard bit."""
+    bound = sum(max((max(map(max, c)) for c in row if isinstance(c, dict) and c),
+                    default=0) for row in rows)
+    w = (2 * bound).bit_length() + 1
+    shifts = range(0, w * nvars, w)
+    guard = sum(1 << (s + w - 1) for s in shifts)
+    zero = _Packed({}, guard)  # entries are never changed in place
+
+    def pack(c):
+        if isinstance(c, int):
+            return _Packed({0: c}, guard) if c else zero
+        return _Packed({sum(map(operator.lshift, e, shifts)): v
+                        for e, v in c.items() if v}, guard)
+
+    det = det_bareiss([[pack(c) for c in row] for row in rows])
+    if isinstance(det, int):  # the empty or a singular matrix
+        return {(0,) * nvars: det} if det else {}
+    mask = (1 << w) - 1
+    return {tuple([(e >> s) & mask for s in shifts]): c
+            for e, c in det.terms.items()}
 
 
 def solve_fraction(rows, rhs):
@@ -107,57 +233,6 @@ def solve_fraction(rows, rhs):
     for i, c in enumerate(pivots):
         x[c] = a[i][n]
     return x
-
-
-def charpoly(matrix) -> UniPoly:
-    """Characteristic polynomial det(xI - M) over Q in O(n^3) field
-    operations (Cohen, A Course in Computational Algebraic Number Theory,
-    2.2.4).
-
-    Similarity transforms (a row swap with the matching column swap, then
-    row_i -= u row_m with column_m += u column_i) bring M to upper
-    Hessenberg form H without changing det(xI - M).  A column with no
-    nonzero entry below the subdiagonal is already reduced.  Expanding
-    det(xI - H_m) of the leading m x m block along its last column gives
-    p_m = (x - h_mm) p_(m-1) - sum_(i<m) h_im (h_(i+1,i) ... h_(m,m-1)) p_(i-1),
-    so a zero subdiagonal entry cuts the sum short."""
-    H = [[Fraction(c) for c in row] for row in matrix]
-    n = len(H)
-    for m in range(1, n - 1):
-        piv = next((i for i in range(m, n) if H[i][m - 1]), None)
-        if piv is None:
-            continue
-        if piv != m:
-            H[piv], H[m] = H[m], H[piv]
-            for row in H:
-                row[piv], row[m] = row[m], row[piv]
-        t = H[m][m - 1]
-        for i in range(m + 1, n):
-            u = H[i][m - 1] / t
-            if u:
-                Hi, Hm = H[i], H[m]
-                for j in range(n):
-                    Hi[j] -= u * Hm[j]
-                for row in H:
-                    row[m] += u * row[i]
-    # polys[m]: p_m as a coefficient list from degree 0 (H is 0-indexed)
-    polys = [[Fraction(1)]]
-    for m in range(n):
-        prev = polys[m]
-        p = [Fraction(0)] + prev  # x p_m, becoming p_(m+1)
-        for j, c in enumerate(prev):
-            p[j] -= H[m][m] * c
-        t = Fraction(1)
-        for i in range(m - 1, -1, -1):
-            t *= H[i + 1][i]
-            if not t:
-                break
-            f = H[i][m] * t
-            if f:
-                for j, c in enumerate(polys[i]):
-                    p[j] -= f * c
-        polys.append(p)
-    return UniPoly(polys[n])
 
 
 # ---------------------------------------------------------------------------

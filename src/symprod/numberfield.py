@@ -4,17 +4,18 @@ Irreducibility of the defining polynomial is verified at construction and
 never trusted from the caller.  Elements are immutable coordinate vectors;
 inversion is by the extended Euclidean algorithm against the minimal
 polynomial.  The norm of a polynomial with coefficients in the field is one
-determinant over Q[x] (multiplication on the power basis); it drives root
-finding inside a field.  An element's minimal polynomial comes from the
-characteristic polynomial of its multiplication matrix over Q.
+determinant over Z[x] (multiplication on the power basis, cleared of
+denominators); it drives root finding inside a field.  An element e's
+minimal polynomial is the squarefree part of the norm of x - e.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DomainError, FieldMismatchError
-from .linalg import charpoly, det_bareiss
+from .linalg import det_poly
 from .polyfactor import _squarefree_splits, factor_unipoly
 from .unipoly import UniPoly, _conv, _field_gcd, _power
 
@@ -295,32 +296,40 @@ def nf_arith(field: NumberField, a: NFElem, b: NFElem, op: str) -> NFElem:
 def _norm(coeffs) -> UniPoly:
     """N_{K/Q} of the polynomial sum_i coeffs[i] x^i with NFElem coefficients:
     the determinant of multiplication by it on the power basis 1, a, ...,
-    a^(n-1), a matrix with entries in Q[x]."""
+    a^(n-1), a matrix with entries in Q[x].  Scaled by the lcm D of their
+    coefficients' denominators it has entries in Z[x], and its determinant
+    (linalg.det_poly) is D^n times the norm."""
     field = coeffs[0].field
-    alpha = field.gen()
+    n = field.degree
+    power = field._reduction_rows()[0]  # a^n on the power basis
+    vecs = [c.coords for c in coeffs]
     rows = []
-    for _ in range(field.degree):
-        rows.append([UniPoly(tuple(c.coords[r] for c in coeffs))
-                     for r in range(field.degree)])
-        coeffs = [c * alpha for c in coeffs]
-    return det_bareiss(rows)
+    for _ in range(n):
+        rows.append([[v[r] for v in vecs] for r in range(n)])
+        # times a: every coordinate moves up one place, the top one through a^n
+        vecs = [[s + v[-1] * t for s, t in zip((0, *v[:-1]), power)]
+                if v[-1] else [0, *v[:-1]] for v in vecs]
+    den = math.lcm(*(q.denominator for row in rows for entry in row for q in entry))
+    det = det_poly([[{(i,): q.numerator * (den // q.denominator)
+                      for i, q in enumerate(entry) if q} for entry in row]
+                    for row in rows], 1)
+    scale = den ** n
+    out = [0] * (max(det)[0] + 1)  # a nonzero polynomial has a nonzero norm
+    for (i,), c in det.items():
+        out[i] = Fraction(c, scale)
+    return UniPoly(out)
 
 
 def minimal_polynomial(e: NFElem | Fraction | int) -> UniPoly:
     """Monic minimal polynomial over Q; its degree divides the field degree.
 
-    The characteristic polynomial of multiplication by e on the power basis
-    1, a, ..., a^(n-1) (linalg.charpoly, by Hessenberg form) is a power of
-    it, so it is that charpoly's squarefree part: the charpoly itself
-    unless e lies in a proper subfield."""
+    The norm of x - e is the characteristic polynomial of multiplication by
+    e (Cohen, A Course in Computational Algebraic Number Theory, 3.6), a
+    power of the minimal polynomial, so it is that norm's squarefree part:
+    the norm itself unless e lies in a proper subfield."""
     if isinstance(e, (int, Fraction)):
         return UniPoly((-Fraction(e), Fraction(1)))
-    alpha = e.field.gen()
-    rows = [e.coords]  # e a^r on the power basis: the transposed matrix
-    for _ in range(e.field.degree - 1):
-        e = e * alpha
-        rows.append(e.coords)
-    return charpoly(rows).squarefree_part()
+    return _norm([-e, e.field.one()]).squarefree_part()
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +341,7 @@ def roots_in_number_field(poly: UniPoly, field: NumberField) -> list[NFElem]:
     """All roots of a Q-polynomial that lie in the given number field.
 
     Uses Trager's norm trick.  The norm N(poly(x - s*a)), one determinant
-    over Q[x], is squarefree for some shift s; each rational factor h of it
+    over Z[x], is squarefree for some shift s; each rational factor h of it
     pulls back to the factor gcd(poly(x), h(x + s*a)) over the field, of
     degree deg(h)/n, so only the factors of degree n can give roots.  The
     norm's roots are b_j + s*a_i (poly(b_j) = 0, a_i the conjugates of a),

@@ -188,10 +188,6 @@ class PCFCertificate:
     entries: tuple        # (field | None, point, multiplicity, OrbitClassification)
     notes: tuple = ()
 
-    @property
-    def pcf(self) -> bool:
-        return self.verdict == "PCF"
-
     def to_json(self) -> dict:
         return {
             "schema_version": "1",

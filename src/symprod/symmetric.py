@@ -5,11 +5,9 @@ the bihomogeneous elementary symmetric functions; symmetrize produces the
 induced self-map F of P^k with F o eta = eta o (f, ..., f).  The form with
 roots f(z_1), ..., f(z_k) is a resultant of the form with roots z_1..z_k and
 X P + Y Q (Cox-Little-O'Shea, Using Algebraic Geometry, ch. 3), so F is one
-exact Bareiss determinant of a (k+d)-square Sylvester matrix over
-Z[x_0..x_k, Y]: its cost is polynomial in k.  The matrix has integer
-entries, f's coefficients and the variables, so the determinant runs on
-_Packed, integer polynomials whose exponent vectors are packed into one
-int each: a monomial product is one integer addition.
+exact Bareiss determinant (linalg.det_poly) of the (k+d)-square Sylvester
+matrix (unipoly.sylvester_matrix) over Z[x_0..x_k, Y]: its cost is
+polynomial in k.  The entries are f's coefficients and the variables.
 """
 
 from __future__ import annotations
@@ -17,14 +15,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import comb
+from operator import itemgetter
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, DomainError
-from .linalg import det_bareiss
+from .linalg import det_poly
 from .mpoly import MPoly
 from .numberfield import NumberField
 from .projective import (AlgebraicPoint, BinaryForm, MorphismPk, PkPoint,
                          RationalMap1, minpoly_of_factor, point_of_form)
-from .unipoly import _conv
+from .unipoly import _conv, sylvester_matrix
 
 
 def eta_coords(pairs):
@@ -75,100 +74,6 @@ def _check_k(k: int):
         raise BudgetExceededError(f"k = {k} exceeds the budget {DEFAULT_BUDGET}")
 
 
-class _Packed:
-    """An integer polynomial: a dict from packed exponent vectors to nonzero
-    int coefficients, with the operations det_bareiss uses.
-
-    Variable i takes bits [i w, (i+1) w) of the packed exponent.  Exponents
-    stay below 2^(w-1), so the top bit of every slot (the guard mask) is
-    clear: adding packed exponents multiplies monomials without carries,
-    and the integer order of packed exponents is a monomial order, the lex
-    order with the last variable most significant."""
-
-    __slots__ = ("terms", "guard")
-
-    def __init__(self, terms, guard):
-        self.terms, self.guard = terms, guard
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return _Packed({e: c * other for e, c in self.terms.items()}, self.guard)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) == 1:
-            [(e1, c1)] = a.items()
-            return _Packed({e1 + e: c1 * c for e, c in b.items()}, self.guard)
-        out = {}
-        get = out.get
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                out[e] = get(e, 0) + c1 * c2
-        return _Packed({e: c for e, c in out.items() if c}, self.guard)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) - c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return _Packed(out, self.guard)
-
-    def __floordiv__(self, other):
-        """The exact quotient, by long division from the largest term down;
-        raises DomainError when the division leaves a remainder.  Setting
-        the guard bits before subtracting a divisor exponent keeps borrows
-        inside each slot: a slot whose guard bit is then clear went
-        negative, so the monomial does not divide."""
-        div = other.terms
-        if not div:
-            raise DomainError("division by the zero polynomial")
-        guard = self.guard
-        lead = max(div)
-        lc = div[lead]
-        if len(div) == 1:
-            out = {}
-            for e, c in self.terms.items():
-                q = (e | guard) - lead
-                cq, r = divmod(c, lc)
-                if q & guard != guard or r:
-                    raise DomainError("polynomial division is not exact")
-                out[q ^ guard] = cq
-            return _Packed(out, guard)
-        import heapq  # here, so that import symprod loads no new module
-        tail = [(e, c) for e, c in div.items() if e != lead]
-        rest = dict(self.terms)
-        heap = [-e for e in rest]
-        heapq.heapify(heap)
-        out = {}
-        while heap:
-            e = -heapq.heappop(heap)
-            c = rest.pop(e, 0)
-            if not c:
-                continue  # cancelled; keys are taken in decreasing order
-            q = (e | guard) - lead
-            cq, r = divmod(c, lc)
-            if q & guard != guard or r:
-                raise DomainError("polynomial division is not exact")
-            q ^= guard
-            out[q] = cq
-            for e2, c2 in tail:
-                t = q + e2
-                s = rest.get(t, 0) - cq * c2
-                if t not in rest:
-                    heapq.heappush(heap, -t)
-                rest[t] = s
-        return _Packed(out, guard)
-
-
 def symmetrize(f: RationalMap1, k: int) -> MorphismPk:
     """The k-symmetric product F of f: the unique self-map of P^k with
     F o eta_k = eta_k o (f, ..., f), primitive-integer normalized."""
@@ -185,36 +90,22 @@ def symmetrize(f: RationalMap1, k: int) -> MorphismPk:
     got = _symmetrize_cache.get(key)
     if got is not None:
         return got
-    # Variables x_0..x_k, then Y, in slots of w bits.  A Bareiss entry is a
-    # minor, of degree <= k in Y and <= d in x, so the exponents of a product
-    # of two entries, and of the terms met while dividing it exactly, are at
-    # most 2(k+d): below the 2^(w-1) > 4(k+d) a slot holds.
-    w = (4 * (k + d)).bit_length() + 1
-    guard = sum(1 << (w * i + w - 1) for i in range(k + 2))
-
-    def poly(terms):
-        return _Packed({e: c for e, c in terms if c}, guard)
-
-    zero = poly(())
-    y = 1 << (w * (k + 1))
-    # g = sum_j x_j U^(k-j) V^j = prod_l (z_l U + t_l V) and
-    # h = P(-V, U) + Y Q(-V, U), both listed from the top power of V down:
-    # then the first k pivots are constants whenever f is a polynomial.
-    g = [poly([(1 << (w * j), 1)]) for j in range(k, -1, -1)]
-    h = [poly([(y, (-1) ** i * f.den[d - i]), (0, (-1) ** i * f.num[d - i])])
-         for i in range(d, -1, -1)]
-    rows = ([[zero] * r + h + [zero] * (k - 1 - r) for r in range(k)]
-            + [[zero] * r + g + [zero] * (d - 1 - r) for r in range(d)])
-    # Res_V(g, h) = c * sum_j F_j(x) Y^j with a constant c != 0.
-    res = det_bareiss(rows)
+    # Variables x_0..x_k, then Y.  g = sum_j x_j U^(k-j) V^j =
+    # prod_l (z_l U + t_l V) and h = P(-V, U) + Y Q(-V, U), with h's rows
+    # first and both laid out from the top power of V down: then the first
+    # k pivots are constants whenever f is a polynomial.
+    one = (0,) * (k + 2)
+    g = [{one[:j] + (1,) + one[j + 1:]: 1} for j in range(k + 1)]
+    y = one[:-1] + (1,)
+    h = [{y: (-1) ** i * f.den[d - i], one: (-1) ** i * f.num[d - i]}
+         for i in range(d + 1)]
+    # Res_V(h, g) = c * sum_j F_j(x) Y^j with a constant c != 0.
+    res = det_poly(sylvester_matrix(h, g, d, k), k + 2)
     parts = [{} for _ in range(k + 1)]
-    mask = (1 << w) - 1
-    # Insert terms by ascending reversed exponent, which is ascending packed
-    # exponent: the Green iteration sums F's terms in this order in floating
-    # point, so it fixes its rounding.
-    for e, c in sorted(res.terms.items()):
-        exps = [(e >> (w * i)) & mask for i in range(k + 2)]
-        parts[exps[k + 1]][tuple(exps[:k + 1])] = c
+    # Insert terms by ascending reversed exponent: the Green iteration sums
+    # F's terms in this order in floating point, so it fixes its rounding.
+    for e in sorted(res, key=itemgetter(*range(k + 1, -1, -1))):
+        parts[e[k + 1]][e[:k + 1]] = res[e]
     F = MorphismPk([MPoly(k + 1, t) for t in parts], expected_degree=d)
     _symmetrize_cache[key] = F
     return F

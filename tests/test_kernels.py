@@ -3,12 +3,16 @@
 unipoly._power is the binary powering of UniPoly, NFElem, MPoly, F_q and
 polyfactor._ppowmod; unipoly._conv the product of UniPoly, NFElem and
 symmetric.eta_coords; polyfactor._squarefree_splits the prime scan of
-_choose_prime and numberfield._frobenius_bound.  The loops below are those
-routines as they were written before, kept as references: every result
-must be equal, MPoly term insertion order and mpf bits included."""
+_choose_prime and numberfield._frobenius_bound; linalg.det_poly the
+determinant behind numberfield._norm and minimal_polynomial, which replaced
+a Bareiss determinant over Q[x] and a Hessenberg charpoly over Q.  The
+loops below are those routines as they were written before, kept as
+references: every result must be equal, MPoly term insertion order and mpf
+bits included."""
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import mpmath
 from hypothesis import given, settings
@@ -155,6 +159,104 @@ def _frobenius_bound(m, n):
     return bound
 
 
+def hessenberg_charpoly(matrix) -> UniPoly:
+    """Characteristic polynomial det(xI - M) over Q in O(n^3) field
+    operations (Cohen, A Course in Computational Algebraic Number Theory,
+    2.2.4).
+
+    Similarity transforms (a row swap with the matching column swap, then
+    row_i -= u row_m with column_m += u column_i) bring M to upper
+    Hessenberg form H without changing det(xI - M).  A column with no
+    nonzero entry below the subdiagonal is already reduced.  Expanding
+    det(xI - H_m) of the leading m x m block along its last column gives
+    p_m = (x - h_mm) p_(m-1) - sum_(i<m) h_im (h_(i+1,i) ... h_(m,m-1)) p_(i-1),
+    so a zero subdiagonal entry cuts the sum short."""
+    H = [[Fraction(c) for c in row] for row in matrix]
+    n = len(H)
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if H[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            H[piv], H[m] = H[m], H[piv]
+            for row in H:
+                row[piv], row[m] = row[m], row[piv]
+        t = H[m][m - 1]
+        for i in range(m + 1, n):
+            u = H[i][m - 1] / t
+            if u:
+                Hi, Hm = H[i], H[m]
+                for j in range(n):
+                    Hi[j] -= u * Hm[j]
+                for row in H:
+                    row[m] += u * row[i]
+    # polys[m]: p_m as a coefficient list from degree 0 (H is 0-indexed)
+    polys = [[Fraction(1)]]
+    for m in range(n):
+        prev = polys[m]
+        p = [Fraction(0)] + prev  # x p_m, becoming p_(m+1)
+        for j, c in enumerate(prev):
+            p[j] -= H[m][m] * c
+        t = Fraction(1)
+        for i in range(m - 1, -1, -1):
+            t *= H[i + 1][i]
+            if not t:
+                break
+            f = H[i][m] * t
+            if f:
+                for j, c in enumerate(polys[i]):
+                    p[j] -= f * c
+        polys.append(p)
+    return UniPoly(polys[n])
+
+
+def _det_over_qx(rows):
+    """The Bareiss determinant with UniPoly entries."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign = 1
+    prev = None
+    for k in range(n - 1):
+        if not a[k][k]:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pk = a[k][k]
+        row_k = a[k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            row_i = a[i]
+            for j in range(k + 1, n):
+                v = pk * row_i[j] - aik * row_k[j]
+                row_i[j] = v // prev if k else v
+        prev = pk
+    return sign * a[n - 1][n - 1]
+
+
+def _norm(coeffs):
+    field = coeffs[0].field
+    alpha = field.gen()
+    rows = []
+    for _ in range(field.degree):
+        rows.append([UniPoly(tuple(c.coords[r] for c in coeffs))
+                     for r in range(field.degree)])
+        coeffs = [c * alpha for c in coeffs]
+    return _det_over_qx(rows)
+
+
+def _minimal_polynomial(e):
+    alpha = e.field.gen()
+    rows = [e.coords]
+    for _ in range(e.field.degree - 1):
+        e = e * alpha
+        rows.append(e.coords)
+    return hessenberg_charpoly(rows).squarefree_part()
+
+
 # ---------------------------------------------------------------------------
 # strategies
 # ---------------------------------------------------------------------------
@@ -169,6 +271,68 @@ def _mpolys(nvars, min_size=0):
 def _nfelems(field):
     return st.lists(fractions, min_size=field.degree,
                     max_size=field.degree).map(field.element)
+
+
+@st.composite
+def _fields_with_subfields(draw):
+    """(Q(a) with a root a of m(x) = p(x^j), j): a^j generates a subfield of
+    degree n / j, proper when j > 1.  m is seeded, irreducible, of degree
+    1-8, and mostly not monic."""
+    n = draw(st.integers(1, 8))
+    j = draw(st.sampled_from([i for i in (1, 2, 3, 4) if n % i == 0]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    while True:
+        p = [rng.randint(-9, 9) for _ in range(n // j)] + [rng.randint(1, 6)]
+        m = [0] * (n + 1)
+        m[::j] = p
+        if is_irreducible(UniPoly(m)):
+            return NumberField.get(UniPoly(m)), j
+
+
+def _elements(draw, field, j):
+    """A field element: general, rational, or in the subfield Q(a^j); its
+    coordinates are often 0."""
+    kind = draw(st.sampled_from(["general", "rational", "subfield"]))
+    coeff = st.one_of(st.just(Fraction(0)), fractions)
+    coords = [draw(coeff) if kind == "general" or i == 0
+              or (kind == "subfield" and i % j == 0) else Fraction(0)
+              for i in range(field.degree)]
+    return field.element(coords)
+
+
+rational = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+def _leibniz_det(M):
+    n = len(M)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= M[i][j]
+        total += term
+    return total
+
+
+def _mat_mul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
+            for row in A]
+
+
+@st.composite
+def sparse_rational_matrices(draw):
+    """n x n rational matrices, n <= 6, with many zeros, and some columns
+    zero below the subdiagonal, where the Hessenberg reduction finds no
+    pivot."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(Fraction(0)), rational)
+    M = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    for c in draw(st.sets(st.integers(0, n - 1))):
+        for i in range(c + 1, n):
+            M[i][c] = Fraction(0)
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -254,3 +418,53 @@ def test_prime_scans_match_the_replaced_loops(n, seed):
     f = m.primitive_int_coeffs()
     assert polyfactor._choose_prime(f) == _choose_prime(f)
     assert numberfield._frobenius_bound(m, n) == _frobenius_bound(m, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(rational, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_charpoly_against_cayley_hamilton_trace_and_det(M):
+    n = len(M)
+    cp = hessenberg_charpoly(M)
+    assert cp.degree == n and cp.lead == 1
+    assert cp.coeff(n - 1) == -sum(M[i][i] for i in range(n))
+    assert cp.coeff(0) == (-1) ** n * _leibniz_det(M)
+    # Cayley-Hamilton by Horner: cp(M) is the zero matrix
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    for c in reversed(cp.coeffs):
+        acc = _mat_mul(acc, M)
+        acc = [[acc[i][j] + c * eye[i][j] for j in range(n)] for i in range(n)]
+    assert all(v == 0 for row in acc for v in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_rational_matrices())
+def test_hessenberg_charpoly_matches_the_determinant_over_q_x(M):
+    assert hessenberg_charpoly(M) == _det_over_qx(
+        [[UniPoly((-c, 1) if i == j else (-c,)) for j, c in enumerate(row)]
+         for i, row in enumerate(M)])
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_norms_and_minimal_polynomials_match_the_replaced_determinants(data):
+    """numberfield._norm and minimal_polynomial, one determinant over Z[x],
+    against the Bareiss determinant over Q[x] and the Hessenberg charpoly:
+    on polynomials with field coefficients, some 0, and on the shifted
+    polynomials poly(x - s a) of roots_in_number_field."""
+    draw = data.draw
+    field, j = draw(st.one_of(st.sampled_from([(K, 1) for K in FIELDS]),
+                              _fields_with_subfields()))
+    e = _elements(draw, field, j)
+    assert (numberfield.minimal_polynomial(e).coeffs
+            == _minimal_polynomial(e).coeffs)
+    coeffs = [_elements(draw, field, j) for _ in range(draw(st.integers(1, 4)))]
+    if all(c.is_zero() for c in coeffs):
+        coeffs[-1] = field.one()
+    assert numberfield._norm(coeffs).coeffs == _norm(coeffs).coeffs
+    s = draw(st.sampled_from([2, -2, 3, -3, 4, -4, 5, -5, 1, -1]))
+    poly = draw(st.sampled_from([field.minpoly, UniPoly(
+        draw(st.lists(fractions, min_size=1, max_size=3)) + [1])]))
+    shifted = numberfield._shift_into_field(poly, -s, field.gen())
+    assert numberfield._norm(shifted).coeffs == _norm(shifted).coeffs

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symprod import linalg
-from symprod.linalg import (IntSystem, charpoly, det_bareiss, solve_fraction,
-                            solve_int_system)
-from symprod.unipoly import UniPoly
+from symprod.errors import DomainError
+from symprod.linalg import (IntSystem, _Packed, det_bareiss, det_poly,
+                            solve_fraction, solve_int_system)
 
 P = linalg._DIXON_PRIME
 
@@ -22,11 +22,6 @@ RANK_DEFICIENT = [
     [1, 3, 1, 4, 3],
     [2, 4, 0, 6, 10],
 ]
-
-
-def _mat_mul(A, B):
-    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
-            for row in A]
 
 
 def _residual_is_zero(rows, rhs, x):
@@ -312,62 +307,94 @@ def test_fixed_cases_solve_the_same_on_both_lift_paths():
                                             for rows, rhs in cases]
 
 
-def _leibniz_det(M):
+def _poly_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def _leibniz_poly_det(M, nvars):
+    """The determinant over Z[x_0..x_(nvars-1)] as the signed sum over
+    permutations of the products of entries."""
+    zero = (0,) * nvars
     n = len(M)
-    total = Fraction(0)
+    total = {}
     for perm in permutations(range(n)):
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        term = Fraction(-1) ** inversions
+        term = {zero: (-1) ** inversions}
         for i, j in enumerate(perm):
-            term *= M[i][j]
-        total += term
-    return total
-
-
-rational = st.fractions(min_value=-6, max_value=6, max_denominator=5)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 5).flatmap(lambda n: st.lists(
-    st.lists(rational, min_size=n, max_size=n), min_size=n, max_size=n)))
-def test_charpoly_against_cayley_hamilton_trace_and_det(M):
-    n = len(M)
-    cp = charpoly(M)
-    assert cp.degree == n and cp.lead == 1
-    assert cp.coeff(n - 1) == -sum(M[i][i] for i in range(n))
-    assert cp.coeff(0) == (-1) ** n * _leibniz_det(M)
-    # Cayley-Hamilton by Horner: cp(M) is the zero matrix
-    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    acc = [[Fraction(0)] * n for _ in range(n)]
-    for c in reversed(cp.coeffs):
-        acc = _mat_mul(acc, M)
-        acc = [[acc[i][j] + c * eye[i][j] for j in range(n)] for i in range(n)]
-    assert all(v == 0 for row in acc for v in row)
-
-
-def _charpoly_by_determinant(M):
-    """det(xI - M) as a Bareiss determinant over Q[x]."""
-    return det_bareiss([[UniPoly((-c, 1) if i == j else (-c,))
-                         for j, c in enumerate(row)]
-                        for i, row in enumerate(M)])
+            c = M[i][j]
+            term = _poly_mul(term, c if isinstance(c, dict) else {zero: c})
+        for e, c in term.items():
+            total[e] = total.get(e, 0) + c
+    return {e: c for e, c in total.items() if c}
 
 
 @st.composite
-def sparse_rational_matrices(draw):
-    """n x n rational matrices, n <= 6, with many zeros, and some columns
-    zero below the subdiagonal, where the Hessenberg reduction finds no
-    pivot."""
-    n = draw(st.integers(1, 6))
-    entry = st.one_of(st.just(Fraction(0)), rational)
+def poly_matrices(draw):
+    """(n x n matrix, n <= 4, of ints and {exponent tuple: int} dicts in
+    1-3 variables, nvars); about one in four is singular, with a zero row
+    or a repeated one."""
+    nvars = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    entry = st.one_of(st.integers(-4, 4), st.dictionaries(
+        exps, st.integers(-5, 5).filter(bool), max_size=3))
     M = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
                       min_size=n, max_size=n))
-    for c in draw(st.sets(st.integers(0, n - 1))):
-        for i in range(c + 1, n):
-            M[i][c] = Fraction(0)
-    return M
+    singular = draw(st.sampled_from(["no", "no", "no", "zero row", "repeat"]))
+    if singular == "zero row":
+        M[-1] = [0] * n
+    elif singular == "repeat" and n > 1:
+        M[-1] = list(M[0])
+    return M, nvars
 
 
 @settings(max_examples=150, deadline=None)
-@given(sparse_rational_matrices())
-def test_hessenberg_charpoly_matches_the_determinant_over_q_x(M):
-    assert charpoly(M) == _charpoly_by_determinant(M)
+@given(poly_matrices())
+def test_poly_determinant_matches_the_leibniz_expansion(case):
+    M, nvars = case
+    assert det_poly(M, nvars) == _leibniz_poly_det(M, nvars)
+
+
+def test_poly_determinant_slots_hold_twice_the_degree_bound():
+    """Each row's largest degree is 1, so the bound is 3; the last Bareiss
+    step multiplies two entries of degree 2, so a slot must hold degree 4."""
+    x = {(1,): 1}
+    M = [[x, 1, 1], [1, x, 1], [1, 1, x]]
+    assert det_poly(M, 1) == {(3,): 1, (1,): -3, (0,): 2}
+    assert det_poly([[x, 1], [2, 2]], 1) == {(1,): 2, (0,): -2}
+    assert det_poly([[x, x], [x, x]], 1) == {}
+    assert det_poly([], 2) == {(0, 0): 1}
+
+
+def test_packed_product_by_zero_is_zero():
+    guard = 0b100100  # two 3-bit slots, value bits 2
+    p = _Packed({0b000001: 3, 0: 1}, guard)
+    assert not p * 0 and not 0 * p
+    assert (p * 0).terms == {} and (p * -2).terms == {0b000001: -6, 0: -2}
+    # a pivot that an int 0 made must read as zero, so Bareiss swaps rows
+    x, one = _Packed({0b000001: 1}, guard), _Packed({0: 1}, guard)
+    assert det_bareiss([[x * 0, x], [x, one]]).terms == {0b000010: -1}
+
+
+def test_packed_division_refuses_a_remainder():
+    guard = 0b100100  # two 3-bit slots, value bits 2
+    x = _Packed({0b000001: 1}, guard)
+    one = _Packed({0: 1}, guard)
+    xy = _Packed({0b001001: 3}, guard)
+    assert (xy // x).terms == {0b001000: 3}
+    with pytest.raises(DomainError):
+        x // xy  # a negative exponent
+    with pytest.raises(DomainError):
+        (xy - one) // x
+    with pytest.raises(DomainError):
+        xy // _Packed({0: 2}, guard)  # 3 / 2
+    x2_plus_1 = _Packed({0b000010: 1, 0: 1}, guard)
+    x_minus_1 = x - one
+    assert ((x2_plus_1 * x_minus_1) // x_minus_1).terms == x2_plus_1.terms
+    with pytest.raises(DomainError):
+        x2_plus_1 // x_minus_1  # x^2 + 1 = (x + 1)(x - 1) + 2

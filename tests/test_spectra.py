@@ -10,10 +10,10 @@ from symprod import (AlgebraicPoint, DegenerateMapError, DomainError,
                      is_pcf, is_strongly_pcf_symmetric, multiplier_F,
                      multiplier_f, p1_point, parse_map,
                      rational_periodic_points, symmetrize)
-from symprod.linalg import charpoly
 from symprod.polyfactor import factor_unipoly
 
 from mpoly_helpers import mpoly_derivative, mpoly_eval
+from test_kernels import hessenberg_charpoly as charpoly
 
 F = Fraction
 

@@ -309,25 +309,6 @@ def test_packed_determinant_matches_the_mpoly_determinant(coeffs, polynomial, k)
         [list(c.terms.items()) for c in want]
 
 
-def test_packed_division_refuses_a_remainder():
-    guard = 0b100100  # two 3-bit slots, value bits 2
-    x = symmetric._Packed({0b000001: 1}, guard)
-    one = symmetric._Packed({0: 1}, guard)
-    xy = symmetric._Packed({0b001001: 3}, guard)
-    assert (xy // x).terms == {0b001000: 3}
-    with pytest.raises(DomainError):
-        x // xy  # a negative exponent
-    with pytest.raises(DomainError):
-        (xy - one) // x
-    with pytest.raises(DomainError):
-        xy // symmetric._Packed({0: 2}, guard)  # 3 / 2
-    x2_plus_1 = symmetric._Packed({0b000010: 1, 0: 1}, guard)
-    x_minus_1 = x - one
-    assert ((x2_plus_1 * x_minus_1) // x_minus_1).terms == x2_plus_1.terms
-    with pytest.raises(DomainError):
-        x2_plus_1 // x_minus_1  # x^2 + 1 = (x + 1)(x - 1) + 2
-
-
 def test_eval_plan_equals_termwise_evaluation():
     rng = random.Random(28)
     for text in ("x^2 - 29/16", "x^3 - 2*x", "x^2 + x - 3",

@@ -14,7 +14,7 @@ import sys
 from .dynamics import (DEFAULT_BUDGET, PeriodBoundInput, default_n_max,
                        period_bound, preperiodic_graph,
                        rational_periodic_points)
-from .errors import SymprodError
+from .errors import DomainError, SymprodError
 from .heights import bad_primes_sym, canonical_height, canonical_height_nf
 from .parser import parse_map, parse_point
 from .projective import AlgebraicPoint
@@ -89,7 +89,7 @@ def _cmd_canonical_height(args):
     else:
         k = args.k if args.k is not None else pt.k
         if pt.k != k:
-            raise SymprodError(f"point has dimension {pt.k}, expected {k}")
+            raise DomainError(f"point has dimension {pt.k}, expected {k}")
         F = symmetrize(f, k)
         hv = canonical_height(F, pt, tol=args.tol, prec=args.precision,
                               bad=bad_primes_sym(f, k))

@@ -3,10 +3,11 @@
 Irreducibility of the defining polynomial is verified at construction and
 never trusted from the caller.  Elements are immutable coordinate vectors;
 inversion is by the extended Euclidean algorithm against the minimal
-polynomial.  The norm of a polynomial with coefficients in the field is one
-determinant over Z[x] (multiplication on the power basis, cleared of
-denominators); it drives root finding inside a field.  An element e's
-minimal polynomial is the squarefree part of the norm of x - e.
+polynomial.  A norm is one determinant over Z[x_0..] (_norm_det:
+multiplication on the power basis, cleared of denominators).  The norm of a
+polynomial with coefficients in the field drives root finding inside a
+field; an element e's minimal polynomial is the squarefree part of the norm
+of x - e; symmetric.symmetrize takes the norm of a linear form.
 """
 
 from __future__ import annotations
@@ -66,18 +67,9 @@ class NumberField:
     # reduction matrix rows: x^(deg), ..., x^(2 deg - 2) modulo minpoly
     def _reduction_rows(self):
         if self._mulcache is None:
-            k = self.degree
-            rows = []
-            cur = [-c for c in self.minpoly.coeffs[:-1]]  # x^k mod m
-            rows.append(tuple(cur))
-            for _ in range(k - 2):
-                nxt = [Fraction(0)] + cur[: k - 1]
-                top = cur[k - 1]
-                if top:
-                    for i in range(k):
-                        nxt[i] += top * rows[0][i]
-                cur = nxt
-                rows.append(tuple(cur))
+            rows = [tuple(-c for c in self.minpoly.coeffs[:-1])]  # x^k mod m
+            for _ in range(self.degree - 2):
+                rows.append(tuple(_times_a(rows[-1], rows[0])))
             object.__setattr__(self, "_mulcache", tuple(rows))
         return self._mulcache
 
@@ -293,27 +285,41 @@ def nf_arith(field: NumberField, a: NFElem, b: NFElem, op: str) -> NFElem:
     raise DomainError(f"unknown field operation {op!r}")
 
 
-def _norm(coeffs) -> UniPoly:
-    """N_{K/Q} of the polynomial sum_i coeffs[i] x^i with NFElem coefficients:
-    the determinant of multiplication by it on the power basis 1, a, ...,
-    a^(n-1), a matrix with entries in Q[x].  Scaled by the lcm D of their
-    coefficients' denominators it has entries in Z[x], and its determinant
-    (linalg.det_poly) is D^n times the norm."""
-    field = coeffs[0].field
-    n = field.degree
-    power = field._reduction_rows()[0]  # a^n on the power basis
-    vecs = [c.coords for c in coeffs]
+def _times_a(v, power):
+    """v times a on the power basis 1, a, ..., a^(n-1) of Q[a], where a^n
+    has coordinates power: every coordinate moves up one place, the top one
+    comes back through a^n."""
+    top = v[-1]
+    if not top:
+        return [0, *v[:-1]]
+    return [s + top * t for s, t in zip((0, *v[:-1]), power)]
+
+
+def _norm_det(vecs, power, monomials):
+    """The norm from Q[a] (a^n = power) to Q[x_0..] of sum_t m_t v_t, for
+    coordinate vectors v_t and monomials m_t (exponent tuples), as (det,
+    scale): det is det_poly's {exponent tuple: int} dict and equals scale
+    times the norm.  The norm is the determinant of multiplication by the
+    element on the power basis; scaled by the lcm D of its entries'
+    denominators that matrix has entries in Z[x_0..], and scale is D^n."""
+    n = len(power)
     rows = []
     for _ in range(n):
         rows.append([[v[r] for v in vecs] for r in range(n)])
-        # times a: every coordinate moves up one place, the top one through a^n
-        vecs = [[s + v[-1] * t for s, t in zip((0, *v[:-1]), power)]
-                if v[-1] else [0, *v[:-1]] for v in vecs]
+        vecs = [_times_a(v, power) for v in vecs]
     den = math.lcm(*(q.denominator for row in rows for entry in row for q in entry))
-    det = det_poly([[{(i,): q.numerator * (den // q.denominator)
-                      for i, q in enumerate(entry) if q} for entry in row]
-                    for row in rows], 1)
-    scale = den ** n
+    det = det_poly([[{m: q.numerator * (den // q.denominator)
+                      for m, q in zip(monomials, entry) if q} for entry in row]
+                    for row in rows], len(monomials[0]))
+    return det, den ** n
+
+
+def _norm(coeffs) -> UniPoly:
+    """N_{K/Q} of the polynomial sum_i coeffs[i] x^i with NFElem
+    coefficients, by _norm_det."""
+    det, scale = _norm_det([c.coords for c in coeffs],
+                           coeffs[0].field._reduction_rows()[0],  # a^n
+                           [(i,) for i in range(len(coeffs))])
     out = [0] * (max(det)[0] + 1)  # a nonzero polynomial has a nonzero norm
     for (i,), c in det.items():
         out[i] = Fraction(c, scale)

@@ -3,11 +3,12 @@
 eta sends a k-tuple of P^1 points to the point of P^k whose coordinates are
 the bihomogeneous elementary symmetric functions; symmetrize produces the
 induced self-map F of P^k with F o eta = eta o (f, ..., f).  The form with
-roots f(z_1), ..., f(z_k) is a resultant of the form with roots z_1..z_k and
-X P + Y Q (Cox-Little-O'Shea, Using Algebraic Geometry, ch. 3), so F is one
-exact Bareiss determinant (linalg.det_poly) of the (k+d)-square Sylvester
-matrix (unipoly.sylvester_matrix) over Z[x_0..x_k, Y]: its cost is
-polynomial in k.  The entries are f's coefficients and the variables.
+roots f(z_1), ..., f(z_k) is a resultant of the form g with roots z_1..z_k
+and h = X P + Y Q (Cox-Little-O'Shea, Using Algebraic Geometry, ch. 3), that
+is, a norm from Q[V]/(h) (Cohen, A Course in Computational Algebraic Number
+Theory, 3.6).  With Y a large power of 2, F is one d x d determinant over
+Z[x_0..x_k] (numberfield._norm_det), whose digits are F's components: its
+cost is polynomial in k.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from math import comb
 from operator import itemgetter
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, DomainError
-from .linalg import det_poly
 from .mpoly import MPoly
-from .numberfield import NumberField
+from .numberfield import NumberField, _norm_det, _times_a
 from .projective import (AlgebraicPoint, BinaryForm, MorphismPk, PkPoint,
                          RationalMap1, minpoly_of_factor, point_of_form)
-from .unipoly import _conv, sylvester_matrix
+from .unipoly import _conv
 
 
 def eta_coords(pairs):
@@ -90,22 +90,37 @@ def symmetrize(f: RationalMap1, k: int) -> MorphismPk:
     got = _symmetrize_cache.get(key)
     if got is not None:
         return got
-    # Variables x_0..x_k, then Y.  g = sum_j x_j U^(k-j) V^j =
-    # prod_l (z_l U + t_l V) and h = P(-V, U) + Y Q(-V, U), with h's rows
-    # first and both laid out from the top power of V down: then the first
-    # k pivots are constants whenever f is a polynomial.
-    one = (0,) * (k + 2)
-    g = [{one[:j] + (1,) + one[j + 1:]: 1} for j in range(k + 1)]
-    y = one[:-1] + (1,)
-    h = [{y: (-1) ** i * f.den[d - i], one: (-1) ** i * f.num[d - i]}
-         for i in range(d + 1)]
-    # Res_V(h, g) = c * sum_j F_j(x) Y^j with a constant c != 0.
-    res = det_poly(sylvester_matrix(h, g, d, k), k + 2)
+    # Res_V(h, g) = c sum_j F_j(x) Y^j (c a constant) for g = sum_j x_j V^j
+    # and h = P(-V, 1) + Y Q(-V, 1).  Its coefficients are at most the
+    # product of the Sylvester rows' coefficient sums, ||f||_1^k (k+1)^d, so
+    # at Y = 2^B the F_j are its signed base-2^B digits.
+    B = (sum(map(abs, f.num + f.den)) ** k * (k + 1) ** d).bit_length() + 1
+    y = 1 << B
+    h = [(-1) ** i * (f.num[d - i] + y * f.den[d - i]) for i in range(d + 1)]
+    lead = h[d]
+    # theta' = lead theta is a root of the monic lead^(d-1) h(V / lead), so
+    # Res_V(h, g) = lead^k prod_theta g(theta), the norm of
+    # sum_j x_j lead^(k-j) theta'^j divided by lead^(k(d-1)).
+    power = [-c * lead ** (d - 1 - i) for i, c in enumerate(h[:d])]
+    vecs, v = [], [1] + [0] * (d - 1)
+    for j in range(k + 1):
+        vecs.append([c * lead ** (k - j) for c in v])
+        v = _times_a(v, power)
+    one = (0,) * (k + 1)
+    det, _ = _norm_det(vecs, power,
+                       [one[:j] + (1,) + one[j + 1:] for j in range(k + 1)])
+    scale = lead ** (k * (d - 1))
+    mask, half = y - 1, y >> 1  # a digit lies in [-half, half)
     parts = [{} for _ in range(k + 1)]
     # Insert terms by ascending reversed exponent: the Green iteration sums
     # F's terms in this order in floating point, so it fixes its rounding.
-    for e in sorted(res, key=itemgetter(*range(k + 1, -1, -1))):
-        parts[e[k + 1]][e[:k + 1]] = res[e]
+    for e in sorted(det, key=itemgetter(*range(k, -1, -1))):
+        c = det[e] // scale
+        for part in parts:
+            digit = ((c + half) & mask) - half
+            if digit:
+                part[e] = digit
+            c = (c - digit) >> B
     F = MorphismPk([MPoly(k + 1, t) for t in parts], expected_degree=d)
     _symmetrize_cache[key] = F
     return F

@@ -339,35 +339,10 @@ def _int_gcd(a, b):
     return a
 
 
-def sylvester_matrix(a, b, m=None, n=None):
-    """Sylvester matrix of coefficient sequences a (degree m) and b (degree n).
-
-    Coefficient lists are low-to-high.  Explicit m, n allow the formal-degree
-    convention needed for binary forms whose leading coefficients vanish.
-    """
-    if m is None:
-        m = len(a) - 1
-    if n is None:
-        n = len(b) - 1
-    a = list(a) + [0] * (m + 1 - len(a))
-    b = list(b) + [0] * (n + 1 - len(b))
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [0] * size
-        for j, c in enumerate(a):
-            row[i + (m - j)] = c  # descending-degree layout
-        rows.append(row)
-    for i in range(m):
-        row = [0] * size
-        for j, c in enumerate(b):
-            row[i + (n - j)] = c
-        rows.append(row)
-    return rows
-
-
 def sylvester_resultant(a, b, m=None, n=None):
-    """Resultant via fraction-free (Bareiss) elimination of the Sylvester matrix."""
+    """Resultant via fraction-free (Bareiss) elimination of the Sylvester
+    matrix of coefficient lists a and b, low-to-high.  Explicit formal
+    degrees m, n serve binary forms whose leading coefficients vanish."""
     from .linalg import det_bareiss
 
     if m is None:
@@ -378,7 +353,11 @@ def sylvester_resultant(a, b, m=None, n=None):
         return Fraction(0)
     if m == 0 and n == 0:
         return Fraction(1)
-    rows = sylvester_matrix(a, b, m, n)
+    a = list(a) + [0] * (m + 1 - len(a))
+    b = list(b) + [0] * (n + 1 - len(b))
+    # n rows of a, then m rows of b, each from its top coefficient down
+    rows = [[0] * i + a[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)]
     den = 1
     for r in rows:
         den = math.lcm(den, *(Fraction(c).denominator for c in r))

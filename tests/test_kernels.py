@@ -5,7 +5,9 @@ polyfactor._ppowmod; unipoly._conv the product of UniPoly, NFElem and
 symmetric.eta_coords; polyfactor._squarefree_splits the prime scan of
 _choose_prime and numberfield._frobenius_bound; linalg.det_poly the
 determinant behind numberfield._norm and minimal_polynomial, which replaced
-a Bareiss determinant over Q[x] and a Hessenberg charpoly over Q.  The
+a Bareiss determinant over Q[x] and a Hessenberg charpoly over Q;
+numberfield._norm_det the norm that symmetric.symmetrize takes, which
+replaced the (k+d)-square Sylvester determinant over Z[x_0..x_k, Y].  The
 loops below are those routines as they were written before, kept as
 references: every result must be equal, MPoly term insertion order and mpf
 bits included."""
@@ -13,15 +15,19 @@ bits included."""
 import random
 from fractions import Fraction
 from itertools import permutations
+from operator import itemgetter
 
 import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symprod import MPoly, NumberField, UniPoly, eta_coords
-from symprod import numberfield, polyfactor
+from symprod import (MorphismPk, MPoly, NumberField, RationalMap1, UniPoly,
+                     eta_coords, symmetrize)
+from symprod import numberfield, polyfactor, symmetric
+from symprod.errors import DegenerateMapError
 from symprod.gf import FiniteField
 from symprod.intfactor import is_prime
+from symprod.linalg import det_poly
 from symprod.polyfactor import (_ddf, _monic_squarefree_mod, _pmod, _pmul,
                                 _ppowmod, is_irreducible)
 
@@ -257,6 +263,44 @@ def _minimal_polynomial(e):
     return hessenberg_charpoly(rows).squarefree_part()
 
 
+def _sylvester_matrix(a, b, m, n):
+    """Sylvester matrix of coefficient lists a (degree m) and b (degree n),
+    low-to-high, laid out from the top coefficient down."""
+    rows = []
+    for i in range(n):
+        row = [0] * (m + n)
+        for j, c in enumerate(a):
+            row[i + (m - j)] = c
+        rows.append(row)
+    for i in range(m):
+        row = [0] * (m + n)
+        for j, c in enumerate(b):
+            row[i + (n - j)] = c
+        rows.append(row)
+    return rows
+
+
+def _sylvester_resultant(f, k):
+    """Res_V(h, g) = c sum_j F_j(x) Y^j over Z[x_0..x_k, Y], for
+    g = sum_j x_j V^j and h = P(-V, 1) + Y Q(-V, 1): the (k+d)-square
+    Sylvester determinant, unnormalised, as an {exponent tuple: int} dict."""
+    d = f.d
+    one = (0,) * (k + 2)
+    g = [{one[:j] + (1,) + one[j + 1:]: 1} for j in range(k + 1)]
+    y = one[:-1] + (1,)
+    h = [{y: (-1) ** i * f.den[d - i], one: (-1) ** i * f.num[d - i]}
+         for i in range(d + 1)]
+    return det_poly(_sylvester_matrix(h, g, d, k), k + 2)
+
+
+def _sylvester_symmetrize(res, k, d):
+    """F from that resultant, terms inserted by ascending reversed exponent."""
+    parts = [{} for _ in range(k + 1)]
+    for e in sorted(res, key=itemgetter(*range(k + 1, -1, -1))):
+        parts[e[k + 1]][e[:k + 1]] = res[e]
+    return MorphismPk([MPoly(k + 1, t) for t in parts], expected_degree=d)
+
+
 # ---------------------------------------------------------------------------
 # strategies
 # ---------------------------------------------------------------------------
@@ -318,6 +362,24 @@ def _leibniz_det(M):
 def _mat_mul(A, B):
     return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
             for row in A]
+
+
+@st.composite
+def _maps(draw):
+    """(f, k): a polynomial or rational map of degree 2-5 with coefficients
+    up to 2^64 in size, and k <= 10, 8, 6 for d = 2, 3, >= 4."""
+    d = draw(st.integers(2, 5))
+    coeff = st.integers(-2 ** 64, 2 ** 64)
+    num = draw(st.lists(coeff, min_size=d + 1, max_size=d + 1))
+    if draw(st.booleans()):
+        den = [0] * d + [draw(coeff.filter(bool))]
+    else:
+        den = draw(st.lists(coeff, min_size=d + 1, max_size=d + 1))
+    try:
+        f = RationalMap1(num, den)
+    except DegenerateMapError:
+        f = RationalMap1([1] + [0] * d, [0] * d + [1])
+    return f, draw(st.integers(1, {2: 10, 3: 8}.get(d, 6)))
 
 
 @st.composite
@@ -468,3 +530,34 @@ def test_norms_and_minimal_polynomials_match_the_replaced_determinants(data):
         draw(st.lists(fractions, min_size=1, max_size=3)) + [1])]))
     shifted = numberfield._shift_into_field(poly, -s, field.gen())
     assert numberfield._norm(shifted).coeffs == _norm(shifted).coeffs
+
+
+def _check_symmetrize(f, k):
+    """symmetrize against the Sylvester determinant: equal components, term
+    insertion order and evaluation plan; and every coefficient of the
+    unnormalised resultant within the bound that sets symmetrize's digit
+    width, ||f||_1^k (k+1)^d.  Returns that resultant."""
+    symmetric._symmetrize_cache.clear()
+    res = _sylvester_resultant(f, k)
+    got, want = symmetrize(f, k), _sylvester_symmetrize(res, k, f.d)
+    assert ([list(c.terms.items()) for c in got.components]
+            == [list(c.terms.items()) for c in want.components])
+    assert got.plan == want.plan
+    bound = sum(map(abs, f.num + f.den)) ** k * (k + 1) ** f.d
+    assert max(map(abs, res.values())) <= bound
+    return res
+
+
+@given(_maps())
+@settings(max_examples=60, deadline=None)
+def test_symmetrize_matches_the_sylvester_determinant(fk):
+    _check_symmetrize(*fk)
+
+
+def test_symmetrize_reads_a_digit_near_its_width():
+    """x^2 - 1048577 at k = 8: the resultant's largest coefficient has 161
+    bits, and symmetrize's digits have 168 (||f||_1^8 9^2 has 167 bits)."""
+    f = RationalMap1([1, 0, -1048577], [0, 0, 1])
+    res = _check_symmetrize(f, 8)
+    assert max(map(abs, res.values())).bit_length() == 161
+    assert (1048579 ** 8 * 81).bit_length() == 167

@@ -492,6 +492,9 @@ _BAD_MAPS = ["", "x", "x^2 +", "x^^2", "(x^2", "[z^2, ]", "[z^2, t^3]",
              "x²", "x^2 - " + "9" * 5000, "x^" + "9" * 5000]
 _BAD_POINTS = ["", "1/0", "0/0", "(1,2", "()", "(0,0)", "x", "(1,,2)",
                "(1, 2/0)", "2^99999999", "9" * 5000]
+# a point of P^2 where --k asks for P^3
+_WRONG_DIMENSION = ["canonical-height", "--map", "x^2 - 2", "--point", "(1,2,1)",
+                    "--k", "3"]
 
 
 def _cli_cases():
@@ -505,6 +508,7 @@ def _cli_cases():
     for pt in _BAD_POINTS:
         for k in ([], ["--k", "2"]):
             yield ["canonical-height", "--map", "x^2 - 2", "--point", pt] + k
+    yield _WRONG_DIMENSION
     for k in ("0", "-1"):
         yield ["symmetrize", "--map", "x^2 - 2", "--k", k]
         yield ["bad-primes", "--map", "x^2 - 2", "--k", k]
@@ -537,4 +541,6 @@ def test_cli_failures_are_always_coded(capsys):
         assert rc in (0, 1), argv
         if rc == 1:
             assert err.startswith("error[E_"), (argv, err)
+        if argv == _WRONG_DIMENSION:
+            assert err.startswith("error[E_DOMAIN]"), err
     _in_child(_refuse_oversized_symmetric_product)

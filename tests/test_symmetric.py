@@ -270,7 +270,7 @@ def _det_laplace(rows, one):
 def _sylvester_components(f, k):
     """F's components from the Sylvester determinant with MPoly entries over
     Q[x_0..x_k, Y], terms inserted by ascending reversed exponent: the
-    oracle for symmetrize's packed integer determinant."""
+    oracle for symmetrize, which computes this resultant as a norm."""
     d = f.d
     nv = k + 2
     zero = MPoly.zero(nv)

@@ -22,8 +22,7 @@ from fractions import Fraction
 from itertools import combinations, count, dropwhile, product, takewhile
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, DomainError
-from .gf import (FiniteField, cycle_lengths, degenerates_mod_p, p1_points,
-                 reduce_map)
+from .gf import FiniteField, cycle_lengths, p1_points, reduce_map
 from .heights import bad_primes_sym, morphism_certificate
 from .intfactor import is_prime
 from .polyfactor import _ddf, _monic_squarefree_mod
@@ -121,6 +120,7 @@ def periods_mod_p(f: RationalMap1, p: int, k: int) -> set[int]:
     """Cycle lengths of f on P^1(F_{p^j}) for j <= k, closed under lcm of
     subsets of size <= k (candidate period patterns of conjugate k-tuples);
     a prime of bad reduction is refused by reduce_map."""
+    PeriodBoundInput(Np=p, k=k, p=p, vp=1)  # checks p and k
     base: set[int] = set()
     for j in range(1, k + 1):
         gf = FiniteField(p, j)
@@ -377,11 +377,13 @@ def default_n_max(f: RationalMap1, k: int, budget: int = DEFAULT_BUDGET) -> int:
     least 1.  A prime is good when f mod p is still a morphism of degree d,
     which is when it does not divide Res(f); the resultant is not factored."""
     _check_k(k)
+    if f.d < 2:
+        raise DomainError("the period bound needs a map of degree at least 2")
     good = []
     p = 1
     while len(good) < 2:
         p += 1
-        if is_prime(p) and not degenerates_mod_p(f, p):
+        if is_prime(p) and f.res % p:
             good.append(p)
     bound = min(period_bound(PeriodBoundInput(Np=p, k=k, p=p, vp=1))
                 for p in good)

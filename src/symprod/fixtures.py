@@ -323,7 +323,7 @@ def _fx_mult29():
 
 
 @fixture("bad-primes", "DERIVED",
-         "bad primes by resultant + reduction check: {2} for x^2 - 29/16 "
+         "bad primes as the resultant's prime divisors: {2} for x^2 - 29/16 "
          "(Res = 2^16); empty for x^2 - 2 (Res = 1) and the power map")
 def _fx_bad():
     f29 = _map("x^2 - 29/16")
@@ -336,7 +336,7 @@ def _fx_bad():
     for k in (2, 3):
         assert api.bad_primes_sym(f29, k) == api.bad_primes(f29)
         assert api.bad_primes_sym(f2, k) == api.bad_primes(f2)
-    return "resultants and reductions agree"
+    return "bad primes divide the resultant"
 
 
 @fixture("period-bound", "DERIVED",

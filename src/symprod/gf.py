@@ -1,4 +1,5 @@
-"""Small finite fields F_{p^e} and reductions of maps modulo good primes.
+"""Small finite fields F_{p^e} and reductions of maps modulo good primes,
+those that do not divide f.res (see heights.bad_primes).
 
 Elements are coefficient tuples in F_p[x]/(modulus); fields of this size
 (p <= ~100, e <= 5) only ever hold a few thousand elements, so everything is
@@ -10,7 +11,7 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import DomainError
-from .polyfactor import _ddf, _pgcd, _pmod, _pmul, _trim
+from .polyfactor import _ddf, _pmod, _pmul
 from .unipoly import _power
 
 
@@ -61,9 +62,6 @@ class FiniteField:
             raise ZeroDivisionError("inverse of zero in finite field")
         return self.pow(a, self.order() - 2)
 
-    def is_zero(self, a):
-        return a == self.zero
-
 
 def p1_points(gf: FiniteField):
     """Canonical representatives of P^1(F_q): (a, 1) for all a, then (1, 0)."""
@@ -78,35 +76,16 @@ def _canon_p1(gf: FiniteField, x, y):
     return (gf.one, gf.zero)
 
 
-def degenerates_mod_p(f, p: int) -> bool:
-    """True when the reduction of the P^1 map f mod p is not a morphism of
-    degree d: a component vanishes, or the two share a root."""
-    num = [c % p for c in f.num]
-    den = [c % p for c in f.den]
-    affn = _trim([num[len(num) - 1 - j] for j in range(len(num))])
-    affd = _trim([den[len(den) - 1 - j] for j in range(len(den))])
-    if not affn or not affd:
-        # one component vanishes identically mod p (joint lift is primitive,
-        # so not both); shared zeros certainly exist
-        return True
-    if num[0] % p == 0 and den[0] % p == 0:
-        return True  # common root at infinity
-    return len(_pgcd(affn, affd, p)) > 1
-
-
 def reduce_map(f, gf: FiniteField):
     """The reduction of a P^1 map mod p as an evaluator on P^1(F_q) points.
 
-    Raises when the reduction degenerates (bad prime)."""
+    Raises at a prime of bad reduction, one that divides f.res."""
     p = gf.p
-    if degenerates_mod_p(f, p):
+    if f.res % p == 0:
         raise DomainError(f"bad reduction at {p}")
-    num = [c % p for c in f.num]
-    den = [c % p for c in f.den]
-
     d = f.d
-    numc = [gf.from_int(c) for c in num]
-    denc = [gf.from_int(c) for c in den]
+    numc = [gf.from_int(c) for c in f.num]
+    denc = [gf.from_int(c) for c in f.den]
 
     def step(pt):
         x, y = pt
@@ -121,8 +100,6 @@ def reduce_map(f, gf: FiniteField):
             mono = gf.mul(xs[d - j], ys[j])
             nv = gf.add(nv, gf.mul(numc[j], mono))
             dv = gf.add(dv, gf.mul(denc[j], mono))
-        if nv == gf.zero and dv == gf.zero:
-            raise DomainError(f"bad reduction at {p}")
         return _canon_p1(gf, nv, dv)
 
     return step

@@ -42,7 +42,6 @@ from itertools import combinations_with_replacement
 from operator import add
 
 from .errors import BudgetExceededError, CertificateError, DomainError
-from .gf import degenerates_mod_p
 from .intfactor import is_prime, prime_divisors
 from .linalg import IntSystem, solve_int_system
 from .parser import _MAX_BITS
@@ -85,17 +84,9 @@ class BadPrimeSet(tuple):
 
 
 def bad_primes(f: RationalMap1) -> BadPrimeSet:
-    """Primes of bad reduction: divisors of the primitive lift's resultant at
-    which the reduced pair degenerates (checked directly)."""
-    res = f.res
-    num, den = res.numerator, res.denominator
-    if den != 1:
-        raise DomainError("primitive lift has non-integral resultant")  # unreachable
-    out = []
-    for p in prime_divisors(num):
-        if degenerates_mod_p(f, p):
-            out.append(p)
-    return BadPrimeSet(out)
+    """Primes of bad reduction: the prime divisors of f.res, the resultant of
+    the primitive lift, which mod p is the resultant of the reduced pair."""
+    return BadPrimeSet(prime_divisors(f.res))
 
 
 def bad_primes_sym(f: RationalMap1, k: int) -> BadPrimeSet:
@@ -362,6 +353,8 @@ def _valuation(n: int, p: int) -> int:
 
 
 def morphism_certificate(F: MorphismPk, bad=None) -> HeightCertificate:
+    if F.d < 2:  # the constants divide by d - 1
+        raise DomainError("a height certificate needs a map of degree at least 2")
     key = (F.key(), tuple(sorted(bad)) if bad is not None else None)
     got = _cert_cache.get(key)
     if got is None:

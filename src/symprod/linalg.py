@@ -1,9 +1,9 @@
 """Exact linear algebra over Q.
 
-Determinants are fraction-free (Bareiss) eliminations, over the integers
-for resultants and over Z[x_0..x_n] (det_poly, on _Packed entries) for the
-number-field norms and minimal polynomials of numberfield and the symmetric
-product.  Small systems go through plain fraction Gaussian elimination.
+Determinants are fraction-free (Bareiss) eliminations over Z[x_0..x_n]
+(det_poly, on _Packed entries), for the number-field norms and minimal
+polynomials of numberfield and the symmetric product; unipoly takes pair
+resultants.  Small systems go through plain fraction Gaussian elimination.
 The large sparse integer systems that arise in certificate searches are
 solved by a p-adic (Dixon) lift.  All k+1 right-hand sides of one
 certificate degree share a matrix.  An IntSystem splits it once into the
@@ -36,8 +36,8 @@ _DIXON_MAX_STEPS = 13333  # p-adic digits lifted before the exact fallback
 
 def det_bareiss(rows):
     """Determinant by fraction-free (Bareiss) elimination over an exact
-    domain: integers (resultants) or _Packed entries (det_poly).  Entries
-    need *, -, truth testing and an exact //; every division is exact."""
+    domain: _Packed entries (det_poly) or integers.  Entries need *, -,
+    truth testing and an exact //; every division is exact."""
     a = [list(r) for r in rows]
     n = len(a)
     if n == 0:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import DegenerateMapError, DomainError
 from .mpoly import MPoly, joint_primitive
 from .numberfield import NFElem, NumberField, minimal_polynomial
-from .unipoly import UniPoly, _conv, sylvester_resultant
+from .unipoly import UniPoly, _conv, resultant
 
 
 def _normalize_int_vector(vals):
@@ -291,10 +291,10 @@ class RationalMap1:
         object.__setattr__(self, "den", tuple(ints[d + 1:]))
         object.__setattr__(self, "d", d)
         if any(self.den[:-1]):
-            res = sylvester_resultant(list(self.num), list(self.den), d, d)
+            res = resultant(self.num, self.den, d, d)
         else:
             # Res(P, c t^d) = (-1)^d c^d P(1, 0)^d, the Sylvester sign included
-            res = Fraction((-self.den[-1] * self.num[0]) ** d)
+            res = (-self.den[-1] * self.num[0]) ** d
         if res == 0:
             raise DegenerateMapError(
                 "resultant vanishes: the pair does not define a morphism")

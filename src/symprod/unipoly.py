@@ -3,11 +3,11 @@
 Coefficients are `fractions.Fraction` throughout; a polynomial is an immutable
 coefficient tuple indexed by degree.  The zero polynomial has degree -1.
 
-The gcd works on integer coefficient lists (low to high): `_int_divide`
-divides exactly over Z, and `_int_gcd` is the primitive polynomial remainder
-sequence.  By Gauss's lemma a primitive divisor of an integer polynomial
-leaves an integer quotient, so the factoring code in `polyfactor` never
-needs fractions.
+Gcds and resultants work on integer coefficient lists (low to high):
+`_int_divide` divides exactly over Z, and one subresultant sequence gives
+every gcd (`_int_gcd`) and resultant (`resultant`, `RationalMap1.res`).  By
+Gauss's lemma a primitive divisor of an integer polynomial leaves an integer
+quotient, so the factoring code in `polyfactor` never needs fractions.
 
 Four kernels here serve every coefficient ring of the package:
 * `_conv`, the coefficient-list product: `UniPoly.__mul__`, `NFElem.__mul__`,
@@ -195,7 +195,7 @@ class UniPoly:
     # -- gcd / resultant ----------------------------------------------------
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Monic gcd over Q, computed by a primitive PRS over Z."""
+        """Monic gcd over Q, from the subresultant sequence over Z."""
         g = _int_gcd(self.primitive_int_coeffs(), other.primitive_int_coeffs())
         return UniPoly.from_int_list(g).monic() if g else UniPoly.zero()
 
@@ -208,9 +208,14 @@ class UniPoly:
     def is_squarefree(self) -> bool:
         return self.degree <= 0 or self.gcd(self.derivative()).degree == 0
 
-    def resultant(self, other: "UniPoly"):
-        """Res(self, other) with the true (degree-based) Sylvester convention."""
-        return sylvester_resultant(list(self.coeffs), list(other.coeffs))
+    def resultant(self, other: "UniPoly") -> Fraction:
+        """Res(self, other) for the true degrees: c^deg(other) e^deg(self)
+        Res(A, B) for self = c A and other = e B, A and B primitive over Z."""
+        if self.is_zero() or other.is_zero():
+            return Fraction(0)
+        a, b = self.primitive_int_coeffs(), other.primitive_int_coeffs()
+        return ((self.lead / a[-1]) ** other.degree
+                * (other.lead / b[-1]) ** self.degree * _subresultants(a, b)[0])
 
     # -- printing -----------------------------------------------------------
 
@@ -320,47 +325,66 @@ def _primitive(a):
     return [c // (g if a[-1] > 0 else -g) for c in a]
 
 
+def _prem(a, b):
+    """The pseudo-remainder lc(b)^(deg a - deg b + 1) a mod b of trimmed
+    integer lists, deg a >= deg b >= 1, trimmed."""
+    r, lb, nb = list(a), b[-1], len(b) - 1
+    for top in range(len(a) - 1, nb - 1, -1):
+        # r <- lb r - r_top x^(top - nb) b, whose top term cancels
+        c = r.pop()
+        r = [x * lb for x in r]
+        for j in range(nb):
+            r[top - nb + j] -= c * b[j]
+    return _trim(r)
+
+
+def _subresultants(a, b):
+    """(Res(a, b), primitive gcd with positive lead) of trimmed primitive
+    integer lists, from one subresultant remainder sequence (Cohen, A Course
+    in Computational Algebraic Number Theory, Algorithms 3.3.1 and 3.3.7):
+    each pseudo-remainder is divided exactly by g h^delta."""
+    # Res(b, a) = (-1)^(deg a deg b) Res(a, b)
+    s = -1 if len(a) < len(b) and len(a) % 2 == len(b) % 2 == 0 else 1
+    if len(a) < len(b):
+        a, b = b, a
+    g = h = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if len(a) % 2 == len(b) % 2 == 0:  # both degrees odd
+            s = -s
+        r = _prem(a, b)
+        if not r:
+            return 0, _primitive(b)
+        q = g * h ** delta
+        a, b = b, [c // q for c in r]
+        g = a[-1]
+        if delta:
+            h = g ** delta // h ** (delta - 1)
+    # h is 1 while deg a is 0
+    return s * b[-1] ** (len(a) - 1) // h ** max(len(a) - 2, 0), [1]
+
+
 def _int_gcd(a, b):
     """Primitive gcd, with positive lead, of two trimmed integer lists."""
     a, b = _primitive(a), _primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r, lb = list(a), b[-1]
-        while len(r) >= len(b):
-            # r <- (lb/g) r - (r_lead/g) x^shift b: a pseudo-remainder step
-            g = math.gcd(lb, r[-1])
-            u, v, shift = lb // g, r[-1] // g, len(r) - len(b)
-            r = [c * u for c in r]
-            for j, bj in enumerate(b):
-                r[shift + j] -= v * bj
-            _trim(r)
-        a, b = b, _primitive(r)
-    return a
+    if not a or not b:
+        return a or b
+    return _subresultants(a, b)[1]
 
 
-def sylvester_resultant(a, b, m=None, n=None):
-    """Resultant via fraction-free (Bareiss) elimination of the Sylvester
-    matrix of coefficient lists a and b, low-to-high.  Explicit formal
-    degrees m, n serve binary forms whose leading coefficients vanish."""
-    from .linalg import det_bareiss
-
-    if m is None:
-        m = len(a) - 1
-    if n is None:
-        n = len(b) - 1
-    if m < 0 or n < 0:
-        return Fraction(0)
-    if m == 0 and n == 0:
-        return Fraction(1)
-    a = list(a) + [0] * (m + 1 - len(a))
-    b = list(b) + [0] * (n + 1 - len(b))
-    # n rows of a, then m rows of b, each from its top coefficient down
-    rows = [[0] * i + a[::-1] + [0] * (n - 1 - i) for i in range(n)]
-    rows += [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)]
-    den = 1
-    for r in rows:
-        den = math.lcm(den, *(Fraction(c).denominator for c in r))
-    int_rows = [[int(Fraction(c) * den) for c in r] for r in rows]
-    d = det_bareiss(int_rows)
-    return Fraction(d, den ** (m + n))
+def resultant(a, b, m, n):
+    """Res(a, b) of integer coefficient lists, low to high, in the Sylvester
+    convention for formal degrees m >= deg a and n >= deg b, both >= 1: the
+    resultant of two binary forms, whose leading coefficients may vanish."""
+    a, b = _trim(list(a)), _trim(list(b))
+    da, db = len(a) - 1, len(b) - 1
+    if da < 0 or db < 0 or (da < m and db < n):
+        return 0
+    # expand the Sylvester matrix along the columns where one lead is left
+    if da < m:
+        scale = (-1) ** (n * (m - da)) * b[-1] ** (m - da)
+    else:
+        scale = a[-1] ** (n - db)
+    pa, pb = _primitive(a), _primitive(b)
+    ca, cb = a[-1] // pa[-1], b[-1] // pb[-1]
+    return scale * ca ** db * cb ** da * _subresultants(pa, pb)[0]

@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -12,12 +13,15 @@ from hypothesis import strategies as st
 from symprod import (DEFAULT_BUDGET, P1_INFINITY, AlgebraicPoint, BinaryForm,
                      BudgetExceededError, DegenerateMapError, DomainError,
                      NumberField, OrbitClassification, PeriodBoundInput, PkPoint,
-                     RationalMap1, UniPoly, apply, bad_primes, default_n_max, eta,
+                     RationalMap1, UniPoly, apply, bad_primes,
+                     canonical_height, canonical_height_nf, default_n_max, eta,
                      exponent_bound, fixed_point_form, form_of_point,
-                     morphism_certificate, multiplier_F, orbit_classify,
-                     p1_point, parse_map, period_bound, periods_mod_p,
-                     point_of_form, preperiodic_graph, rational_periodic_points,
-                     rational_preimages, symmetrize, zero_form_to_point_form)
+                     green_local, morphism_certificate, morphism_of_map,
+                     multiplier_F, orbit_classify, p1_point, parse_map,
+                     period_bound, periods_mod_p, point_of_form,
+                     preperiodic_graph, preperiodicity_bound,
+                     rational_periodic_points, rational_preimages, symmetrize,
+                     zero_form_to_point_form)
 from symprod.dynamics import _dynatomic_part, _form_at, _Part, _pullback_factors
 from symprod.unipoly import _conv
 
@@ -175,6 +179,15 @@ def test_periods_mod_p_rejects_bad_prime():
     assert periods_mod_p(_map(Q_MAP), 3, 1) == {1}
 
 
+def test_periods_mod_p_refuses_non_primes_and_k_below_1():
+    # Z/9 and Z/15 are not fields, and 1 is no prime of bad reduction
+    f = _map("x^2 - 29/16")
+    for p, k, message in ((9, 1, "prime"), (15, 2, "prime"), (1, 1, "prime"),
+                          (0, 1, "prime"), (-5, 1, "prime"), (5, 0, "k")):
+        with pytest.raises(DomainError, match=message):
+            periods_mod_p(f, p, k)
+
+
 def test_exponent_bound():
     assert exponent_bound(3, 1) == 1
     assert exponent_bound(3, 2) == 2
@@ -297,6 +310,35 @@ def test_default_n_max():
     assert default_n_max(f, 2, budget=64) == 6
     assert default_n_max(f, 2) == default_n_max(f, 2, budget=64)
     assert default_n_max(_map(Q_MAP), 2) == 6
+
+
+def test_a_map_of_degree_1_is_refused_by_every_bound():
+    """Every height constant divides by d - 1, and the budget loop of
+    default_n_max never ended at d = 1; an alarm stops a call that walks
+    on instead of refusing."""
+    f = RationalMap1([1, 1], [0, 1])
+    M = morphism_of_map(f)
+    calls = [lambda: preperiodicity_bound(f),
+             lambda: orbit_classify(f, AlgebraicPoint.rational(3)),
+             lambda: green_local(M, p1_point(3), "arch"),
+             lambda: canonical_height(M, p1_point(3)),
+             lambda: canonical_height_nf(f, AlgebraicPoint.rational(3)),
+             lambda: morphism_certificate(M),
+             lambda: default_n_max(f, 2),
+             lambda: preperiodic_graph(f, 2)]
+
+    def stop(*_):
+        raise TimeoutError("the call walks on instead of refusing")
+    old = signal.signal(signal.SIGALRM, stop)
+    try:
+        for call in calls:
+            signal.alarm(5)
+            with pytest.raises(DomainError, match="degree at least 2"):
+                call()
+            signal.alarm(0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 # ---------------------------------------------------------------------------

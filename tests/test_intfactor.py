@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from symprod import (BudgetExceededError, DomainError, cli, factor_integer,
                      is_prime, prime_divisors)
 from symprod.intfactor import _perfect_power
-from symprod.unipoly import sylvester_resultant
+from symprod.unipoly import resultant
 
 
 def test_examples():
@@ -23,7 +23,7 @@ def test_examples():
 
 def test_resultant_bad_prime_extraction():
     # the resultant of (16z^2 - 29t^2, 16t^2) factors as a power of two
-    res = sylvester_resultant([-29, 0, 16], [16, 0, 0], 2, 2)
+    res = resultant([-29, 0, 16], [16, 0, 0], 2, 2)
     assert factor_integer(int(res)) == {2: 16}
     assert prime_divisors(int(res)) == [2]
 

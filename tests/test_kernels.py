@@ -7,14 +7,20 @@ _choose_prime and numberfield._frobenius_bound; linalg.det_poly the
 determinant behind numberfield._norm and minimal_polynomial, which replaced
 a Bareiss determinant over Q[x] and a Hessenberg charpoly over Q;
 numberfield._norm_det the norm that symmetric.symmetrize takes, which
-replaced the (k+d)-square Sylvester determinant over Z[x_0..x_k, Y].  The
+replaced the (k+d)-square Sylvester determinant over Z[x_0..x_k, Y];
+unipoly._subresultants the one remainder sequence behind every integer gcd
+and resultant, which replaced the primitive PRS gcd and the Sylvester
+resultant, with the squarefree certificate of
+polyfactor.squarefree_decomposition in front of Yun's loop; and f.res mod p
+the test of bad reduction, which replaced a gcd of the reduced pair.  The
 loops below are those routines as they were written before, kept as
 references: every result must be equal, MPoly term insertion order and mpf
 bits included."""
 
+import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, zip_longest
 from operator import itemgetter
 
 import mpmath
@@ -27,9 +33,11 @@ from symprod import numberfield, polyfactor, symmetric
 from symprod.errors import DegenerateMapError
 from symprod.gf import FiniteField
 from symprod.intfactor import is_prime
-from symprod.linalg import det_poly
-from symprod.polyfactor import (_ddf, _monic_squarefree_mod, _pmod, _pmul,
-                                _ppowmod, is_irreducible)
+from symprod.linalg import det_bareiss, det_poly
+from symprod.polyfactor import (_ddf, _monic_squarefree_mod, _pgcd, _pmod,
+                                _pmul, _ppowmod, is_irreducible,
+                                squarefree_decomposition)
+from symprod.unipoly import _conv, _int_divide, _int_gcd, _primitive, _trim
 
 FIELDS = [NumberField.get(UniPoly(m)) for m in
           ((-2, 0, 0, 1), (23, -164, 16, 64), (1, 1, 1, 1, 1))]
@@ -291,6 +299,90 @@ def _sylvester_resultant(f, k):
     h = [{y: (-1) ** i * f.den[d - i], one: (-1) ** i * f.num[d - i]}
          for i in range(d + 1)]
     return det_poly(_sylvester_matrix(h, g, d, k), k + 2)
+
+
+def sylvester_resultant(a, b, m=None, n=None):
+    """Resultant via fraction-free (Bareiss) elimination of the Sylvester
+    matrix of coefficient lists a and b, low-to-high.  Explicit formal
+    degrees m, n serve binary forms whose leading coefficients vanish."""
+    if m is None:
+        m = len(a) - 1
+    if n is None:
+        n = len(b) - 1
+    if m < 0 or n < 0:
+        return Fraction(0)
+    if m == 0 and n == 0:
+        return Fraction(1)
+    a = list(a) + [0] * (m + 1 - len(a))
+    b = list(b) + [0] * (n + 1 - len(b))
+    # n rows of a, then m rows of b, each from its top coefficient down
+    rows = [[0] * i + a[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    den = 1
+    for r in rows:
+        den = math.lcm(den, *(Fraction(c).denominator for c in r))
+    int_rows = [[int(Fraction(c) * den) for c in r] for r in rows]
+    d = det_bareiss(int_rows)
+    return Fraction(d, den ** (m + n))
+
+
+def _primitive_prs_gcd(a, b):
+    """unipoly._int_gcd as the primitive polynomial remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r, lb = list(a), b[-1]
+        while len(r) >= len(b):
+            # r <- (lb/g) r - (r_lead/g) x^shift b: a pseudo-remainder step
+            g = math.gcd(lb, r[-1])
+            u, v, shift = lb // g, r[-1] // g, len(r) - len(b)
+            r = [c * u for c in r]
+            for j, bj in enumerate(b):
+                r[shift + j] -= v * bj
+            _trim(r)
+        a, b = b, _primitive(r)
+    return a
+
+
+def _derivative(a):
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _yun(f):
+    """squarefree_decomposition as Yun's loop alone, on the primitive PRS."""
+    if f.degree < 1:
+        return []
+    b = f.primitive_int_coeffs()
+    db = _derivative(b)
+    a = _primitive_prs_gcd(b, db)
+    b, c = _int_divide(b, a), _int_divide(db, a)
+    out = []
+    i = 1
+    while len(b) > 1:
+        d = _trim([x - y for x, y in zip_longest(c, _derivative(b), fillvalue=0)])
+        g = _primitive_prs_gcd(b, d)
+        if len(g) > 1:
+            out.append((UniPoly.from_int_list(g).monic(), i))
+        b, c = _int_divide(b, g), _int_divide(d, g)
+        i += 1
+    return out
+
+
+def degenerates_mod_p(f, p: int) -> bool:
+    """True when the reduction of the P^1 map f mod p is not a morphism of
+    degree d: a component vanishes, or the two share a root."""
+    num = [c % p for c in f.num]
+    den = [c % p for c in f.den]
+    affn = _trim([num[len(num) - 1 - j] for j in range(len(num))])
+    affd = _trim([den[len(den) - 1 - j] for j in range(len(den))])
+    if not affn or not affd:
+        # one component vanishes identically mod p (joint lift is primitive,
+        # so not both); shared zeros certainly exist
+        return True
+    if num[0] % p == 0 and den[0] % p == 0:
+        return True  # common root at infinity
+    return len(_pgcd(affn, affd, p)) > 1
 
 
 def _sylvester_symmetrize(res, k, d):
@@ -561,3 +653,103 @@ def test_symmetrize_reads_a_digit_near_its_width():
     res = _check_symmetrize(f, 8)
     assert max(map(abs, res.values())).bit_length() == 161
     assert (1048579 ** 8 * 81).bit_length() == 167
+
+
+@st.composite
+def _pairs(draw):
+    """(num, den): the coefficient lists of a pair of degree-d forms,
+    d = 1-8, with ints up to 2^64 in size or Fractions; num[d], den[d] or
+    both are often 0, den is sometimes c t^d, and the two sometimes share a
+    linear factor."""
+    d = draw(st.integers(1, 8))
+    coeff = st.one_of(st.integers(-2 ** 64, 2 ** 64), st.integers(-3, 3),
+                      st.fractions(min_value=-2 ** 64, max_value=2 ** 64,
+                                   max_denominator=2 ** 16))
+    shared = d > 1 and draw(st.integers(0, 4)) == 0
+    size = d if shared else d + 1
+    num, den = (draw(st.lists(coeff, min_size=size, max_size=size))
+                for _ in "nd")
+    if shared:
+        u, v = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+        num, den = _conv(num, [u, v]), _conv(den, [u, v])
+    if draw(st.integers(0, 4)) == 0:
+        den = [0] * d + [draw(coeff)]
+    lead = draw(st.sampled_from(["num", "den", "both", None]))
+    if lead in ("num", "both"):
+        num[d] = 0
+    if lead in ("den", "both"):
+        den[d] = 0
+    return num, den
+
+
+@given(_pairs())
+@settings(max_examples=300, deadline=None)
+def test_resultants_match_the_sylvester_determinant(pair):
+    """RationalMap1.res (formal degrees d, d, on the primitive lift) and
+    UniPoly.resultant (true degrees, Fraction coefficients) against the
+    Sylvester determinant."""
+    num, den = pair
+    d = len(num) - 1
+    try:
+        f = RationalMap1(num, den)
+    except DegenerateMapError:
+        assert sylvester_resultant(num, den, d, d) == 0
+    else:
+        assert type(f.res) is int
+        assert f.res == sylvester_resultant(list(f.num), list(f.den), d, d) != 0
+    a, b = UniPoly(num), UniPoly(den)
+    assert a.resultant(b) == sylvester_resultant(list(a.coeffs), list(b.coeffs))
+
+
+def _int_poly(rng, n):
+    """A seeded integer list of degree n: small or 30-bit coefficients, a
+    nonzero lead, often 3, 6 or 9."""
+    size = rng.choice([3, 9, 2 ** 30])
+    return ([rng.randint(-size, size) for _ in range(n)]
+            + [rng.choice([-9, -3, -1, 1, 2, 3, 6, 7, 9])])
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=50, deadline=None)
+def test_gcds_and_squarefree_decompositions_match_the_primitive_prs(seed):
+    """100 seeded pairs a c, b c of degree up to 14 per example, 5000 in
+    all, against the primitive PRS; and Yun's loop, with the squarefree
+    certificate in front, on products of repeated factors."""
+    rng = random.Random(seed)
+    for _ in range(100):
+        c = _int_poly(rng, rng.randint(0, 6))
+        a, b = (_conv(_int_poly(rng, rng.randint(0, 8)), c) for _ in "ab")
+        assert _int_gcd(a, b) == _primitive_prs_gcd(a, b)
+    for _ in range(5):
+        f = [rng.choice([-2, 1, 3])]
+        for _ in range(rng.randint(1, 4)):
+            g = _int_poly(rng, rng.randint(1, 4))
+            for _ in range(rng.randint(1, 3)):
+                f = _conv(f, g)
+        assert squarefree_decomposition(UniPoly(f)) == _yun(UniPoly(f))
+
+
+def test_the_squarefree_certificate_refuses_a_prime_dividing_the_lead():
+    # (3x + 1)^2 (x^2 + 1) is x^2 + 1 mod 3, squarefree there
+    f = UniPoly((1, 3)) ** 2 * UniPoly((1, 0, 1))
+    assert squarefree_decomposition(f) == _yun(f) == [
+        (UniPoly((1, 0, 1)), 1), (UniPoly((Fraction(1, 3), 1)), 2)]
+
+
+@st.composite
+def _small_maps(draw):
+    """Maps of degree 1-5 with coefficients in [-20, 20], so that small
+    primes divide the resultant often."""
+    d = draw(st.integers(1, 5))
+    coeffs = st.lists(st.integers(-20, 20), min_size=d + 1, max_size=d + 1)
+    try:
+        return RationalMap1(draw(coeffs), draw(coeffs))
+    except DegenerateMapError:
+        return RationalMap1([1] + [0] * d, [0] * d + [1])
+
+
+@given(_small_maps())
+@settings(max_examples=200, deadline=None)
+def test_bad_reduction_is_read_from_the_resultant(f):
+    for p in filter(is_prime, range(60)):
+        assert (f.res % p == 0) == degenerates_mod_p(f, p)

@@ -11,8 +11,8 @@ from symprod import (DomainError, FieldMismatchError, NumberField, UniPoly,
                      same_field)
 from symprod import numberfield
 from symprod.polyfactor import is_irreducible
-from symprod.unipoly import (_conv, _field_divmod, _field_gcd, _trim,
-                             sylvester_resultant)
+from symprod.unipoly import _conv, _field_divmod, _field_gcd, _trim
+from test_kernels import sylvester_resultant
 
 F = Fraction
 

@@ -63,14 +63,16 @@ class OrbitClassification:
                 "escape_index": self.escape_index, "bound": self.bound}
 
 
-def _walk(start, step, shadow, cert) -> OrbitClassification:
+def _walk(start, step, shadow, push, cert) -> OrbitClassification:
     """Iterate step from start until a point repeats or the shadow of the
     current point, a point of P^k(Q), has a coordinate above the
-    certificate's escape threshold (checked before each step)."""
+    certificate's escape threshold (checked before each step).  shadow is
+    that of start; push carries the shadow of a point to that of its image
+    under step."""
     seen = {start: 0}
     cur = start
     for i in range(1, _ORBIT_CAP):
-        if max(abs(c) for c in shadow(cur).coords) > cert.escape_threshold:
+        if max(abs(c) for c in shadow.coords) > cert.escape_threshold:
             return OrbitClassification("wandering", escape_index=i - 1,
                                        bound=cert.bound)
         cur = step(cur)
@@ -78,6 +80,7 @@ def _walk(start, step, shadow, cert) -> OrbitClassification:
         if j is not None:
             return OrbitClassification("preperiodic", tail=j, period=i - j)
         seen[cur] = i
+        shadow = push(shadow)
     raise DomainError("orbit classification exceeded the iteration cap")
 
 
@@ -97,8 +100,11 @@ def orbit_classify(f, point) -> OrbitClassification:
     Accepts a RationalMap1 with a PkPoint of P^1 or an AlgebraicPoint; a
     MorphismPk is refused.  Every point of P^1 is iterated under f itself;
     its height is measured over Q through its shadow eta~(., k_f) on the
-    k_f-symmetric product, k_f the degree of the point's field (1 for
-    rational points and infinity, where eta~ is the point itself).
+    k_f-symmetric product F, k_f the degree of the point's field (1 for
+    rational points and infinity, where eta~ is the point itself).  eta~ is
+    taken once, of the starting point: f maps the k_f embeddings of the
+    point to those of its image, so F o eta~ = eta~ o f, and each later
+    shadow is the previous one pushed forward by F.
     """
     if not isinstance(f, RationalMap1):
         raise DomainError("expected a RationalMap1")
@@ -107,8 +113,9 @@ def orbit_classify(f, point) -> OrbitClassification:
     if not isinstance(point, AlgebraicPoint):
         raise DomainError("expected a point of P^1")
     kf = 1 if point.field is None else point.field.degree
-    cert = morphism_certificate(symmetrize(f, kf), bad=bad_primes_sym(f, kf))
-    return _walk(point, f.apply_algebraic, lambda q: eta_tilde(q, kf), cert)
+    F = symmetrize(f, kf)
+    cert = morphism_certificate(F, bad=bad_primes_sym(f, kf))
+    return _walk(point, f.apply_algebraic, eta_tilde(point, kf), F.apply, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +349,8 @@ def rational_periodic_points(f: RationalMap1, k: int, n_max: int,
     dynatomic parts Phi*_m, m | n, which together are the factors of the
     fixed-point form W_n; a part is factored, once per map, only when such
     factors are not ruled out (_Part.small_factors).  Every candidate is
-    verified by exact iteration of F, and carries its factorization.
+    built and verified by exact iteration of F once, at the least n whose
+    multisets hold it, and carries its factorization.
 
     Returns a sorted list of (PkPoint, period)."""
     if n_max < 1:
@@ -352,6 +360,7 @@ def rational_periodic_points(f: RationalMap1, k: int, n_max: int,
             f"fixed-point form degree {f.d ** n_max} exceeds the budget {budget}")
     F = symmetrize(f, k)
     found: dict[PkPoint, int] = {}
+    built = set()  # the factor multisets of every candidate so far
     for n in range(1, n_max + 1):
         # parts share a factor when the multiplier of a point of period
         # m < n is a primitive (n/m)-th root of unity (a fixed point with
@@ -359,10 +368,12 @@ def rational_periodic_points(f: RationalMap1, k: int, n_max: int,
         # candidates twice, with its multiplicity split between the copies
         pool = list(dict.fromkeys(g for m in range(1, n + 1) if n % m == 0
                                   for g in _dynatomic_part(f, m).small_factors(k)))
-        for p in map(point_of_factors,
-                     _weighted_counts(pool, [g.degree for g in pool], k)):
-            if p in found:
-                continue
+        for counts in _weighted_counts(pool, [g.degree for g in pool], k):
+            key = frozenset(counts)
+            if key in built:
+                continue  # its point is in found, from a smaller n
+            built.add(key)
+            p = point_of_factors(counts)
             per = _return_time(p, F.apply, n)
             if per is None:
                 raise DomainError("candidate from the fixed-point form failed "

@@ -29,7 +29,11 @@ x^d + 1 and w(g) = sum_i i g_i.  So every Macaulay matrix of F is T's times
 diagonal matrices, with the same greedy pivot columns and the same minimal
 degrees, and F's certificate is T's rescaled.  T is searched once per
 (d, k), its refusal kept as well, and every rescaled certificate is
-verified exactly before it is used.
+verified exactly before it is used.  The rescale runs on integers: T's
+entries are grouped by their power of c once per search result, and each
+map takes one lcm and one gcd per coordinate.  Every certificate identity
+is checked by integer convolution on monomials coded as single integers in
+base M + 1, so that the code of a product is the sum of the codes.
 """
 
 from __future__ import annotations
@@ -196,8 +200,10 @@ def _integral_certificate(fterms, polys, target):
     return den, sum(abs(v) for g in ints for v in g.values()), ints
 
 
-# (d, k) -> [T, T's search or the CertificateError that refused it], with
-# T the symmetric product of x^d + 1; the search runs on the first family map
+# (d, k) -> [T, T's search or the CertificateError that refused it, plan],
+# with T the symmetric product of x^d + 1; the search runs on the first
+# family map.  plan is (search, _template_plan of it): it is used only while
+# entry[1] is that very search, and rebuilt from whatever replaced it.
 _template_cache: dict = {}
 
 
@@ -223,25 +229,55 @@ def _family_scaling(F: MorphismPk):
     entry = _template_cache.get((d, k))
     if entry is None:
         one = RationalMap1([1] + [0] * (d - 1) + [1], [0] * d + [1])
-        entry = _template_cache[d, k] = [symmetrize(one, k), None]
+        entry = _template_cache[d, k] = [symmetrize(one, k), None, None]
     T = entry[0].components
     if any(len(a.terms) != len(b.terms) for a, b in zip(F.components, T)) \
             or any(e not in T[j].terms for j, e, _m, _c in terms):
         return None
     lam = next(coef / T[j].terms[e] for j, e, m, coef in terms if m == 0)
     c = next(coef / (lam * T[j].terms[e]) for j, e, m, coef in terms if m == 1)
-    powers = [c ** m for m in range(k + 1)]
-    if any(coef != lam * T[j].terms[e] * powers[m] for j, e, m, coef in terms):
+    scaled = [lam * c ** m for m in range(k + 1)]  # the coefficients are integers
+    if any(coef.numerator * scaled[m].denominator
+           != T[j].terms[e].numerator * scaled[m].numerator
+           for j, e, m, coef in terms):
         return None
     return entry, lam, c
+
+
+def _template_plan(T: MorphismPk, search):
+    """T's certificate laid out for rescaling, per coordinate i: (r~_i, the
+    distinct powers s of c, the rows [(a, code of a, g~_ij[a], index of
+    its s)] per j in the order of g~_ij, the code of x_i^M_i and the code of
+    each monomial of T).  An entry's power is s = (w(a) + d j - i M_i)/d;
+    codes are in a base from _code_base."""
+    exps, mults, _gnorms, gs = search
+    d = T.d
+    plan = []
+    for i, (M, den, polys) in enumerate(zip(exps, mults, gs)):
+        target = tuple(M if t == i else 0 for t in range(T.k + 1))
+        base = _code_base(target, [a for g in polys for a in g], d)
+        group = {}
+        rows = []
+        for j, g in enumerate(polys):
+            rows.append([(a, _code(a, base), x, group.setdefault(
+                (_weight(a) + d * j - i * M) // d, len(group)))
+                for a, x in g.items()])
+        codes = {e: _code(e, base) for comp in T.components for e in comp.terms}
+        plan.append((den, tuple(group), rows, _code(target, base), codes))
+    return plan
 
 
 def _rescaled_search(F: MorphismPk):
     """The search result of F.  When F is T rescaled (see _family_scaling),
     every Macaulay block of F is T's times diagonal matrices, with the same
     greedy pivot columns and minimal degrees, so the solutions are T's
-    rescaled: g_ij[a] = g~_ij[a] c^((w(a) + d j - i M_i)/d) / (lam r~_i).
-    Each rescaled certificate is verified exactly.  Other maps are searched."""
+    rescaled: g_ij[a] = g~_ij[a] c^s / (lam r~_i), s = (w(a) + d j -
+    i M_i)/d.  On integers: with N_s / D_s the reduced factor c^s /
+    (lam r~_i) of each power s that occurs, L the lcm of the D_s and G the
+    gcd of L and every L g_ij[a], the lcm of the reduced denominators of the
+    g_ij[a] is r_i = L / G, and the integer g_ij[a] is g~_ij[a] N_s (L /
+    D_s) / G.  Each rescaled certificate is verified exactly on coded
+    monomials.  Other maps are searched."""
     got = _family_scaling(F)
     if got is None:
         return _search_certificate(F)
@@ -253,26 +289,27 @@ def _rescaled_search(F: MorphismPk):
             entry[1] = err
     if isinstance(entry[1], CertificateError):
         raise CertificateError(str(entry[1]))
-    exps, mults, _gnorms, gs = entry[1]
-    d, nvars = F.d, F.k + 1
+    if entry[2] is None or entry[2][0] is not entry[1]:
+        entry[2] = (entry[1], _template_plan(entry[0], entry[1]))
     fterms = _fterms(F)
-    powers = {}
-    out = []
-    for i, (M, den, polys) in enumerate(zip(exps, mults, gs)):
-        scaled = []
-        for j, g in enumerate(polys):
-            h = {}
-            for a, x in g.items():
-                s = (_weight(a) + d * j - i * M) // d
-                cs = powers.get(s)
-                if cs is None:
-                    cs = powers[s] = c ** s / lam
-                h[a] = x * cs / den
-            scaled.append(h)
-        target = tuple(M if t == i else 0 for t in range(nvars))
-        out.append(_integral_certificate(fterms, scaled, target))
-    mults, gnorms, gs = zip(*out)
-    return exps, mults, gnorms, gs
+    mults, gnorms, gs = [], [], []
+    for den, powers, rows, target, codes in entry[2][1]:
+        factors = [c ** s / (lam * den) for s in powers]
+        L = math.lcm(*(q.denominator for q in factors))
+        ms = [q.numerator * (L // q.denominator) for q in factors]
+        scaled = [[x * ms[s] for _a, _ca, x, s in row] for row in rows]
+        G = math.gcd(L, *(v for row in scaled for v in row))
+        coded = [[(ca, v // G) for (_a, ca, _x, _s), v in zip(row, srow)]
+                 for row, srow in zip(rows, scaled)]
+        if not _coded_identity_holds(
+                [[(codes[e], co) for e, co in fj] for fj in fterms], coded,
+                target, L // G):
+            raise CertificateError("certificate failed exact verification")
+        mults.append(L // G)
+        gnorms.append(sum(abs(v) for row in coded for _ca, v in row))
+        gs.append([{a: v for (a, *_), (_ca, v) in zip(row, crow)}
+                   for row, crow in zip(rows, coded)])
+    return entry[1][0], tuple(mults), tuple(gnorms), tuple(gs)
 
 
 def _macaulay_matrix(fterms, gmons, rows_mons):
@@ -294,16 +331,45 @@ def _macaulay_matrix(fterms, gmons, rows_mons):
     return A
 
 
+def _code(e, base) -> int:
+    """The exponent vector e as one integer, sum_t e_t base^t."""
+    out = 0
+    for a in reversed(e):
+        out = out * base + a
+    return out
+
+
+def _code_base(target, gmons, d) -> int:
+    """A base above every exponent of x^target and of every product x^a
+    x^e, a in gmons and e of total degree at most d: in it _code is
+    injective on those monomials, and the code of a product is the sum of
+    the codes.  For a certificate, whose g_j are forms of degree M - d,
+    it is M + 1."""
+    return max(sum(target), max(map(sum, gmons), default=0) + d) + 1
+
+
+def _coded_identity_holds(fterms, polys, target, den) -> bool:
+    """sum_j g_j F_j == den * x^target for terms (code, coefficient) and
+    the code of x^target, by integer convolution on the codes."""
+    acc = {}
+    get = acc.get
+    for g, fj in zip(polys, fterms):
+        for ca, a in g:
+            for ce, c in fj:
+                key = ca + ce
+                acc[key] = get(key, 0) + a * c
+    return {e: c for e, c in acc.items() if c} == {target: den}
+
+
 def _certificate_identity_holds(fterms, polys, target, den) -> bool:
     """sum_j g_j F_j == den * x^target, by integer convolution of the terms
-    of the g_j and of the components of F."""
-    acc = {}
-    for g, fj in zip(polys, fterms):
-        for alpha, a in g.items():
-            for e, c in fj:
-                key = tuple(map(add, alpha, e))
-                acc[key] = acc.get(key, 0) + a * c
-    return {e: c for e, c in acc.items() if c} == {target: den}
+    of the g_j and of the components of F on coded monomials."""
+    base = _code_base(target, [a for g in polys for a in g],
+                      max(sum(e) for fj in fterms for e, _c in fj))
+    return _coded_identity_holds(
+        [[(_code(e, base), c) for e, c in fj] for fj in fterms],
+        [[(_code(a, base), x) for a, x in g.items()] for g in polys],
+        _code(target, base), den)
 
 
 def _summarize_certificate(F: MorphismPk, search, bad) -> HeightCertificate:

@@ -17,7 +17,8 @@ from fractions import Fraction
 
 from .errors import DomainError, FieldMismatchError
 from .linalg import det_poly
-from .polyfactor import _squarefree_splits, factor_unipoly
+from .polyfactor import (_squarefree_splits, factor_unipoly,
+                         squarefree_decomposition)
 from .unipoly import UniPoly, _conv, _field_gcd, _power
 
 _field_cache: dict[tuple, "NumberField"] = {}
@@ -331,11 +332,13 @@ def minimal_polynomial(e: NFElem | Fraction | int) -> UniPoly:
 
     The norm of x - e is the characteristic polynomial of multiplication by
     e (Cohen, A Course in Computational Algebraic Number Theory, 3.6), a
-    power of the minimal polynomial, so it is that norm's squarefree part:
-    the norm itself unless e lies in a proper subfield."""
+    power of the minimal polynomial, so it is the one part of the norm's
+    squarefree decomposition: the norm itself unless e lies in a proper
+    subfield."""
     if isinstance(e, (int, Fraction)):
         return UniPoly((-Fraction(e), Fraction(1)))
-    return _norm([-e, e.field.one()]).squarefree_part()
+    [(m, _mult)] = squarefree_decomposition(_norm([-e, e.field.one()]))
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +370,7 @@ def roots_in_number_field(poly: UniPoly, field: NumberField) -> list[NFElem]:
     pk = [field.from_rational(c) for c in poly.coeffs]
     for s in (2, -2, 3, -3, 4, -4, 5, -5, 1, -1):
         norm = _norm(_shift_into_field(poly, -s, alpha))
-        if not norm.is_squarefree():
+        if any(i > 1 for _g, i in squarefree_decomposition(norm)):
             continue
         _, facs = factor_unipoly(norm)
         roots = []

@@ -400,11 +400,12 @@ def squarefree_decomposition(f: UniPoly):
     """Yun's algorithm on the primitive integer coefficients of f:
     pairwise-coprime monic squarefree g_i with f = c * prod g_i^i; returns
     [(g_i, i)].  Every quotient is exact over Z (Gauss's lemma).  An f
-    squarefree mod one of 3, 5, 7 that does not divide lc(f) is squarefree."""
+    squarefree mod one of 3, 5, 7, 11, 13 that does not divide lc(f) is
+    squarefree."""
     if f.degree < 1:
         return []
     b = f.primitive_int_coeffs()
-    if any(_monic_squarefree_mod(b, p) is not None for p in (3, 5, 7)):
+    if any(_monic_squarefree_mod(b, p) is not None for p in (3, 5, 7, 11, 13)):
         return [(f.monic(), 1)]
     db = _derivative(b)
     a = _int_gcd(b, db)

@@ -198,7 +198,7 @@ def minpoly_of_factor(g: BinaryForm) -> UniPoly:
 class AlgebraicPoint:
     """A point of P^1 with coordinates in Q or in a number field."""
 
-    __slots__ = ("field", "value", "infinity", "_hash")
+    __slots__ = ("field", "value", "infinity", "_hash", "_minpoly")
 
     def __init__(self, field: NumberField | None, value, infinity: bool = False):
         object.__setattr__(self, "field", field)
@@ -236,9 +236,16 @@ class AlgebraicPoint:
         return AlgebraicPoint.rational(Fraction(p.coords[0], p.coords[1]))
 
     def minimal_polynomial(self) -> UniPoly:
+        """The monic minimal polynomial of the value over Q, computed on
+        first use and kept (it takes no part in equality or hashing)."""
         if self.infinity:
             raise DomainError("the point at infinity has no affine minimal polynomial")
-        return minimal_polynomial(self.value)
+        try:
+            return self._minpoly
+        except AttributeError:
+            m = minimal_polynomial(self.value)
+            object.__setattr__(self, "_minpoly", m)
+            return m
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraicPoint):

@@ -199,15 +199,6 @@ class UniPoly:
         g = _int_gcd(self.primitive_int_coeffs(), other.primitive_int_coeffs())
         return UniPoly.from_int_list(g).monic() if g else UniPoly.zero()
 
-    def squarefree_part(self) -> "UniPoly":
-        if self.degree <= 0:
-            return UniPoly.one()
-        g = self.gcd(self.derivative())
-        return (self // g).monic()
-
-    def is_squarefree(self) -> bool:
-        return self.degree <= 0 or self.gcd(self.derivative()).degree == 0
-
     def resultant(self, other: "UniPoly") -> Fraction:
         """Res(self, other) for the true degrees: c^deg(other) e^deg(self)
         Res(A, B) for self = c A and other = e B, A and B primitive over Z."""

@@ -13,17 +13,20 @@ from hypothesis import strategies as st
 from symprod import (DEFAULT_BUDGET, P1_INFINITY, AlgebraicPoint, BinaryForm,
                      BudgetExceededError, DegenerateMapError, DomainError,
                      NumberField, OrbitClassification, PeriodBoundInput, PkPoint,
-                     RationalMap1, UniPoly, apply, bad_primes,
+                     RationalMap1, UniPoly, apply, bad_primes, bad_primes_sym,
                      canonical_height, canonical_height_nf, default_n_max, eta,
-                     exponent_bound, fixed_point_form, form_of_point,
+                     eta_tilde, exponent_bound, fixed_point_form, form_of_point,
                      green_local, morphism_certificate, morphism_of_map,
                      multiplier_F, orbit_classify, p1_point, parse_map,
                      period_bound, periods_mod_p, point_of_form,
                      preperiodic_graph, preperiodicity_bound,
                      rational_periodic_points, rational_preimages, symmetrize,
                      zero_form_to_point_form)
+from symprod import dynamics
 from symprod.dynamics import _dynatomic_part, _form_at, _Part, _pullback_factors
 from symprod.unipoly import _conv
+
+from test_heights import _CYCLES_POOL_CS
 
 F = Fraction
 
@@ -98,6 +101,109 @@ def test_orbit_classify_algebraic():
 def test_orbit_classify_infinity():
     cls = orbit_classify(_map("x^2 + 1"), AlgebraicPoint.at_infinity())
     assert cls.preperiodic and cls.tail == 0 and cls.period == 1
+
+
+def _walk_recomputing(start, step, shadow, cert):
+    """The reference walk: eta~ of every point of the orbit, taken anew
+    before each step."""
+    seen = {start: 0}
+    cur = start
+    for i in range(1, 100000):
+        if max(abs(c) for c in shadow(cur).coords) > cert.escape_threshold:
+            return OrbitClassification("wandering", escape_index=i - 1,
+                                       bound=cert.bound)
+        cur = step(cur)
+        j = seen.get(cur)
+        if j is not None:
+            return OrbitClassification("preperiodic", tail=j, period=i - j)
+        seen[cur] = i
+    raise AssertionError("no repeat or escape")
+
+
+def _check_pushed_walk(f, point):
+    """orbit_classify's walk pushes the shadow forward by F: each pushed
+    shadow is eta~ of the orbit's point, and the answer is the reference
+    walk's.  Returns the orbit's points after the start."""
+    kf = 1 if point.field is None else point.field.degree
+    Fk = symmetrize(f, kf)
+    cert = morphism_certificate(Fk, bad=bad_primes_sym(f, kf))
+    points, pushed = [], []
+
+    def step(q):
+        points.append(f.apply_algebraic(q))
+        return points[-1]
+
+    def push(sh):
+        pushed.append(Fk.apply(sh))
+        return pushed[-1]
+
+    got = dynamics._walk(point, step, eta_tilde(point, kf), push, cert)
+    assert pushed == [eta_tilde(q, kf) for q in points[:len(pushed)]]
+    assert got == orbit_classify(f, point) == _walk_recomputing(
+        point, f.apply_algebraic, lambda q: eta_tilde(q, kf), cert)
+    return points
+
+
+def test_pushed_shadows_through_a_subfield_and_a_pole():
+    # sqrt(3) -> 3 - 29/16 drops to Q; i -> 0 -> oo under (z^2 + t^2)/(z t)
+    S = NumberField.get(UniPoly((-3, 0, 1)))
+    points = _check_pushed_walk(_map("x^2 - 29/16"), AlgebraicPoint(S, S.gen()))
+    assert points[0] == AlgebraicPoint.rational(F(19, 16))
+    I = NumberField.get(UniPoly((1, 0, 1)))
+    points = _check_pushed_walk(_map("[z^2 + t^2, z*t]"), AlgebraicPoint(I, I.gen()))
+    assert points[:2] == [AlgebraicPoint.rational(0), AlgebraicPoint.at_infinity()]
+
+
+def test_a_point_keeps_its_minimal_polynomial(monkeypatch):
+    """orbit_classify takes eta~ once, of the start, and canonical_height_nf
+    of the same point reuses its minimal polynomial."""
+    from symprod import projective
+
+    calls = []
+    compute = projective.minimal_polynomial
+    monkeypatch.setattr(projective, "minimal_polynomial",
+                        lambda e: calls.append(e) or compute(e))
+    f = _map("x^2 - 29/16")
+    for poly in ((23, -164, 16, 64), (-2, 0, 1)):  # a 3-cycle, a wanderer
+        K = NumberField.get(UniPoly(poly))
+        pt = AlgebraicPoint(K, K.gen())
+        calls.clear()
+        orbit_classify(f, pt)
+        canonical_height_nf(f, pt)
+        assert calls == [pt.value]
+
+
+def _is_square(q):
+    return q >= 0 and all(math.isqrt(n) ** 2 == n
+                          for n in (q.numerator, q.denominator))
+
+
+@given(st.sampled_from(_CYCLES_POOL_CS), st.integers(2, 5),
+       st.sampled_from(["eisenstein", "sqrt", "cycle"]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_pushed_shadows_equal_eta_tilde_along_pool_walks(c, k, kind, data):
+    """Walks of x^2 + c from an element of a field of degree k, Eisenstein
+    at 2 or 3; from a square root, whose image is rational; or from +-beta,
+    beta a quadratic fixed point or a point of a 2-cycle, so that the walk
+    ends in a repeat."""
+    draw = data.draw
+    coords = [draw(st.integers(-2, 2)), 1] + [0] * (k - 2)
+    if kind == "eisenstein":
+        p = draw(st.sampled_from([2, 3]))
+        poly = ([p * draw(st.sampled_from([u for u in (-2, -1, 1, 2) if u % p]))]
+                + [p * draw(st.integers(-1, 1)) for _ in range(k - 1)] + [1])
+        if draw(st.booleans()):
+            coords = [draw(st.integers(-2, 2)) for _ in range(k)]
+    elif kind == "sqrt":
+        poly, coords = [-draw(st.sampled_from([2, 3, 5, 6, 7, -1, -2])), 0, 1], [0, 1]
+    else:
+        poly = draw(st.sampled_from([[c, -1, 1], [c + 1, 1, 1]]))
+        assume(not _is_square(poly[1] ** 2 - 4 * poly[0]))
+        coords = [0, draw(st.sampled_from([1, -1]))]
+    assume(any(coords[1:]))
+    K = NumberField.get(UniPoly(poly))
+    _check_pushed_walk(RationalMap1((1, 0, c), (0, 0, 1)),
+                       AlgebraicPoint(K, K.element(coords)))
 
 
 def _size(x):
@@ -647,6 +753,24 @@ def _check_searches(f, k, n_max, extra):
 def test_searches_match_full_factorization(text, k, n_max):
     extra = [[p1_point(a) for a in pts] for pts in ([0] * k, [1] + [-1] * (k - 1))]
     _check_searches(_map(text), k, n_max, extra)
+
+
+@pytest.mark.parametrize("text,k,n_max", [
+    ("x^2 - 29/16", 3, 4), ("x^2 - 3/4", 3, 4), ("[z^2 - t^2, z*t]", 2, 4),
+    ("x^2 - 2", 4, 3)])
+def test_each_candidate_multiset_is_built_once(monkeypatch, text, k, n_max):
+    built = []
+    build = dynamics.point_of_factors
+
+    def recording(counts):
+        built.append(frozenset(counts))
+        return build(counts)
+
+    monkeypatch.setattr(dynamics, "point_of_factors", recording)
+    f = _map(text)
+    got = rational_periodic_points(f, k, n_max)
+    assert len(built) == len(set(built)) == len(got) > 0
+    assert got == _periodic_by_fixed_point_forms(f, k, n_max)
 
 
 @given(_small_maps(), st.integers(1, 3),

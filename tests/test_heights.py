@@ -474,6 +474,18 @@ def test_certificate_identity_check_against_mpoly():
         for g, comp in zip(polys, F.components):
             acc = acc + MPoly(2, g) * comp
         cases.append((polys, target, den, acc == MPoly(2, {target: den})))
+    # inputs of any degree: monomials are coded in a base above every
+    # exponent, so x^2 = F_0 + 2 F_1 is not taken for the x_1 of equal code
+    # in base 2
+    cases.append(([{(0, 0): 1}, {(0, 0): 2}], (0, 1), 1, False))
+    for _ in range(40):
+        polys = [{(rng.randint(0, 3), rng.randint(0, 3)): rng.randint(-2, 2)
+                  for _ in range(rng.randint(0, 3))} for _ in range(2)]
+        target = (rng.randint(0, 5), rng.randint(0, 5))
+        acc = MPoly.zero(2)
+        for g, comp in zip(polys, F.components):
+            acc = acc + MPoly(2, g) * comp
+        cases.append((polys, target, 1, acc == MPoly(2, {target: 1})))
     for polys, target, den, want in cases:
         assert heights._certificate_identity_holds(fterms, polys, target, den) == want
 
@@ -519,6 +531,68 @@ def test_rescaled_certificate_equals_search(monkeypatch, d, ks, texts):
             assert heights._family_scaling(Fk) is not None, (text, k)
             assert heights._rescaled_search(Fk) == heights._search_certificate(Fk)
     assert set(heights._template_cache) == {(d, k) for k in ks}
+
+
+def _identity_on_tuples(fterms, polys, target, den):
+    """sum_j g_j F_j == den * x^target on tuple-keyed monomials (the check
+    before monomials were coded)."""
+    acc = {}
+    for g, fj in zip(polys, fterms):
+        for alpha, a in g.items():
+            for e, c in fj:
+                key = tuple(x + y for x, y in zip(alpha, e))
+                acc[key] = acc.get(key, 0) + a * c
+    return {e: c for e, c in acc.items() if c} == {target: den}
+
+
+def _fraction_rescale(Fk, search):
+    """The reference rescale of T's search result to F: every g_ij[a] =
+    g~_ij[a] c^s / (lam r~_i) a Fraction, r_i the lcm of their reduced
+    denominators, verified on tuple-keyed monomials."""
+    _entry, lam, c = heights._family_scaling(Fk)
+    exps, mults, _gnorms, gs = search
+    d, nvars = Fk.d, Fk.k + 1
+    fterms = heights._fterms(Fk)
+    out = []
+    for i, (M, den, polys) in enumerate(zip(exps, mults, gs)):
+        scaled = [{a: x * c ** ((heights._weight(a) + d * j - i * M) // d)
+                   / lam / den for a, x in g.items()} for j, g in enumerate(polys)]
+        r = math.lcm(*(x.denominator for g in scaled for x in g.values()))
+        ints = [{a: x.numerator * (r // x.denominator) for a, x in g.items()}
+                for g in scaled]
+        target = tuple(M if t == i else 0 for t in range(nvars))
+        assert _identity_on_tuples(fterms, ints, target, r)
+        out.append((r, sum(abs(v) for g in ints for v in g.values()), ints))
+    mults, gnorms, gs = zip(*out)
+    return exps, mults, gnorms, gs
+
+
+# the x^2 + c of the benchmark's cycles pool: c = p/q^2 in [-8, 1/4], q <= 4
+_CYCLES_POOL_CS = sorted({F(p, q * q) for q in range(1, 5)
+                          for p in range(-8 * q * q, q * q // 4 + 1)
+                          if p and math.gcd(p, q) == 1})
+
+
+def test_integer_rescale_equals_the_fraction_rescale(monkeypatch):
+    """The integer rescale gives the Fraction rescale's exponents,
+    multipliers, g-norms and g_ij, keys in the same order, on the cycles
+    pool at k = 4, 5, and on x^3 + c and x^2 + c with c negative,
+    non-integral and above 2^64."""
+    monkeypatch.setattr(heights, "_template_cache", {})
+    assert len(_CYCLES_POOL_CS) == 141
+    big = 2 ** 64 + 13
+    cases = [(2, c, (4, 5)) for c in _CYCLES_POOL_CS] + [
+        (3, c, (1, 2, 3)) for c in (F(-2), F(5, 8), F(-7, 27), F(big),
+                                    F(-big, 3))] + [
+        (2, c, (1, 2, 3, 4, 5)) for c in (F(big), F(-big), F(big, 49),
+                                          F(-1, big), F(-3, 2))]
+    for d, c, ks in cases:
+        f = RationalMap1([1] + [0] * (d - 1) + [c], [0] * d + [1])
+        for k in ks:
+            Fk = symmetrize(f, k)
+            got = heights._rescaled_search(Fk)
+            want = _fraction_rescale(Fk, heights._template_cache[d, k][1])
+            assert repr(got) == repr(want), (d, c, k)
 
 
 def test_maps_outside_the_family_are_searched(monkeypatch):

@@ -268,7 +268,8 @@ def _minimal_polynomial(e):
     for _ in range(e.field.degree - 1):
         e = e * alpha
         rows.append(e.coords)
-    return hessenberg_charpoly(rows).squarefree_part()
+    charpoly = hessenberg_charpoly(rows)
+    return (charpoly // charpoly.gcd(charpoly.derivative())).monic()
 
 
 def _sylvester_matrix(a, b, m, n):
@@ -727,6 +728,26 @@ def test_gcds_and_squarefree_decompositions_match_the_primitive_prs(seed):
             for _ in range(rng.randint(1, 3)):
                 f = _conv(f, g)
         assert squarefree_decomposition(UniPoly(f)) == _yun(UniPoly(f))
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=50, deadline=None)
+def test_squarefree_verdicts_match_the_gcd_with_the_derivative(seed):
+    """The verdict minimal_polynomial and roots_in_number_field read from
+    squarefree_decomposition, no part of multiplicity above 1, is gcd(f,
+    f') = 1 over Z (the primitive PRS), on 20 seeded polynomials per
+    example: squarefree or times a square, some with a lead that 3, 5, 7,
+    11 and 13 all divide, so that no prime of the certificate is usable."""
+    rng = random.Random(seed)
+    for _ in range(20):
+        f = _int_poly(rng, rng.randint(1, 10))
+        if rng.random() < 0.3:
+            f[-1] *= 3 * 5 * 7 * 11 * 13
+        if rng.random() < 0.4:
+            g = _int_poly(rng, rng.randint(1, 3))
+            f = _conv(f, _conv(g, g))
+        verdict = not any(i > 1 for _g, i in squarefree_decomposition(UniPoly(f)))
+        assert verdict == (len(_primitive_prs_gcd(f, _derivative(f))) == 1), f
 
 
 def test_the_squarefree_certificate_refuses_a_prime_dividing_the_lead():

@@ -15,9 +15,8 @@ from .dynamics import (DEFAULT_BUDGET, PeriodBoundInput, default_n_max,
                        period_bound, preperiodic_graph,
                        rational_periodic_points)
 from .errors import DomainError, SymprodError
-from .heights import bad_primes_sym, canonical_height, canonical_height_nf
+from .heights import bad_primes_sym, canonical_height
 from .parser import parse_map, parse_point
-from .projective import AlgebraicPoint
 from .spectra import is_pcf, is_strongly_pcf_symmetric, multiplier_F
 from .symmetric import symmetrize
 
@@ -83,21 +82,15 @@ def _cmd_preperiodic(args):
 def _cmd_canonical_height(args):
     f = parse_map(args.map).map
     pt = parse_point(args.point)
-    if pt.k == 1 and (args.k is None or args.k == 1):
-        hv = canonical_height_nf(f, AlgebraicPoint.from_p1(pt),
-                                 tol=args.tol, prec=args.precision)
-    else:
-        k = args.k if args.k is not None else pt.k
-        if pt.k != k:
-            raise DomainError(f"point has dimension {pt.k}, expected {k}")
-        F = symmetrize(f, k)
-        hv = canonical_height(F, pt, tol=args.tol, prec=args.precision,
-                              bad=bad_primes_sym(f, k))
+    k = args.k if args.k is not None else pt.k
+    if pt.k != k:
+        raise DomainError(f"point has dimension {pt.k}, expected {k}")
+    F = symmetrize(f, k)
+    hv = canonical_height(F, pt, tol=args.tol, prec=args.precision,
+                          bad=bad_primes_sym(f, k))
     places = ", ".join(f"{name}: {val:.10g}" for name, val in hv.places)
     human = (f"canonical height = {hv.value:.10g} "
              f"(error bound {hv.error_bound:.3g})\n  places: {places}")
-    for note in hv.notes:
-        human += f"\n  note: {note}"
     _emit(args, hv.to_json(), human)
     return 0
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count, dropwhile, product, takewhile
+from itertools import count, dropwhile, product, takewhile
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, DomainError
 from .gf import FiniteField, cycle_lengths, p1_points, reduce_map
@@ -123,21 +123,31 @@ def orbit_classify(f, point) -> OrbitClassification:
 # ---------------------------------------------------------------------------
 
 
+# Points of P^1(F_{p^j}), j <= k, times d + 1, the coefficients each step of
+# f evaluates: the enumeration's work, bounded before any point is built.
+_PERIOD_WORK_CAP = 2 ** 16
+
+
 def periods_mod_p(f: RationalMap1, p: int, k: int) -> set[int]:
     """Cycle lengths of f on P^1(F_{p^j}) for j <= k, closed under lcm of
-    subsets of size <= k (candidate period patterns of conjugate k-tuples);
-    a prime of bad reduction is refused by reduce_map."""
+    subsets of size <= k (candidate period patterns of conjugate k-tuples).
+    A prime of bad reduction is refused, then, before any point is
+    enumerated, a p and k whose points times d + 1 exceed _PERIOD_WORK_CAP."""
     PeriodBoundInput(Np=p, k=k, p=p, vp=1)  # checks p and k
-    base: set[int] = set()
-    for j in range(1, k + 1):
+    gf = FiniteField(p, 1)
+    step = reduce_map(f, gf)  # refuses a prime of bad reduction
+    points = sum(p ** j + 1 for j in range(1, k + 1))
+    if points * (f.d + 1) > _PERIOD_WORK_CAP:
+        raise BudgetExceededError(
+            f"P^1(F_{p}^j) for j <= {k} has {points} points in all; times "
+            f"d + 1 = {f.d + 1} that is above {_PERIOD_WORK_CAP}")
+    base = cycle_lengths(step, p1_points(gf))
+    for j in range(2, k + 1):
         gf = FiniteField(p, j)
-        step = reduce_map(f, gf)
-        base |= cycle_lengths(step, p1_points(gf))
-    out: set[int] = set()
-    items = sorted(base)
-    for size in range(1, k + 1):
-        for combo in combinations(items, size):
-            out.add(math.lcm(*combo))
+        base |= cycle_lengths(reduce_map(f, gf), p1_points(gf))
+    out = set(base)
+    for _ in range(k - 1):  # after i rounds: lcms of subsets of size <= i + 1
+        out |= {math.lcm(r, b) for r in out for b in base}
     return out
 
 

@@ -27,13 +27,14 @@ matrices, with one exception.  The symmetric product F of x^d + c, c != 0,
 satisfies F_j[g] = lam T_j[g] c^((w(g) - d j)/d), where T is that of
 x^d + 1 and w(g) = sum_i i g_i.  So every Macaulay matrix of F is T's times
 diagonal matrices, with the same greedy pivot columns and the same minimal
-degrees, and F's certificate is T's rescaled.  T is searched once per
-(d, k), its refusal kept as well, and every rescaled certificate is
-verified exactly before it is used.  The rescale runs on integers: T's
-entries are grouped by their power of c once per search result, and each
-map takes one lcm and one gcd per coordinate.  Every certificate identity
-is checked by integer convolution on monomials coded as single integers in
-base M + 1, so that the code of a product is the sum of the codes.
+degrees, and F's certificate is T's rescaled.  F is read as such a product
+from the map symmetrize records on it, and a morphism built otherwise is
+searched.  T's search and its rescaling plan are built once per (d, k), a
+refusal kept as well, and every rescaled certificate is verified exactly
+before it is used.  The rescale runs on integers, one lcm and one gcd per
+coordinate.  Every certificate identity is checked by integer convolution
+on monomials coded as single integers in base M + 1, so that the code of a
+product is the sum of the codes.
 """
 
 from __future__ import annotations
@@ -200,10 +201,8 @@ def _integral_certificate(fterms, polys, target):
     return den, sum(abs(v) for g in ints for v in g.values()), ints
 
 
-# (d, k) -> [T, T's search or the CertificateError that refused it, plan],
-# with T the symmetric product of x^d + 1; the search runs on the first
-# family map.  plan is (search, _template_plan of it): it is used only while
-# entry[1] is that very search, and rebuilt from whatever replaced it.
+# (d, k) -> (T, T's search, _template_plan of it), T the symmetric product
+# of x^d + 1, or the CertificateError that refused T's search; never changed.
 _template_cache: dict = {}
 
 
@@ -212,43 +211,39 @@ def _weight(e) -> int:
 
 
 def _family_scaling(F: MorphismPk):
-    """(template entry, lam, c) when F_j[g] = lam T_j[g] c^((w(g) - d j)/d)
-    for every term, with T = symmetrize(x^d + 1, k) and w(g) = sum_i i g_i,
-    as for the symmetric product of x^d + c, c != 0; else None.  The
-    weights are read from F before T is built."""
-    d, k = F.d, F.k
-    terms = []
-    for j, comp in enumerate(F.components):
-        for e, coef in comp.terms.items():
-            m, r = divmod(_weight(e) - d * j, d)
-            if r or m < 0:
-                return None
-            terms.append((j, e, m, coef))
-    if all(m != 1 for _j, _e, m, _c in terms):
-        return None  # c = 0, or not a symmetric product of x^d + c
-    entry = _template_cache.get((d, k))
-    if entry is None:
-        one = RationalMap1([1] + [0] * (d - 1) + [1], [0] * d + [1])
-        entry = _template_cache[d, k] = [symmetrize(one, k), None, None]
-    T = entry[0].components
-    if any(len(a.terms) != len(b.terms) for a, b in zip(F.components, T)) \
-            or any(e not in T[j].terms for j, e, _m, _c in terms):
+    """(template, lam, c) when F = symmetrize(x^d + c, k), c != 0, as read
+    from F.base, else None: then F_j[g] = lam T_j[g] c^((w(g) - d j)/d),
+    w(g) = sum_i i g_i, and lam is read from F's first term of weight d j.
+    template is _template_cache[d, k], built here on first use; a kept
+    refusal is raised again."""
+    if F.base is None:
         return None
-    lam = next(coef / T[j].terms[e] for j, e, m, coef in terms if m == 0)
-    c = next(coef / (lam * T[j].terms[e]) for j, e, m, coef in terms if m == 1)
-    scaled = [lam * c ** m for m in range(k + 1)]  # the coefficients are integers
-    if any(coef.numerator * scaled[m].denominator
-           != T[j].terms[e].numerator * scaled[m].numerator
-           for j, e, m, coef in terms):
+    (num, den), k = F.base
+    d = F.d
+    if any(num[1:d]) or any(den[:d]) or num[0] != den[d] or not num[d]:
         return None
-    return entry, lam, c
+    got = _template_cache.get((d, k))
+    if got is None:
+        T = symmetrize(RationalMap1([1] + [0] * (d - 1) + [1], [0] * d + [1]), k)
+        try:
+            search = _search_certificate(T)
+            got = (T, search, _template_plan(T, search))
+        except CertificateError as err:
+            got = err
+        _template_cache[d, k] = got
+    if isinstance(got, CertificateError):
+        raise CertificateError(str(got))
+    T = got[0].components
+    lam = next(coef / T[j].terms[e] for j, comp in enumerate(F.components)
+               for e, coef in comp.terms.items() if _weight(e) == d * j)
+    return got, lam, Fraction(num[d], den[d])
 
 
 def _template_plan(T: MorphismPk, search):
     """T's certificate laid out for rescaling, per coordinate i: (r~_i, the
-    distinct powers s of c, the rows [(a, code of a, g~_ij[a], index of
-    its s)] per j in the order of g~_ij, the code of x_i^M_i and the code of
-    each monomial of T).  An entry's power is s = (w(a) + d j - i M_i)/d;
+    distinct powers s of c, the rows ((a, code of a, g~_ij[a], index of
+    its s), ...) per j in the order of g~_ij, the code of x_i^M_i and the
+    code of each monomial of T).  An entry's power is s = (w(a) + d j - i M_i)/d;
     codes are in a base from _code_base."""
     exps, mults, _gnorms, gs = search
     d = T.d
@@ -257,14 +252,12 @@ def _template_plan(T: MorphismPk, search):
         target = tuple(M if t == i else 0 for t in range(T.k + 1))
         base = _code_base(target, [a for g in polys for a in g], d)
         group = {}
-        rows = []
-        for j, g in enumerate(polys):
-            rows.append([(a, _code(a, base), x, group.setdefault(
-                (_weight(a) + d * j - i * M) // d, len(group)))
-                for a, x in g.items()])
+        rows = tuple(tuple((a, _code(a, base), x, group.setdefault(
+            (_weight(a) + d * j - i * M) // d, len(group)))
+            for a, x in g.items()) for j, g in enumerate(polys))
         codes = {e: _code(e, base) for comp in T.components for e in comp.terms}
         plan.append((den, tuple(group), rows, _code(target, base), codes))
-    return plan
+    return tuple(plan)
 
 
 def _rescaled_search(F: MorphismPk):
@@ -281,19 +274,10 @@ def _rescaled_search(F: MorphismPk):
     got = _family_scaling(F)
     if got is None:
         return _search_certificate(F)
-    entry, lam, c = got
-    if entry[1] is None:
-        try:
-            entry[1] = _search_certificate(entry[0])
-        except CertificateError as err:
-            entry[1] = err
-    if isinstance(entry[1], CertificateError):
-        raise CertificateError(str(entry[1]))
-    if entry[2] is None or entry[2][0] is not entry[1]:
-        entry[2] = (entry[1], _template_plan(entry[0], entry[1]))
+    (_T, search, plan), lam, c = got
     fterms = _fterms(F)
     mults, gnorms, gs = [], [], []
-    for den, powers, rows, target, codes in entry[2][1]:
+    for den, powers, rows, target, codes in plan:
         factors = [c ** s / (lam * den) for s in powers]
         L = math.lcm(*(q.denominator for q in factors))
         ms = [q.numerator * (L // q.denominator) for q in factors]
@@ -309,7 +293,7 @@ def _rescaled_search(F: MorphismPk):
         gnorms.append(sum(abs(v) for row in coded for _ca, v in row))
         gs.append([{a: v for (a, *_), (_ca, v) in zip(row, crow)}
                    for row, crow in zip(rows, coded)])
-    return entry[1][0], tuple(mults), tuple(gnorms), tuple(gs)
+    return search[0], tuple(mults), tuple(gnorms), tuple(gs)
 
 
 def _macaulay_matrix(fterms, gmons, rows_mons):

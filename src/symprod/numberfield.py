@@ -356,17 +356,15 @@ def roots_in_number_field(poly: UniPoly, field: NumberField) -> list[NFElem]:
     norm's roots are b_j + s*a_i (poly(b_j) = 0, a_i the conjugates of a),
     so for poly the field's own minimal polynomial s = 1 counts each
     a_i + a_j twice and s = -1 gives the factor x^n: the shifts +-1 are
-    tried last.
+    tried last.  A norm is squarefree only if poly is, so poly is first
+    replaced by its squarefree part, the product of the monic parts of its
+    squarefree decomposition, which has the same roots.
     """
     if poly.degree < 1:
         return []
-    if field.degree == 1:
-        # rational field: rational roots only
-        from .polyfactor import rational_roots
-        return [field.from_rational(r) for r in sorted(set(rational_roots(poly)))]
-
     alpha = field.gen()
-    poly = poly.monic() if poly.lead != 1 else poly
+    poly = math.prod((g for g, _i in squarefree_decomposition(poly)),
+                     start=UniPoly.one())
     pk = [field.from_rational(c) for c in poly.coeffs]
     for s in (2, -2, 3, -3, 4, -4, 5, -5, 1, -1):
         norm = _norm(_shift_into_field(poly, -s, alpha))

@@ -420,9 +420,11 @@ def _eval_plan(comps):
 class MorphismPk:
     """A self-map of P^k as k+1 integer-coefficient forms of common degree d,
     with the evaluation plan that apply, eval_int and the Green iterations
-    share."""
+    share.  base is (f.key(), k) when the map is symmetrize(f, k), else
+    None: f's coefficients, not f, so that symmetrize's cache keeps no
+    map's orbit store alive.  It takes no part in equality or hashing."""
 
-    __slots__ = ("k", "d", "components", "plan")
+    __slots__ = ("k", "d", "components", "plan", "base")
 
     def __init__(self, components, expected_degree=None):
         comps = list(components)
@@ -447,6 +449,7 @@ class MorphismPk:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "components", tuple(comps))
         object.__setattr__(self, "plan", _eval_plan(comps))
+        object.__setattr__(self, "base", None)
 
     def __setattr__(self, *a):
         raise AttributeError("MorphismPk is immutable")

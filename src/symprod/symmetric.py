@@ -76,7 +76,8 @@ def _check_k(k: int):
 
 def symmetrize(f: RationalMap1, k: int) -> MorphismPk:
     """The k-symmetric product F of f: the unique self-map of P^k with
-    F o eta_k = eta_k o (f, ..., f), primitive-integer normalized."""
+    F o eta_k = eta_k o (f, ..., f), primitive-integer normalized, with
+    F.base its cache key (f.key(), k)."""
     if k < 1:
         raise DomainError("k must be at least 1")
     _check_k(k)
@@ -122,6 +123,7 @@ def symmetrize(f: RationalMap1, k: int) -> MorphismPk:
                 part[e] = digit
             c = (c - digit) >> B
     F = MorphismPk([MPoly(k + 1, t) for t in parts], expected_degree=d)
+    object.__setattr__(F, "base", key)
     _symmetrize_cache[key] = F
     return F
 

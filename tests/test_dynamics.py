@@ -1,9 +1,10 @@
 import math
 import random
 import signal
+import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -292,6 +293,50 @@ def test_periods_mod_p_refuses_non_primes_and_k_below_1():
                           (0, 1, "prime"), (-5, 1, "prime"), (5, 0, "k")):
         with pytest.raises(DomainError, match=message):
             periods_mod_p(f, p, k)
+
+
+def _periods_mod_p_reference(f, p, k):
+    """The lcm closure as it was first written: the lcm of every subset of
+    size <= k of the cycle lengths over P^1(F_{p^j}), j <= k."""
+    from symprod.gf import FiniteField, cycle_lengths, p1_points, reduce_map
+    base = set()
+    for j in range(1, k + 1):
+        gf = FiniteField(p, j)
+        base |= cycle_lengths(reduce_map(f, gf), p1_points(gf))
+    items = sorted(base)
+    return {math.lcm(*combo) for size in range(1, k + 1)
+            for combo in combinations(items, size)}
+
+
+def test_periods_mod_p_equals_the_subset_closure():
+    for text in ("x^2 - 29/16", "x^2 - 2", "x^3 + 2", "x^2 + 1/4",
+                 "[z^2 - 3*t^2 + z*t, 5*z^2 + t^2]"):
+        f = _map(text)
+        for p, k in ((3, 1), (3, 4), (5, 3), (7, 2), (11, 2), (31, 1)):
+            if f.res % p:
+                assert periods_mod_p(f, p, k) == _periods_mod_p_reference(f, p, k), \
+                    (text, p, k)
+
+
+def test_periods_mod_p_refuses_large_fields_up_front():
+    """The points of P^1(F_{p^j}), j <= k, number sum (p^j + 1), and each
+    step of f evaluates d + 1 coefficients: a quadratic at p = 5 admits
+    k = 6 (19 536 points) and refuses k = 7 (97 662) and beyond, a map of
+    degree 64 at p = 3 admits k = 5 and refuses k = 6, all without
+    enumerating; a bad prime is refused first."""
+    f = _map("x^2 - 29/16")
+    g = _map("x^64 + x - 1")
+    start = time.perf_counter()
+    for h, p, k in ((f, 5, 7), (f, 5, 8), (f, 3, 9), (f, 139, 3), (f, 149, 2),
+                    (f, 10007, 2), (f, 5, 64), (g, 3, 6), (g, 1009, 1)):
+        with pytest.raises(BudgetExceededError, match="points"):
+            periods_mod_p(h, p, k)
+    with pytest.raises(DomainError, match="bad reduction"):
+        periods_mod_p(f, 2, 64)
+    assert time.perf_counter() - start < 1.0
+    cap = dynamics._PERIOD_WORK_CAP
+    for d, p, k in ((2, 5, 6), (2, 2, 13), (2, 139, 2), (64, 3, 5), (64, 997, 1)):
+        assert sum(p ** j + 1 for j in range(1, k + 1)) * (d + 1) <= cap
 
 
 def test_exponent_bound():

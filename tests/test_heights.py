@@ -6,8 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from symprod import (AlgebraicPoint, NumberField, PkPoint, RationalMap1,
-                     UniPoly, apply, bad_primes, bad_primes_sym,
+from symprod import (AlgebraicPoint, MorphismPk, NumberField, PkPoint,
+                     RationalMap1, UniPoly, apply, bad_primes, bad_primes_sym,
                      canonical_height, canonical_height_nf, eta, eta_tilde,
                      green_local, height_comparison_constant, morphism_of_map,
                      naive_height, p1_point, parse_map, preperiodicity_bound,
@@ -617,22 +617,98 @@ def test_maps_outside_the_family_are_searched(monkeypatch):
     assert heights._template_cache == {}
 
 
+def _term_based_scaling(Fk):
+    """(lam, c) worked out from F's terms alone, as the certificate layer did
+    before F kept its map: every weight w(g) - d j is a multiple m d with
+    m >= 0, F's term set is T's, lam and c are read from the first terms
+    with m = 0 and m = 1, and every term is checked against
+    lam T_j[g] c^m; None when any of that fails or no term has m = 1."""
+    d, k = Fk.d, Fk.k
+    terms = []
+    for j, comp in enumerate(Fk.components):
+        for e, coef in comp.terms.items():
+            m, r = divmod(heights._weight(e) - d * j, d)
+            if r or m < 0:
+                return None
+            terms.append((j, e, m, coef))
+    if all(m != 1 for _j, _e, m, _c in terms):
+        return None
+    T = symmetrize(RationalMap1([1] + [0] * (d - 1) + [1], [0] * d + [1]),
+                   k).components
+    if any(len(a.terms) != len(b.terms) for a, b in zip(Fk.components, T)) \
+            or any(e not in T[j].terms for j, e, _m, _c in terms):
+        return None
+    lam = next(coef / T[j].terms[e] for j, e, m, coef in terms if m == 0)
+    c = next(coef / (lam * T[j].terms[e]) for j, e, m, coef in terms if m == 1)
+    if any(coef != lam * T[j].terms[e] * c ** m for j, e, m, coef in terms):
+        return None
+    return lam, c
+
+
+def test_family_read_from_f_equals_the_term_based_recovery(monkeypatch):
+    """lam and c read from f equal those worked out from F's terms, on the
+    cycles pool at k = 1..5 and on x^3 + c; maps outside the family are
+    outside it both ways."""
+    monkeypatch.setattr(heights, "_template_cache", {})
+    cases = [(2, c, (1, 2, 3, 4, 5)) for c in _CYCLES_POOL_CS] + [
+        (3, c, (1, 2, 3)) for c in (F(-2), F(5, 8), F(-7, 27), F(2 ** 64 + 13),
+                                    F(-1, 3))]
+    for d, c, ks in cases:
+        f = RationalMap1([1] + [0] * (d - 1) + [c], [0] * d + [1])
+        for k in ks:
+            Fk = symmetrize(f, k)
+            _template, lam, got = heights._family_scaling(Fk)
+            assert got == c and (lam, got) == _term_based_scaling(Fk), (d, c, k)
+    for text in ("x^2 + x - 3", "[z^3 - z^2*t + 2*t^3, z^2*t + 3*t^3]", "x^2",
+                 "x^3 - 2*x", "3*x^2 - 1", "-x^2 + 3"):
+        for k in (1, 2, 3):
+            Fk = symmetrize(_map(text), k)
+            assert heights._family_scaling(Fk) is None
+            assert _term_based_scaling(Fk) is None
+
+
+def test_a_directly_built_family_morphism_is_searched(monkeypatch):
+    """A morphism equal to the symmetric product of x^2 + c but not built by
+    symmetrize does not know its map: it is searched, and the search gives
+    the rescaled certificate."""
+    searched = []
+    search = heights._search_certificate
+
+    def recording(Fk):
+        searched.append(Fk)
+        return search(Fk)
+
+    monkeypatch.setattr(heights, "_search_certificate", recording)
+    monkeypatch.setattr(heights, "_template_cache", {})
+    for text in ("x^2 - 29/16", "x^2 + 7"):
+        for k in (1, 2, 3, 4):
+            Fk = symmetrize(_map(text), k)
+            direct = MorphismPk(Fk.components)
+            assert direct.base is None and heights._family_scaling(direct) is None
+            rescaled = heights._rescaled_search(Fk)
+            searched.clear()
+            assert heights._rescaled_search(direct) == rescaled
+            assert len(searched) == 1 and searched[0] is direct
+
+
 def test_corrupted_template_never_yields_a_certificate(monkeypatch):
     monkeypatch.setattr(heights, "_cert_cache", {})
     monkeypatch.setattr(heights, "_template_cache", {})
     morphism_certificate(symmetrize(_map("x^2 - 2"), 3), bad=())
-    entry = heights._template_cache[2, 3]
-    exps, mults, gnorms, gs = entry[1]
-    for i in range(len(gs)):
-        for j, g in enumerate(gs[i]):
-            for a in g:
-                bad_g = [dict(h) for h in gs[i]]
-                bad_g[j][a] += 1
-                entry[1] = (exps, mults, gnorms, gs[:i] + (bad_g,) + gs[i + 1:])
-                monkeypatch.setattr(heights, "_cert_cache", {})
-                with pytest.raises(CertificateError, match="exact verification"):
-                    morphism_certificate(symmetrize(_map("x^2 - 29/16"), 3))
-                break  # one coefficient per g_ij
+    T, search, plan = heights._template_cache[2, 3]
+    for i, (den, powers, rows, target, codes) in enumerate(plan):
+        for j, row in enumerate(rows):
+            if not row:
+                continue
+            # one coefficient per g~_ij: the first row entry the rescale reads
+            a, ca, x, s = row[0]
+            bad_rows = rows[:j] + (((a, ca, x + 1, s),) + row[1:],) + rows[j + 1:]
+            bad_plan = plan[:i] + ((den, powers, bad_rows, target, codes),) \
+                + plan[i + 1:]
+            heights._template_cache[2, 3] = (T, search, bad_plan)
+            monkeypatch.setattr(heights, "_cert_cache", {})
+            with pytest.raises(CertificateError, match="exact verification"):
+                morphism_certificate(symmetrize(_map("x^2 - 29/16"), 3))
 
 
 def test_refused_template_refuses_the_family_at_once(monkeypatch):
@@ -641,7 +717,7 @@ def test_refused_template_refuses_the_family_at_once(monkeypatch):
     monkeypatch.setattr(heights, "_CERT_DIM_CAP", 40)
     with pytest.raises(CertificateError) as first:
         morphism_certificate(symmetrize(_map("x^2 - 2"), 4))
-    assert isinstance(heights._template_cache[2, 4][1], CertificateError)
+    assert isinstance(heights._template_cache[2, 4], CertificateError)
 
     def no_search(Fk):
         raise AssertionError("searched again")

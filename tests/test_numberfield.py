@@ -129,6 +129,31 @@ def test_roots_in_number_field():
     assert sorted(r.as_rational() for r in rr) == [-2, 2]
 
 
+def test_roots_in_number_field_with_repeated_factors():
+    sqrt2 = NumberField.get(UniPoly((-2, 0, 1)))
+    a = sqrt2.gen()
+    x2m2 = UniPoly((-2, 0, 1))
+    assert roots_in_number_field(x2m2 ** 2, sqrt2) == [-a, a]
+    assert roots_in_number_field(x2m2 * UniPoly((-3, 1)) ** 2, sqrt2) == \
+        [-a, a, sqrt2.from_rational(3)]
+    # degree-1 fields, Q(0) and Q(-5/2)
+    for K in (NumberField.get(UniPoly((0, 1))),
+              NumberField.get(UniPoly((F(5, 2), 1)))):
+        p = UniPoly((-1, 1)) ** 2 * UniPoly((2, 1)) ** 3 * UniPoly((1, 0, 1))
+        assert [r.as_rational() for r in roots_in_number_field(p, K)] == [-2, 1]
+        assert roots_in_number_field(UniPoly((1, 0, 1)) ** 2, K) == []
+    # the roots of P are those of its squarefree part P / gcd(P, P'), which
+    # the parent's path answered
+    rng = random.Random(38)
+    for K in (sqrt2, SQRT5, CUBIC, ZETA5):
+        for _ in range(5):
+            p = K.minpoly * UniPoly((rng.randint(-5, 5), 1))
+            q = UniPoly(tuple(rng.randint(-4, 4) for _ in range(3)) + (1,))
+            P = p ** rng.randint(2, 3) * q ** rng.randint(1, 2)
+            part = (P // P.gcd(P.derivative())).monic()
+            assert roots_in_number_field(P, K) == roots_in_number_field(part, K)
+
+
 def test_same_field():
     w = CUBIC.gen()
     e = w * w - F(21, 16)

@@ -61,6 +61,16 @@ def test_symmetrize_k1_is_f():
     assert F1.components[1].terms == {(0, 2): F(16)}
 
 
+def test_the_symmetric_product_keeps_its_map_outside_equality():
+    for text, k in (("x^2 - 29/16", 3), ("[z^2 - 3*t^2 + z*t, 5*z^2 + t^2]", 2)):
+        f = _map(text)
+        Fk = symmetrize(f, k)
+        direct = MorphismPk(Fk.components)
+        assert Fk.base == (f.key(), k) and direct.base is None
+        assert direct == Fk and Fk == direct and hash(direct) == hash(Fk)
+        assert len({Fk, direct}) == 1
+
+
 def test_symmetrize_displayed_k4():
     Fm = symmetrize(_map("x^2 - 2"), 4)
     names = ["v0", "v1", "v2", "v3", "v4"]

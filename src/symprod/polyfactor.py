@@ -1,10 +1,12 @@
 """Factorization of univariate polynomials over Q.
 
-Everything runs on integer coefficient lists, low to high.  Pipeline: the
-content/primitive split, Yun's squarefree decomposition over Z (every quotient
-is exact by Gauss's lemma), then a squarefree quadratic splits in closed form
-when its discriminant is a square, and every other squarefree part f of
-degree n and lead lc, monic or not, takes one Zassenhaus round trip:
+Everything runs on integer coefficient lists, low to high; `_factor_primitive`
+is the integer core under `factor_unipoly` and `BinaryForm.factor`.  Pipeline:
+the content/primitive split, zero roots off, Yun's squarefree decomposition
+over Z (every quotient is exact by Gauss's lemma), then squarefree quadratics
+and even quartics a x^4 + b x^2 + e split in closed form, and every other
+squarefree part f of degree n and lead lc, monic or not, takes one Zassenhaus
+round trip:
 
 * prime: among odd primes p not dividing lc for which f/lc is squarefree mod
   p, take the first whose distinct-degree split shows at most six factors,
@@ -341,6 +343,33 @@ def _factor_squarefree_primitive(f):
         if r * r != disc:
             return [list(f)]
         return [_primitive([b - r, 2 * a]), _primitive([b + r, 2 * a])]
+    if n == 4 and f[1] == f[3] == 0:
+        return _factor_biquadratic(f)
+    return _zassenhaus(f)
+
+
+def _factor_biquadratic(f):
+    """_factor_squarefree_primitive for f = a x^4 + b x^2 + e, e != 0.  If
+    a y^2 + b y + e splits, f splits into two even quadratics.  Else a factor
+    pairs with its image under x -> -x: f is reducible iff ae = m^2 and
+    a (2t - b) = n^2 > 0 for t = m or -m, and then
+    a f = (a x^2 + n x + t)(a x^2 - n x + t), both primitive parts irreducible."""
+    e, _, b, _, a = f
+    halves = _factor_squarefree_primitive([e, b, a])
+    if len(halves) == 2:
+        return [g for c, l in halves for g in _factor_squarefree_primitive([c, 0, l])]
+    m = math.isqrt(a * e) if a * e > 0 else 0
+    for t in (m, -m) if m * m == a * e else ():
+        s = a * (2 * t - b)
+        n = math.isqrt(s) if s > 0 else -1  # n = 0 would square a x^2 + t
+        if n * n == s:
+            return [_primitive([t, n, a]), _primitive([t, -n, a])]
+    return [list(f)]
+
+
+def _zassenhaus(f):
+    """_factor_squarefree_primitive by Zassenhaus (module docstring), n >= 2."""
+    n = len(f) - 1
     count, p, ddf = _choose_prime(f)
     if count == 1:
         return [list(f)]
@@ -396,17 +425,14 @@ def _derivative(a):
     return [i * c for i, c in enumerate(a)][1:]
 
 
-def squarefree_decomposition(f: UniPoly):
-    """Yun's algorithm on the primitive integer coefficients of f:
-    pairwise-coprime monic squarefree g_i with f = c * prod g_i^i; returns
-    [(g_i, i)].  Every quotient is exact over Z (Gauss's lemma).  An f
-    squarefree mod one of 3, 5, 7, 11, 13 that does not divide lc(f) is
-    squarefree."""
-    if f.degree < 1:
-        return []
-    b = f.primitive_int_coeffs()
+def _squarefree_parts(b):
+    """Yun's algorithm on a primitive integer list b of degree >= 1:
+    [(g_i, i)] with g_i pairwise coprime, squarefree and primitive with
+    positive lead, and b = prod g_i^i.  Every quotient is exact over Z
+    (Gauss's lemma).  A b squarefree mod one of 3, 5, 7, 11, 13 that does
+    not divide lc(b) is squarefree."""
     if any(_monic_squarefree_mod(b, p) is not None for p in (3, 5, 7, 11, 13)):
-        return [(f.monic(), 1)]
+        return [(b, 1)]
     db = _derivative(b)
     a = _int_gcd(b, db)
     b, c = _int_divide(b, a), _int_divide(db, a)
@@ -416,10 +442,37 @@ def squarefree_decomposition(f: UniPoly):
         d = _trim([x - y for x, y in zip_longest(c, _derivative(b), fillvalue=0)])
         g = _int_gcd(b, d)
         if len(g) > 1:
-            out.append((UniPoly.from_int_list(g).monic(), i))
+            out.append((g, i))
         b, c = _int_divide(b, g), _int_divide(d, g)
         i += 1
     return out
+
+
+def _factor_primitive(prim):
+    """Factor a primitive integer list with positive lead over Z: [(g, m)]
+    with prim = prod g^m (checked by multiplying back), each g an irreducible
+    primitive int tuple with positive lead, sorted by (degree, coefficients)."""
+    # zero roots come off first so constant terms are nonzero downstream
+    v = next(i for i, c in enumerate(prim) if c)
+    factors = {(0, 1): v} if v else {}  # (0, 1) is the polynomial x
+    for g, mult in _squarefree_parts(prim[v:]) if len(prim) - v > 1 else ():
+        for irr in _factor_squarefree_primitive(g):
+            factors[tuple(irr)] = factors.get(tuple(irr), 0) + mult
+    check = [1]
+    for key, mult in factors.items():
+        check = _conv(check, _power(key, mult, [1], _conv))
+    if check != prim:
+        raise DomainError("factorization failed the multiply-back check")
+    return sorted(factors.items(), key=lambda gm: (len(gm[0]), gm[0]))
+
+
+def squarefree_decomposition(f: UniPoly):
+    """Pairwise-coprime monic squarefree g_i with f = c * prod g_i^i, as
+    [(g_i, i)]: _squarefree_parts of f's primitive integer coefficients."""
+    if f.degree < 1:
+        return []
+    return [(UniPoly.from_int_list(g).monic(), i)
+            for g, i in _squarefree_parts(f.primitive_int_coeffs())]
 
 
 def factor_unipoly(poly: UniPoly):
@@ -433,31 +486,7 @@ def factor_unipoly(poly: UniPoly):
         raise DomainError("cannot factor the zero polynomial")
     prim = poly.primitive_int_coeffs()
     content = poly.lead / prim[-1]
-    if len(prim) == 1:
-        return content, []
-
-    factors: dict[tuple, int] = {}
-    # zero roots come off first so constant terms are nonzero downstream
-    v = 0
-    while prim[v] == 0:
-        v += 1
-    if v:
-        factors[(0, 1)] = v  # the polynomial x
-
-    for g, mult in squarefree_decomposition(UniPoly.from_int_list(prim[v:])):
-        for irr in _factor_squarefree_primitive(g.primitive_int_coeffs()):
-            key = tuple(irr)
-            factors[key] = factors.get(key, 0) + mult
-
-    check = [1]
-    for key, mult in factors.items():
-        for _ in range(mult):
-            check = _conv(check, key)
-    if check != prim:
-        raise DomainError("factorization failed the multiply-back check")
-    out = sorted(((UniPoly.from_int_list(k), m) for k, m in factors.items()),
-                 key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return content, out
+    return content, [(UniPoly.from_int_list(g), m) for g, m in _factor_primitive(prim)]
 
 
 def is_irreducible(poly: UniPoly) -> bool:

@@ -20,6 +20,7 @@ from fractions import Fraction
 from .errors import DegenerateMapError, DomainError
 from .mpoly import MPoly, joint_primitive
 from .numberfield import NFElem, NumberField, minimal_polynomial
+from .polyfactor import _factor_primitive
 from .unipoly import UniPoly, _conv, resultant
 
 
@@ -141,15 +142,12 @@ class BinaryForm:
             out.append((BinaryForm((1, 0)), b))   # X^b
         if a:
             out.append((BinaryForm((0, 1)), a))   # Y^a
-        mid = cs[a: k - b + 1]
+        mid = cs[a: k - b + 1]  # primitive, first entry positive
         e = len(mid) - 1
         if e >= 1:
-            from .polyfactor import factor_unipoly
-
-            u = UniPoly(tuple(reversed(mid)))  # u(T) = h(T, 1)
-            _, facs = factor_unipoly(u)
-            for w, m in facs:
-                out.append((BinaryForm(tuple(reversed(w.coeffs))), m))
+            # u(T) = h(T, 1), low to high, factored on integers
+            for w, m in _factor_primitive(list(reversed(mid))):
+                out.append((BinaryForm(w[::-1]), m))
         elif e == 0 and not out:
             raise DomainError("constant form has no factorization")
         return out

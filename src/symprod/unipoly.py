@@ -14,7 +14,7 @@ Four kernels here serve every coefficient ring of the package:
   `symmetric.eta_coords`, the Z/p[x] and Z[x] products of `polyfactor`, and
   the form products of `projective` and `dynamics`;
 * `_power`, binary powering: `UniPoly`, `NFElem` and `MPoly` powers,
-  `gf.FiniteField.pow` and `polyfactor._ppowmod`;
+  `gf.FiniteField.pow`, `polyfactor._ppowmod` and its multiply-back check;
 * `_field_divmod`, the long division over a field (Q or a number field):
   `UniPoly.divmod` and `_field_gcd`;
 * `_field_gcd`, the monic Euclid over a field:

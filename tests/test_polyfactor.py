@@ -2,13 +2,13 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import product, zip_longest
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from symprod import (DomainError, UniPoly, factor_unipoly, is_irreducible,
+from symprod import (BinaryForm, DomainError, UniPoly, factor_unipoly, is_irreducible,
                      rational_roots, squarefree_decomposition)
 from symprod import polyfactor
 
@@ -409,3 +409,172 @@ def test_packed_ddf_slot_widths_and_list_fallback():
         assert (packed.code if packed else None) == code
         for cap in (2, 4, None):
             assert polyfactor._ddf(f, p, cap) == _ddf_reference(f, p, cap)
+
+
+# ---------------------------------------------------------------------------
+# even quartics in closed form against Zassenhaus and the factor oracles
+# ---------------------------------------------------------------------------
+
+
+def _squarefree_even_quartic(coeffs):
+    """The primitive, positive-lead form of a x^4 + b x^2 + e given low to
+    high, or None unless it is a squarefree even quartic with e != 0."""
+    f = polyfactor._primitive(polyfactor._trim(list(coeffs)))
+    if len(f) != 5 or f[1] or f[3] or not f[0]:
+        return None
+    return f if len(polyfactor._int_gcd(f, polyfactor._derivative(f))) == 1 else None
+
+
+def _sq(c):
+    return c * c
+
+
+def _even_quartics(size):
+    """a x^4 + b x^2 + e (low to high) in the shapes the closed form tells
+    apart, coefficients of up to `size` bits before squaring: any (a, b, e),
+    a e of either sign; (p x^2 + q)(r x^2 + s); h(x) h(-x) for
+    h = p x^2 + q x + s of either sign of s, so of t = ps; and a e a square
+    with any b, where the test on a (2t - b) decides."""
+    lead = st.integers(1, 2 ** size)
+    coeff = st.integers(-2 ** size, 2 ** size)
+    return st.one_of(
+        st.tuples(lead, coeff, coeff).map(lambda t: [t[2], 0, t[1], 0, t[0]]),
+        st.tuples(lead, coeff, lead, coeff).map(
+            lambda t: [t[1] * t[3], 0, t[0] * t[3] + t[1] * t[2], 0, t[0] * t[2]]),
+        st.tuples(lead, coeff, coeff).map(
+            lambda t: [_sq(t[2]), 0, 2 * t[0] * t[2] - _sq(t[1]), 0, _sq(t[0])]),
+        st.tuples(lead, coeff, coeff, st.sampled_from((1, -1))).map(
+            lambda t: [t[3] * _sq(t[2]), 0, t[1], 0, _sq(t[0])]),
+        st.tuples(lead, coeff, coeff, st.sampled_from((1, -1))).map(
+            lambda t: [t[3] * t[0] * _sq(t[2]), 0, t[1], 0, t[0]]))
+
+
+@given(_even_quartics(80))
+@settings(max_examples=300, deadline=None)
+def test_biquadratic_closed_form_matches_zassenhaus(coeffs):
+    f = _squarefree_even_quartic(coeffs)
+    assume(f is not None)
+    got = polyfactor._factor_biquadratic(list(f))
+    assert sorted(got) == sorted(polyfactor._zassenhaus(list(f)))
+    assert polyfactor._factor_squarefree_primitive(list(f)) == got
+
+
+@given(_even_quartics(1))
+@settings(max_examples=60, deadline=None)
+def test_biquadratic_closed_form_matches_factor_oracles(coeffs):
+    f = _squarefree_even_quartic(coeffs)
+    assume(f is not None)
+    got = polyfactor._factor_biquadratic(list(f))
+    back = [1]
+    for g in got:
+        back = polyfactor._conv(back, g)
+        assert g[-1] > 0 and math.gcd(*g) == 1
+        assert len(g) == 2 or oracle_no_rational_root(g)
+    assert back == f
+    if got == [f]:
+        assert oracle_no_rational_root(f) and oracle_no_small_factor(f, 2)
+
+
+def test_biquadratic_closed_form_examples():
+    # x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2): t = +m
+    assert polyfactor._factor_biquadratic([4, 0, 0, 0, 1]) == [[2, 2, 1], [2, -2, 1]]
+    # x^4 - 3x^2 + 1 = (x^2 + x - 1)(x^2 - x - 1): t = -m
+    assert polyfactor._factor_biquadratic([1, 0, -3, 0, 1]) == [[-1, 1, 1], [-1, -1, 1]]
+    # 4x^4 + 1 = (2x^2 + 2x + 1)(2x^2 - 2x + 1): a > 1, a f = (4x^2 + 4x + 2)(...)
+    assert polyfactor._factor_biquadratic([1, 0, 0, 0, 4]) == [[1, 2, 2], [1, -2, 2]]
+    # x^4 - 5x^2 + 4 = (x - 1)(x + 1)(x - 2)(x + 2): the square discriminant
+    assert sorted(polyfactor._factor_biquadratic([4, 0, -5, 0, 1])) == [
+        [-2, 1], [-1, 1], [1, 1], [2, 1]]
+    # x^4 + 2x^2 - 3 = (x^2 + 3)(x - 1)(x + 1); a e < 0
+    assert sorted(polyfactor._factor_biquadratic([-3, 0, 2, 0, 1])) == [
+        [-1, 1], [1, 1], [3, 0, 1]]
+    # a e = 4 is a square but a (2t - b) is -6 or -14: irreducible
+    assert polyfactor._factor_biquadratic([4, 0, 10, 0, 1]) == [[4, 0, 10, 0, 1]]
+    # a e = 6 is not a square: irreducible
+    assert polyfactor._factor_biquadratic([2, 0, 1, 0, 3]) == [[2, 0, 1, 0, 3]]
+
+
+# ---------------------------------------------------------------------------
+# the integer core: BinaryForm.factor and squarefree_decomposition
+# ---------------------------------------------------------------------------
+
+
+def _squarefree_reference(f):
+    """Yun's algorithm on UniPoly parts, as squarefree_decomposition was
+    before the integer core: monic parts built from each integer gcd."""
+    if f.degree < 1:
+        return []
+    b = f.primitive_int_coeffs()
+    if any(polyfactor._monic_squarefree_mod(b, p) is not None
+           for p in (3, 5, 7, 11, 13)):
+        return [(f.monic(), 1)]
+    db = polyfactor._derivative(b)
+    a = polyfactor._int_gcd(b, db)
+    b, c = polyfactor._int_divide(b, a), polyfactor._int_divide(db, a)
+    out, i = [], 1
+    while len(b) > 1:
+        d = polyfactor._trim([x - y for x, y in zip_longest(
+            c, polyfactor._derivative(b), fillvalue=0)])
+        g = polyfactor._int_gcd(b, d)
+        if len(g) > 1:
+            out.append((UniPoly.from_int_list(g).monic(), i))
+        b, c = polyfactor._int_divide(b, g), polyfactor._int_divide(d, g)
+        i += 1
+    return out
+
+
+def _factor_through_unipoly(form):
+    """BinaryForm.factor as it was: X^b and Y^a from the vanishing end
+    coefficients, then factor_unipoly of the dehomogenization of the rest."""
+    cs, k = form.coeffs, form.degree
+    a = next(i for i, c in enumerate(cs) if c)
+    b = next(i for i, c in enumerate(reversed(cs)) if c)
+    out = [(BinaryForm((1, 0)), b)] if b else []
+    out += [(BinaryForm((0, 1)), a)] if a else []
+    mid = cs[a: k - b + 1]
+    if len(mid) > 1:
+        _c, facs = factor_unipoly(UniPoly(tuple(reversed(mid))))
+        out += [(BinaryForm(tuple(reversed(g.coeffs))), m) for g, m in facs]
+    return out
+
+
+def _seeded_form(rng):
+    """A binary form as a product of X^i Y^j and powers of random linear,
+    quadratic and quartic forms (even quartics among them), times a content
+    of either sign: repeated factors, end factors and negative leads."""
+    coeffs = [rng.randint(-3, 3) or 1]
+    for _ in range(rng.randint(0, 2)):
+        coeffs = polyfactor._conv(coeffs, [1, 0])   # X
+    for _ in range(rng.randint(0, 2)):
+        coeffs = polyfactor._conv(coeffs, [0, 1])   # Y
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice((2, 3, 5, "even"))
+        if kind == "even":
+            part = [rng.randint(1, 9), 0, rng.randint(-20, 20), 0,
+                    rng.choice((-1, 1)) * rng.randint(1, 9)]
+        else:
+            part = [rng.randint(-30, 30) for _ in range(kind)]
+        if any(part):
+            coeffs = polyfactor._conv(coeffs, polyfactor._power(
+                part, rng.choice((1, 1, 1, 2, 3)), [1], polyfactor._conv))
+    return coeffs
+
+
+def test_binary_form_factor_equals_factor_unipoly_of_dehomogenization():
+    rng = random.Random(39)
+    for _ in range(400):
+        coeffs = _seeded_form(rng)
+        if len(coeffs) < 2:
+            continue
+        form = BinaryForm(coeffs)
+        assert form.factor() == _factor_through_unipoly(form)
+
+
+def test_squarefree_decomposition_equals_unipoly_yun():
+    rng = random.Random(3939)
+    for _ in range(400):
+        coeffs = _seeded_form(rng)
+        v = next(i for i, c in enumerate(coeffs) if c)
+        for f in (UniPoly.from_int_list(coeffs),
+                  UniPoly.from_int_list(coeffs[v:]) * F(rng.randint(-9, 9) or 1, 7)):
+            assert squarefree_decomposition(f) == _squarefree_reference(f)
